@@ -22,24 +22,16 @@ final double rounding and the accumulation remain).
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .core import Evaluation, Parameters
+from .core import EPS, Evaluation, Parameters, angle_window
 from .errors import DomainError, MagnitudeFloor
 from .gamma import recip_gamma
 from .oracle import oracle_eval
-from .representations import (
-    pole_images,
-    residue_error_weights,
-    residue_terms_x,
-    residue_terms_y,
-)
-
-_EPS = float(np.finfo(float).eps)
+from .representations import pole_images, residue_terms_x, residue_terms_y
 
 # Below this magnitude for min(|x|, |y|) the o() error model says nothing;
 # the dispatcher keeps such points on the series or contour routes.
@@ -56,6 +48,15 @@ class AsymptoticCase(Enum):
     CASE2 = "case2"    # only x inside
     CASE3 = "case3"    # only y inside
     CASE4 = "case4"    # neither
+
+
+# Case by (x inside, y inside).
+_CASES = {
+    (True, True): AsymptoticCase.CASE1,
+    (True, False): AsymptoticCase.CASE2,
+    (False, True): AsymptoticCase.CASE3,
+    (False, False): AsymptoticCase.CASE4,
+}
 
 
 @dataclass(frozen=True)
@@ -76,19 +77,22 @@ class TruncationOrders:
 
 def default_tau1(params: Parameters) -> float:
     """Sector parameter near the top of the admissible angle window."""
-    lo = math.pi * params.alpha * params.beta / 2.0
-    hi = min(math.pi, math.pi * params.alpha * params.beta)
-    tau1 = hi * (1.0 - 1e-3)
-    if tau1 <= lo:
-        tau1 = 0.5 * (lo + hi)
-    return tau1
+    return angle_window(params)[2]
 
 
-def _sector_images(w: complex, power: float, tau1: float) -> tuple[complex, ...]:
-    """Pole preimages of w whose angle lies inside the sector |arg| <= tau1."""
-    return tuple(
-        z for z in pole_images(w, power) if abs(cmath.phase(z)) <= tau1
-    )
+def _sectors(
+    x: complex, y: complex, params: Parameters, tau1: float | None
+) -> tuple[AsymptoticCase, tuple[complex, ...], tuple[complex, ...]]:
+    """The case, and the pole preimages of x and of y whose angle lies
+    inside the sector |arg| <= tau1 (default: default_tau1)."""
+    lo, hi, default = angle_window(params)
+    if tau1 is None:
+        tau1 = default
+    if not lo < tau1 <= hi:
+        raise DomainError(f"tau1 = {tau1} outside the admissible window ({lo}, {hi}]")
+    xi = tuple(z for z in pole_images(x, params.beta) if abs(cmath.phase(z)) <= tau1)
+    yi = tuple(z for z in pole_images(y, params.alpha) if abs(cmath.phase(z)) <= tau1)
+    return _CASES[bool(xi), bool(yi)], xi, yi
 
 
 def classify_case(
@@ -98,23 +102,11 @@ def classify_case(
 
     An argument is inside when any of its pole preimages has angle within
     tau1; for the principal preimage this is the familiar test of arg x
-    against tau1/beta (arg y against tau1/alpha).
+    against tau1/beta (arg y against tau1/alpha).  Raises DomainError for
+    a tau1 outside the admissible window, GeometryError when that window
+    is empty.
     """
-    if tau1 is None:
-        tau1 = default_tau1(params)
-    lo = math.pi * params.alpha * params.beta / 2.0
-    hi = min(math.pi, math.pi * params.alpha * params.beta)
-    if not lo < tau1 <= hi:
-        raise DomainError(f"tau1 = {tau1} outside the admissible window ({lo}, {hi}]")
-    in_x = bool(_sector_images(complex(x), params.beta, tau1))
-    in_y = bool(_sector_images(complex(y), params.alpha, tau1))
-    if in_x and in_y:
-        return AsymptoticCase.CASE1
-    if in_x:
-        return AsymptoticCase.CASE2
-    if in_y:
-        return AsymptoticCase.CASE3
-    return AsymptoticCase.CASE4
+    return _sectors(x, y, params, tau1)[0]
 
 
 def asympt_tail_sum(
@@ -143,16 +135,11 @@ def _case_parts(
     orders: TruncationOrders,
     tau1: float | None,
 ) -> tuple[AsymptoticCase, list[complex]]:
-    if tau1 is None:
-        tau1 = default_tau1(params)
-    case = classify_case(x, y, params, tau1)
-    xi = _sector_images(x, params.beta, tau1)
-    yi = _sector_images(y, params.alpha, tau1)
+    case, xi, yi = _sectors(x, y, params, tau1)
     parts = [asympt_tail_sum(x, y, params, orders)]
     parts += residue_terms_x(x, y, params, xi)
     parts += residue_terms_y(x, y, params, yi)
-    weights = [8.0] + residue_error_weights(params, xi + yi)
-    return case, parts, weights
+    return case, parts
 
 
 def _calibrated_constant(params: Parameters, orders: TruncationOrders) -> float:
@@ -164,7 +151,7 @@ def _calibrated_constant(params: Parameters, orders: TruncationOrders) -> float:
     c = 0.0
     for t in (10.0, 20.0, 40.0):
         ref = oracle_eval(-t, -t, params, digits=30).as_complex()
-        _, parts, _ = _case_parts(-t, -t, params, orders, None)
+        _, parts = _case_parts(-t, -t, params, orders, None)
         err = abs(sum(parts) - ref)
         shape = (t ** -orders.p_beta + t ** -orders.p_alpha) / t**2
         c = max(c, err / shape)
@@ -194,11 +181,11 @@ def eval_asymptotic(
             f"min(|x|, |y|) = {min(abs(x), abs(y)):.3g} below the asymptotic "
             f"floor {MAGNITUDE_FLOOR}"
         )
-    case, parts, weights = _case_parts(x, y, params, orders, tau1)
+    case, parts = _case_parts(x, y, params, orders, tau1)
     value = sum(parts)
     c = _calibrated_constant(params, orders)
     shape = (abs(x) ** -orders.p_beta + abs(y) ** -orders.p_alpha) / abs(x * y)
-    est = c * shape + _EPS * sum(w * abs(p) for w, p in zip(weights, parts))
+    est = c * shape + EPS * sum(8.0 * abs(p) for p in parts)
     return Evaluation(value, est, f"asymptotic-{case.value}")
 
 

@@ -21,7 +21,7 @@ import sys
 import time
 
 from .asymptotics import TruncationOrders, eval_asymptotic
-from .core import ContourSpec, Evaluation, Parameters, validate_params
+from .core import EPS, ContourSpec, Evaluation, Parameters, validate_params
 from .errors import (
     BudgetExceeded,
     DegenerateDenominator,
@@ -57,8 +57,6 @@ EXIT_OK = 0
 EXIT_SELFTEST = 1
 EXIT_DOMAIN = 2
 EXIT_NUMERIC = 3
-
-_EPS = 2.220446049250313e-16
 
 _NUMERIC_ERRORS = (
     QuadratureError,
@@ -187,7 +185,7 @@ def evaluate_point(args, x: complex, y: complex, params: Parameters,
     if method == "oracle":
         ov = oracle_eval(x, y, params, digits=30)
         v = ov.as_complex()
-        return Evaluation(v, float(ov.tail_bound) + 4.0 * _EPS * abs(v), "oracle")
+        return Evaluation(v, float(ov.tail_bound) + 4.0 * EPS * abs(v), "oracle")
     lemma = {
         "lemma1": eval_lemma1,
         "lemma2": eval_lemma2,

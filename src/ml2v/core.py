@@ -17,11 +17,15 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError, GeometryError, ThinWindowWarning
+
+# Machine epsilon of a double: the unit of every rounding allowance.
+EPS = sys.float_info.epsilon
 
 # Admissible angle window narrower than this fraction of its upper edge
 # triggers ThinWindowWarning (alpha*beta near 2 squeezes the window shut).
@@ -140,6 +144,20 @@ def admissible_theta_window(params: Parameters, warn: bool = True) -> tuple[floa
             stacklevel=2,
         )
     return lo, hi
+
+
+def angle_window(params: Parameters) -> tuple[float, float, float]:
+    """The admissible window (lo, hi] and the default angle inside it.
+
+    The default sits just below hi, where the rays decay fastest, or at the
+    midpoint when the window is too thin for that.  Raises GeometryError
+    when the window is empty.
+    """
+    lo, hi = admissible_theta_window(params, warn=False)
+    theta = hi * (1.0 - 1e-3)
+    if theta <= lo:
+        theta = 0.5 * (lo + hi)
+    return lo, hi, theta
 
 
 def check_angle_window(contour: ContourSpec, params: Parameters) -> None:

@@ -13,13 +13,12 @@ cross-check of the contour machinery against the direct kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .contour import IntegrandSpec, integrate, size_contour
 from .core import ContourSpec
-from .errors import DomainError, GeometryError
+from .errors import GeometryError
 
 # Classic 9-term rational kernel, g = 7.  Certified against a 50-digit
 # reference during development: relative error stays below ~2e-13 on
@@ -42,19 +41,6 @@ _KERNEL = np.array(
 # Arguments within this window of a non-positive integer snap to the exact
 # zero of 1/Gamma.
 POLE_SNAP = 1e-12
-
-
-@dataclass(frozen=True)
-class GammaConfig:
-    """Accuracy knob for recip_gamma; the fixed kernel floor is ~2e-13."""
-
-    accuracy_target: float = 1e-13
-
-    def __post_init__(self) -> None:
-        if not 1e-15 <= self.accuracy_target <= 1e-6:
-            raise DomainError(
-                f"accuracy_target must lie in [1e-15, 1e-6], got {self.accuracy_target}"
-            )
 
 
 def _sinpi(z: np.ndarray) -> np.ndarray:
@@ -83,15 +69,13 @@ def _kernel_loggamma(z: np.ndarray) -> np.ndarray:
     return 0.5 * math.log(2.0 * math.pi) + (w + 0.5) * np.log(t) - t + np.log(acc)
 
 
-def recip_gamma(s, config: GammaConfig | None = None):
+def recip_gamma(s):
     """1/Gamma(s) for complex s (scalar or ndarray), entire in s.
 
     Non-positive integer arguments (within POLE_SNAP) return exactly 0.
     Re s < 1/2 goes through the reflection sin(pi s) Gamma(1-s) / pi with
     reduced sine, so near-pole arguments keep full relative accuracy.
     """
-    if config is None:
-        config = GammaConfig()
     arr = np.asarray(s, dtype=complex)
     scalar = arr.ndim == 0
     z = np.atleast_1d(arr)

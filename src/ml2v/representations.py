@@ -11,12 +11,14 @@ is not injective on the cut plane when beta < 1, so the x denominator can
 vanish at several preimages |x|^beta * exp(i*beta*(arg x + 2 pi k)), one per
 integer k that keeps the angle inside (-pi, pi]; likewise for y with alpha.
 Every preimage that lies in the outer wedge Omega+ contributes its residue.
-The four entry points eval_lemma1 (no residues), eval_lemma2 (y residues),
-eval_remark1 (x residues), eval_lemma3 (both) cover the four placements.
-Their method tags follow the public naming used across the CLI.
+One route function evaluates all four placements; its entry points
+eval_lemma1 (no residues), eval_lemma2 (y residues), eval_remark1 (x
+residues) and eval_lemma3 (both) each require one placement, and
+eval_with_contour accepts whichever holds.  The method tags follow the
+public naming used across the CLI.
 
-eval_auto picks a contour, classifies the images, dispatches, and falls
-back to the double series when the construction degenerates; very large
+eval_auto picks a contour and calls eval_with_contour, and falls back to
+the double series when the construction degenerates; very large
 arguments are routed to the asymptotic expansions first.
 """
 
@@ -30,11 +32,12 @@ from mpmath import mp
 
 from .contour import IntegrandSpec, integrate, size_contour
 from .core import (
+    EPS,
     ContourSpec,
     Evaluation,
     Parameters,
     RegionLabel,
-    admissible_theta_window,
+    angle_window,
     check_angle_window,
     classify_region,
     contour_distance,
@@ -42,15 +45,12 @@ from .core import (
 from .errors import (
     BudgetExceeded,
     DegenerateDenominator,
-    DomainError,
     GeometryError,
     PoleProximityError,
     QuadratureError,
     RegionError,
 )
 from .series import SeriesBudget, eval_double_series
-
-_EPS = float(np.finfo(float).eps)
 
 # Residue denominators and pole separations smaller than this relative
 # floor abort the representation in favor of the series.
@@ -64,23 +64,6 @@ ASYMPTOTIC_RADIUS = 15.0
 # relative to max(1, |image|).
 _CLEARANCE_TARGET = 0.05
 _EPSILON_LADDER = (1.0, 0.5, 2.0, 0.25, 4.0, 0.1, 8.0, 0.04)
-
-
-def pole_image(w: complex, power: float) -> complex | None:
-    """w**power as the principal pole location on the cut plane.
-
-    Returns None when the phase power*arg(w) leaves (-pi, pi]: the
-    integrand's principal-branch denominator then has no zero at the
-    principal image.  Other preimages may still exist for power < 1;
-    pole_images enumerates them all.
-    """
-    w = complex(w)
-    if w == 0:
-        return 0j
-    ph = power * cmath.phase(w)
-    if abs(ph) > math.pi * (1.0 + 1e-12):
-        return None
-    return cmath.rect(abs(w) ** power, ph)
 
 
 def pole_images(w: complex, power: float) -> tuple[complex, ...]:
@@ -119,13 +102,17 @@ def ml_integrand(x: complex, y: complex, params: Parameters) -> IntegrandSpec:
     return IntegrandSpec(f=f, decay=d, poles=poles)
 
 
-def _label_of(labels: list[RegionLabel]) -> RegionLabel:
-    """Collapse per-preimage labels: on-contour dominates, then Omega+."""
-    if any(l is RegionLabel.ON_CONTOUR for l in labels):
-        return RegionLabel.ON_CONTOUR
-    if any(l is RegionLabel.OMEGA_PLUS for l in labels):
-        return RegionLabel.OMEGA_PLUS
-    return RegionLabel.OMEGA_MINUS
+def _placement(
+    w: complex, power: float, spec: ContourSpec
+) -> tuple[RegionLabel, tuple[complex, ...]]:
+    """Region label of w against spec (see classify_pair), and those of
+    its preimages that lie in Omega+."""
+    images = pole_images(w, power)
+    labels = [classify_region(img, spec) for img in images]
+    inside = tuple(im for im, l in zip(images, labels) if l is RegionLabel.OMEGA_PLUS)
+    if RegionLabel.ON_CONTOUR in labels:
+        return RegionLabel.ON_CONTOUR, inside
+    return (RegionLabel.OMEGA_PLUS if inside else RegionLabel.OMEGA_MINUS), inside
 
 
 def classify_pair(
@@ -138,9 +125,7 @@ def classify_pair(
     tolerance, and Omega- otherwise (including arguments whose phase keeps
     every preimage off the cut plane).
     """
-    lx = [classify_region(img, spec) for img in pole_images(x, params.beta)]
-    ly = [classify_region(img, spec) for img in pole_images(y, params.alpha)]
-    return _label_of(lx), _label_of(ly)
+    return _placement(x, params.beta, spec)[0], _placement(y, params.alpha, spec)[0]
 
 
 def _precise_term(
@@ -155,7 +140,8 @@ def _precise_term(
 
     Returns exp(zeta^d) zeta^(p+1) / (p_den * w_def * (zeta^(1/p_den) -
     w_den)) with d = 1/(p_def p_den) and p+1 = (1 + p_def + p_den -
-    mu) d, built at 30 digits and collapsed to a double once.
+    mu) d, built at 30 digits and collapsed to a double once.  Raises
+    DegenerateDenominator when zeta^(1/p_den) - w_den nearly vanishes.
 
     exp(zeta^d) amplifies rounding of the pole or of the exponent d by
     |zeta^d|, which costs several digits whenever the pole is large.  So
@@ -163,6 +149,12 @@ def _precise_term(
     accepted pre-rounded, and the double seed z is sharpened by Newton
     steps on zeta^(1/p_def) = w_def before the term is assembled.
     """
+    w = z ** (1.0 / p_den)
+    if abs(w - w_den) <= DEGENERACY_FLOOR_REL * (1.0 + abs(w) + abs(w_den)):
+        raise DegenerateDenominator(
+            f"pole at {z:.6g}: |zeta^(1/{p_den:g}) - {w_den:.6g}| = "
+            f"{abs(w - w_den):.3g} is inside the degeneracy floor"
+        )
     with mp.workdps(30):
         pd = mp.mpf(p_def)
         pn = mp.mpf(p_den)
@@ -188,73 +180,14 @@ def residue_terms_x(
     closed form (1/alpha) exp(x^(1/alpha)) x^((1+beta-mu)/alpha) /
     (x^(beta/alpha) - y).
     """
-    a, b = params.alpha, params.beta
-    out = []
-    for z in images:
-        w2 = z ** (1.0 / a)
-        den = w2 - y
-        if abs(den) <= DEGENERACY_FLOOR_REL * (1.0 + abs(w2) + abs(y)):
-            raise DegenerateDenominator(
-                f"x-pole at {z:.6g}: |zeta^(1/alpha) - y| = {abs(den):.3g} "
-                f"is inside the degeneracy floor"
-            )
-        out.append(_precise_term(z, b, a, params.mu, x, y))
-    return out
+    return [_precise_term(z, params.beta, params.alpha, params.mu, x, y) for z in images]
 
 
 def residue_terms_y(
     x: complex, y: complex, params: Parameters, images: tuple[complex, ...]
 ) -> list[complex]:
     """Per-preimage residue contributions from the y denominator."""
-    a, b = params.alpha, params.beta
-    out = []
-    for z in images:
-        w1 = z ** (1.0 / b)
-        den = w1 - x
-        if abs(den) <= DEGENERACY_FLOOR_REL * (1.0 + abs(w1) + abs(x)):
-            raise DegenerateDenominator(
-                f"y-pole at {z:.6g}: |zeta^(1/beta) - x| = {abs(den):.3g} "
-                f"is inside the degeneracy floor"
-            )
-        out.append(_precise_term(z, a, b, params.mu, y, x))
-    return out
-
-
-def residue_error_weights(
-    params: Parameters, images: tuple[complex, ...]
-) -> list[float]:
-    """Relative-rounding weights for the residue terms at the given poles.
-
-    Terms are constructed in extended precision and collapse once to a
-    double, so only that rounding and the later accumulation remain.
-    """
-    return [8.0] * len(images)
-
-
-def residue_y(x: complex, y: complex, params: Parameters) -> complex:
-    """Principal-preimage residue term for y.
-
-    (1/beta) * exp(y^(1/beta)) * y^((1+alpha-mu)/beta) / (y^(alpha/beta) - x)
-    """
-    img = None if y == 0 else pole_image(y, params.alpha)
-    if img is None:
-        raise DomainError(
-            f"y = {y:.6g} has no principal pole image for alpha = {params.alpha}"
-        )
-    return residue_terms_y(x, y, params, (img,))[0]
-
-
-def residue_x(x: complex, y: complex, params: Parameters) -> complex:
-    """Principal-preimage residue term for x.
-
-    (1/alpha) * exp(x^(1/alpha)) * x^((1+beta-mu)/alpha) / (x^(beta/alpha) - y)
-    """
-    img = None if x == 0 else pole_image(x, params.beta)
-    if img is None:
-        raise DomainError(
-            f"x = {x:.6g} has no principal pole image for beta = {params.beta}"
-        )
-    return residue_terms_x(x, y, params, (img,))[0]
+    return [_precise_term(z, params.alpha, params.beta, params.mu, y, x) for z in images]
 
 
 def _contour_piece(
@@ -269,48 +202,65 @@ def _contour_piece(
     return complex(ev.value / (1j * scale)), ev.est_error / scale
 
 
-def _check_labels(
-    got: tuple[RegionLabel, RegionLabel],
-    want: tuple[RegionLabel, RegionLabel],
-    route: str,
-) -> None:
-    if RegionLabel.ON_CONTOUR in got:
+# Method tag of each (x, y) placement.
+_ROUTES = {
+    (RegionLabel.OMEGA_MINUS, RegionLabel.OMEGA_MINUS): "lemma1",
+    (RegionLabel.OMEGA_MINUS, RegionLabel.OMEGA_PLUS): "lemma2",
+    (RegionLabel.OMEGA_PLUS, RegionLabel.OMEGA_MINUS): "remark1",
+    (RegionLabel.OMEGA_PLUS, RegionLabel.OMEGA_PLUS): "lemma3",
+}
+
+
+def _contour_route(
+    x: complex,
+    y: complex,
+    params: Parameters,
+    spec: ContourSpec,
+    tol: float,
+    route: str | None,
+) -> Evaluation:
+    """The contour integral plus the residues of every Omega+ preimage.
+
+    route is the method tag of the placement the caller requires, or None
+    to accept whichever holds.  Raises GeometryError when spec's angle
+    leaves the admissible window, RegionError when an image is pinned on
+    the contour or the placement is not route's, and DegenerateDenominator
+    when a residue denominator collapses or an x- and a y-preimage in
+    Omega+ coincide: the two simple poles then merge into a double pole
+    the residue terms cannot represent.
+    """
+    lx, x_in = _placement(x, params.beta, spec)
+    ly, y_in = _placement(y, params.alpha, spec)
+    pinned = RegionLabel.ON_CONTOUR in (lx, ly)
+    # with no route required, a pinned image is reported before the angle
+    if route is not None or not pinned:
+        check_angle_window(spec, params)
+    if pinned:
         raise RegionError(
-            f"{route}: an argument image lies on the contour within tolerance"
+            f"{route or 'contour'}: an argument image lies on the contour "
+            f"within tolerance"
         )
-    if got != want:
+    found = _ROUTES[lx, ly]
+    if route is not None and found != route:
         raise RegionError(
-            f"{route} needs (x, y) regions {tuple(w.value for w in want)}, "
-            f"got {tuple(g.value for g in got)}"
+            f"{route} does not apply: (x, y) regions are "
+            f"({lx.value}, {ly.value}), which call for {found}"
         )
-
-
-def _route_state(
-    x: complex, y: complex, params: Parameters, spec: ContourSpec
-) -> tuple[
-    tuple[RegionLabel, RegionLabel], tuple[complex, ...], tuple[complex, ...]
-]:
-    """Pair labels plus the preimages sitting in Omega+ for each argument."""
-    xs = pole_images(x, params.beta)
-    ys = pole_images(y, params.alpha)
-    lx = [classify_region(img, spec) for img in xs]
-    ly = [classify_region(img, spec) for img in ys]
-    x_in = tuple(im for im, l in zip(xs, lx) if l is RegionLabel.OMEGA_PLUS)
-    y_in = tuple(im for im, l in zip(ys, ly) if l is RegionLabel.OMEGA_PLUS)
-    return (_label_of(lx), _label_of(ly)), x_in, y_in
-
-
-def _check_pole_separation(
-    x_in: tuple[complex, ...], y_in: tuple[complex, ...]
-) -> None:
-    # coincident x- and y-preimages merge into a double pole the simple
-    # residue terms cannot represent
     for u in x_in:
         for v in y_in:
             if abs(u - v) <= DEGENERACY_FLOOR_REL * (1.0 + abs(u) + abs(v)):
                 raise DegenerateDenominator(
                     f"pole images {u:.6g} and {v:.6g} are too close"
                 )
+    terms = (residue_terms_x(x, y, params, x_in) if x_in else []) + (
+        residue_terms_y(x, y, params, y_in) if y_in else []
+    )
+    val, est = _contour_piece(x, y, params, spec, tol)
+    if not terms:
+        return Evaluation(val, est + 8.0 * EPS * abs(val), found)
+    total = sum(terms) + val
+    slack = sum(8.0 * abs(t) for t in terms) + 16.0 * abs(total)
+    return Evaluation(total, est + EPS * slack, found)
 
 
 def eval_lemma1(
@@ -321,11 +271,7 @@ def eval_lemma1(
     tol: float = 1e-8,
 ) -> Evaluation:
     """Pure contour integral: every preimage in Omega-, no residue terms."""
-    check_angle_window(spec, params)
-    labels, _, _ = _route_state(x, y, params, spec)
-    _check_labels(labels, (RegionLabel.OMEGA_MINUS, RegionLabel.OMEGA_MINUS), "lemma1")
-    val, est = _contour_piece(x, y, params, spec, tol)
-    return Evaluation(val, est + 8.0 * _EPS * abs(val), "lemma1")
+    return _contour_route(x, y, params, spec, tol, "lemma1")
 
 
 def eval_lemma2(
@@ -336,16 +282,7 @@ def eval_lemma2(
     tol: float = 1e-8,
 ) -> Evaluation:
     """Contour integral plus y residues: x in Omega-, y in Omega+."""
-    check_angle_window(spec, params)
-    labels, _, y_in = _route_state(x, y, params, spec)
-    _check_labels(labels, (RegionLabel.OMEGA_MINUS, RegionLabel.OMEGA_PLUS), "lemma2")
-    terms = residue_terms_y(x, y, params, y_in)
-    res = sum(terms)
-    val, est = _contour_piece(x, y, params, spec, tol)
-    total = res + val
-    weights = residue_error_weights(params, y_in)
-    slack = sum(w * abs(t) for w, t in zip(weights, terms)) + 16.0 * abs(total)
-    return Evaluation(total, est + _EPS * slack, "lemma2")
+    return _contour_route(x, y, params, spec, tol, "lemma2")
 
 
 def eval_remark1(
@@ -356,16 +293,7 @@ def eval_remark1(
     tol: float = 1e-8,
 ) -> Evaluation:
     """Contour integral plus x residues: x in Omega+, y in Omega-."""
-    check_angle_window(spec, params)
-    labels, x_in, _ = _route_state(x, y, params, spec)
-    _check_labels(labels, (RegionLabel.OMEGA_PLUS, RegionLabel.OMEGA_MINUS), "remark1")
-    terms = residue_terms_x(x, y, params, x_in)
-    res = sum(terms)
-    val, est = _contour_piece(x, y, params, spec, tol)
-    total = res + val
-    weights = residue_error_weights(params, x_in)
-    slack = sum(w * abs(t) for w, t in zip(weights, terms)) + 16.0 * abs(total)
-    return Evaluation(total, est + _EPS * slack, "remark1")
+    return _contour_route(x, y, params, spec, tol, "remark1")
 
 
 def eval_lemma3(
@@ -381,19 +309,23 @@ def eval_lemma3(
     preimages collapse two simple poles into a double pole the residue
     terms cannot represent.
     """
-    check_angle_window(spec, params)
-    labels, x_in, y_in = _route_state(x, y, params, spec)
-    _check_labels(labels, (RegionLabel.OMEGA_PLUS, RegionLabel.OMEGA_PLUS), "lemma3")
-    _check_pole_separation(x_in, y_in)
-    terms = residue_terms_x(x, y, params, x_in) + residue_terms_y(
-        x, y, params, y_in
-    )
-    res = sum(terms)
-    val, est = _contour_piece(x, y, params, spec, tol)
-    total = res + val
-    weights = residue_error_weights(params, x_in + y_in)
-    slack = sum(w * abs(t) for w, t in zip(weights, terms)) + 16.0 * abs(total)
-    return Evaluation(total, est + _EPS * slack, "lemma3")
+    return _contour_route(x, y, params, spec, tol, "lemma3")
+
+
+def eval_with_contour(
+    x: complex,
+    y: complex,
+    params: Parameters,
+    spec: ContourSpec,
+    tol: float = 1e-8,
+) -> Evaluation:
+    """The representation matching where the pole images fall.
+
+    Classifies every preimage of x and y against spec and applies the
+    route for that placement; raises RegionError when any image is pinned
+    on the contour itself.
+    """
+    return _contour_route(x, y, params, spec, tol, None)
 
 
 def choose_contour(x: complex, y: complex, params: Parameters) -> ContourSpec:
@@ -404,10 +336,7 @@ def choose_contour(x: complex, y: complex, params: Parameters) -> ContourSpec:
     the contour by a relative margin, keeping the quadrature well away from
     the integrand's poles.
     """
-    lo, hi = admissible_theta_window(params, warn=False)
-    theta = hi * (1.0 - 1e-3)
-    if theta <= lo:
-        theta = 0.5 * (lo + hi)
+    theta = angle_window(params)[2]
     images = [
         img
         for img in pole_images(x, params.beta) + pole_images(y, params.alpha)
@@ -429,32 +358,6 @@ def choose_contour(x: complex, y: complex, params: Parameters) -> ContourSpec:
 def contour_clearance(point: complex, spec: ContourSpec) -> float:
     """Distance from point to the contour, relative to max(1, |point|)."""
     return contour_distance(point, spec) / max(1.0, abs(point))
-
-
-def eval_with_contour(
-    x: complex,
-    y: complex,
-    params: Parameters,
-    spec: ContourSpec,
-    tol: float = 1e-8,
-) -> Evaluation:
-    """Dispatch to the representation matching where the pole images fall.
-
-    Classifies every preimage of x and y against spec and calls the route
-    for that pattern; raises RegionError when any image is pinned on the
-    contour itself.
-    """
-    labels = classify_pair(x, y, params, spec)
-    plus, minus = RegionLabel.OMEGA_PLUS, RegionLabel.OMEGA_MINUS
-    route = {
-        (minus, minus): eval_lemma1,
-        (minus, plus): eval_lemma2,
-        (plus, minus): eval_remark1,
-        (plus, plus): eval_lemma3,
-    }.get(labels)
-    if route is None:
-        raise RegionError("argument image pinned on the contour")
-    return route(x, y, params, spec, tol)
 
 
 def eval_auto(x: complex, y: complex, params: Parameters, tol: float = 1e-8) -> Evaluation:

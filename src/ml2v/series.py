@@ -7,10 +7,10 @@ two consecutive blocks whose peak term drops below half the previous
 peak, the geometric bound tail <= 2 * (current block magnitude sum) holds
 and summation stops when that bound meets the tolerance.
 
-If the certificate never fires within the term budget the partial sum is
-returned with est_error = +inf rather than raising: callers (the automatic
-dispatcher in particular) treat that as a soft failure they can route
-around.
+If the certificate never fires within the term budget, or the terms leave
+the double range, the partial sum is returned with est_error = +inf rather
+than raising: callers (the automatic dispatcher in particular) treat that
+as a soft failure they can route around.
 """
 
 from __future__ import annotations
@@ -21,11 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Evaluation, Parameters
+from .core import EPS, Evaluation, Parameters
 from .errors import DomainError
-from .gamma import GammaConfig, log_recip_gamma, recip_gamma
-
-_EPS = float(np.finfo(float).eps)
+from .gamma import log_recip_gamma, recip_gamma
 
 
 @dataclass(frozen=True)
@@ -46,37 +44,73 @@ def _log_abs(w: complex) -> float:
     return math.log(abs(w)) if w != 0 else -math.inf
 
 
-def _block(x, y, k, alpha, beta, mu, xp, yp, cfg):
-    """Terms of block k plus (magnitude sum, peak magnitude).
+def _blocks(x, y, alpha, beta, mu, max_terms):
+    """Anti-diagonal blocks k = 0, 1, ... as (sum, magnitude sum, peak
+    magnitude), for as long as the total term count stays within max_terms.
 
-    xp, yp are the power tables x^0..x^k, y^0..y^k maintained by the caller.
     Falls back to log-space evaluation when the power tables overflow or
     the reciprocal gamma underflows while the true terms are still sizable.
     """
-    n = np.arange(k + 1, dtype=float)
-    m = k - n
-    args = alpha * n + beta * m + mu
-    rg = recip_gamma(args, cfg)
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        terms = xp * yp[::-1] * rg
-    # rg == 0 with a gamma argument right of the poles means underflow, not
-    # a true zero; those terms need the log route too.
-    underflowed = (rg == 0) & (args.real > 0.5)
-    if not np.all(np.isfinite(terms)) or np.any(underflowed):
-        lx, ly = _log_abs(x), _log_abs(y)
-        px, py = cmath.phase(x), cmath.phase(y)
-        lrg = log_recip_gamma(args)
-        logmag = (
-            np.where(n > 0, n * lx, 0.0)
-            + np.where(m > 0, m * ly, 0.0)
-            + lrg.real
-        )
-        phase = n * px + m * py + lrg.imag
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            terms = np.exp(logmag + 1j * phase)
-        terms[logmag == -np.inf] = 0.0
-    mags = np.abs(terms)
-    return terms, float(mags.sum()), float(mags.max(initial=0.0))
+    xp = np.array([1.0 + 0.0j])
+    yp = np.array([1.0 + 0.0j])
+    used = 0
+    k = 0
+    while used + k + 1 <= max_terms:
+        n = np.arange(k + 1, dtype=float)
+        m = k - n
+        args = alpha * n + beta * m + mu
+        rg = recip_gamma(args)
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            terms = xp * yp[::-1] * rg
+        # rg == 0 with a gamma argument right of the poles means underflow,
+        # not a true zero; those terms need the log route too.
+        underflowed = (rg == 0) & (args.real > 0.5)
+        if not np.all(np.isfinite(terms)) or np.any(underflowed):
+            lx, ly = _log_abs(x), _log_abs(y)
+            px, py = cmath.phase(x), cmath.phase(y)
+            lrg = log_recip_gamma(args)
+            logmag = (
+                np.where(n > 0, n * lx, 0.0)
+                + np.where(m > 0, m * ly, 0.0)
+                + lrg.real
+            )
+            phase = n * px + m * py + lrg.imag
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                terms = np.exp(logmag + 1j * phase)
+            terms[logmag == -np.inf] = 0.0
+        mags = np.abs(terms)
+        yield complex(terms.sum()), float(mags.sum()), float(mags.max(initial=0.0))
+        used += k + 1
+        k += 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            xp = np.append(xp, xp[-1] * x)
+            yp = np.append(yp, yp[-1] * y)
+
+
+def _single_terms(z, rho, kappa, max_terms):
+    """Terms z^n / Gamma(rho*n + kappa), n < max_terms, as one-term blocks.
+
+    The sequence ends with an infinite block once a term leaves the double
+    range: nothing past it can be certified.
+    """
+    zp = 1.0 + 0.0j
+    for n in range(max_terms):
+        arg = rho * n + kappa
+        rg = recip_gamma(arg)
+        term = zp * rg
+        try:
+            if not cmath.isfinite(term) or (rg == 0 and arg.real > 0.5):
+                lrg = log_recip_gamma(arg)
+                lt = n * _log_abs(z) + lrg.real
+                term = 0.0 if lt == -math.inf else cmath.exp(
+                    lt + 1j * (n * cmath.phase(z) + lrg.imag)
+                )
+            mag = abs(term)
+        except OverflowError:
+            yield complex(math.inf), math.inf, math.inf
+            return
+        yield term, mag, mag
+        zp *= z
 
 
 def _term_condition(k: int, sigma_hi: float, mu_mag: float) -> float:
@@ -89,12 +123,42 @@ def _term_condition(k: int, sigma_hi: float, mu_mag: float) -> float:
     return 4.0 + k + abs(math.lgamma(arg))
 
 
+def _certified_sum(
+    blocks, kmin: int, sigma: float, mu_mag: float, tol: float
+) -> Evaluation:
+    """Sum (value, magnitude sum, peak magnitude) blocks 0, 1, ... under the
+    geometric tail certificate.
+
+    Blocks before kmin are summed without ratio tracking.  Returns
+    est_error = +inf when the blocks run out (the term budget) before the
+    certificate fires, or once an overflowed block's infinite magnitude has
+    entered the rounding term.
+    """
+    value = 0.0 + 0.0j
+    weighted_abs = 0.0
+    prev_peak = None
+    run = 0
+    for k, (bval, bsum, bpeak) in enumerate(blocks):
+        value += bval
+        weighted_abs += _term_condition(k, sigma, mu_mag) * bsum
+        if k >= kmin:
+            if prev_peak is not None and (
+                bpeak < 0.5 * prev_peak or (bpeak == 0.0 and prev_peak == 0.0)
+            ):
+                run += 1
+            elif prev_peak is not None:
+                run = 0
+            prev_peak = bpeak
+            if run >= 2 and 2.0 * bsum <= tol * max(1.0, abs(value)):
+                return Evaluation(value, 2.0 * bsum + EPS * weighted_abs, "series")
+    return Evaluation(value, math.inf, "series")
+
+
 def eval_double_series(
     x: complex,
     y: complex,
     params: Parameters,
     budget: SeriesBudget | None = None,
-    gamma_config: GammaConfig | None = None,
 ) -> Evaluation:
     """E(x, y) by certified anti-diagonal summation.
 
@@ -107,44 +171,12 @@ def eval_double_series(
     x = complex(x)
     y = complex(y)
     a, b, mu = params.alpha, params.beta, params.mu
-    sigma_hi = max(a, b)
-    mu_mag = abs(mu)
-
     # Ratio tracking only starts once every gamma argument in the block has
     # real part >= 1: below that, reciprocal-gamma zeros and sign changes
     # can fake a decay run.
     kmin = max(0, math.ceil((1.0 - mu.real) / min(a, b)))
-
-    value = 0.0 + 0.0j
-    weighted_abs = 0.0
-    used = 0
-    prev_peak = None
-    run = 0
-    xp = np.array([1.0 + 0.0j])
-    yp = np.array([1.0 + 0.0j])
-    k = 0
-    while True:
-        if used + k + 1 > budget.max_terms:
-            return Evaluation(value, math.inf, "series")
-        terms, bsum, bpeak = _block(x, y, k, a, b, mu, xp, yp, gamma_config)
-        value += complex(terms.sum())
-        weighted_abs += _term_condition(k, sigma_hi, mu_mag) * bsum
-        used += k + 1
-        if k >= kmin:
-            if prev_peak is not None and (
-                bpeak < 0.5 * prev_peak or (bpeak == 0.0 and prev_peak == 0.0)
-            ):
-                run += 1
-            elif prev_peak is not None:
-                run = 0
-            prev_peak = bpeak
-            if run >= 2 and 2.0 * bsum <= budget.tol * max(1.0, abs(value)):
-                est = 2.0 * bsum + _EPS * weighted_abs
-                return Evaluation(value, est, "series")
-        k += 1
-        with np.errstate(over="ignore", invalid="ignore"):
-            xp = np.append(xp, xp[-1] * x)
-            yp = np.append(yp, yp[-1] * y)
+    blocks = _blocks(x, y, a, b, mu, budget.max_terms)
+    return _certified_sum(blocks, kmin, max(a, b), abs(mu), budget.tol)
 
 
 def eval_ml_one(
@@ -164,32 +196,5 @@ def eval_ml_one(
     z = complex(z)
     kappa = complex(kappa)
     kmin = max(0, math.ceil((1.0 - kappa.real) / rho))
-
-    value = 0.0 + 0.0j
-    weighted_abs = 0.0
-    prev = None
-    run = 0
-    zp = 1.0 + 0.0j
-    for n in range(budget.max_terms):
-        arg = rho * n + kappa
-        rg = recip_gamma(arg)
-        term = zp * rg
-        if not cmath.isfinite(term) or (rg == 0 and arg.real > 0.5):
-            lrg = log_recip_gamma(arg)
-            lt = n * _log_abs(z) + lrg.real
-            term = 0.0 if lt == -math.inf else cmath.exp(
-                lt + 1j * (n * cmath.phase(z) + lrg.imag)
-            )
-        value += term
-        mag = abs(term)
-        weighted_abs += _term_condition(n, rho, abs(kappa)) * mag
-        if n >= kmin:
-            if prev is not None and (mag < 0.5 * prev or (mag == 0.0 and prev == 0.0)):
-                run += 1
-            elif prev is not None:
-                run = 0
-            prev = mag
-            if run >= 2 and 2.0 * mag <= budget.tol * max(1.0, abs(value)):
-                return Evaluation(value, 2.0 * mag + _EPS * weighted_abs, "series")
-        zp *= z
-    return Evaluation(value, math.inf, "series")
+    blocks = _single_terms(z, rho, kappa, budget.max_terms)
+    return _certified_sum(blocks, kmin, rho, abs(kappa), budget.tol)

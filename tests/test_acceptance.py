@@ -127,6 +127,33 @@ def test_cross_method_agreement_grid():
     assert seen == lemma_tags
 
 
+def test_named_routes_match_dispatch():
+    # on the acceptance grid, the route eval_with_contour reports gives the
+    # identical Evaluation and the other three named routes refuse the point
+    routes = {
+        "lemma1": eval_lemma1,
+        "lemma2": eval_lemma2,
+        "remark1": eval_remark1,
+        "lemma3": eval_lemma3,
+    }
+    seen = set()
+    for pp in GRID_SETS:
+        for x, y in grid_points():
+            spec = choose_contour(x, y, pp)
+            try:
+                ev = eval_with_contour(x, y, pp, spec)
+            except (RegionError, DegenerateDenominator):
+                continue
+            seen.add(ev.method)
+            for name, route in routes.items():
+                if name == ev.method:
+                    assert route(x, y, pp, spec) == ev
+                else:
+                    with pytest.raises(RegionError):
+                        route(x, y, pp, spec)
+    assert seen == set(routes)
+
+
 def test_reciprocal_gamma_hankel_identity():
     worst = 0.0
     for re in np.linspace(-3.0, 4.0, 5):

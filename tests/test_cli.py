@@ -125,6 +125,19 @@ def test_eval_wrong_lemma_exit_3(capsys):
     assert "numeric failure" in err
 
 
+@pytest.mark.parametrize("method", ["asymptotic", "lemma1"])
+def test_eval_empty_angle_window_exit_3(method, capsys):
+    # alpha*beta = 2 with a boundary order: the angle window (pi, pi] is
+    # empty, a GeometryError whichever route needs it
+    rc, _, err = run_cli(
+        ["eval", "--alpha", "2", "--beta", "1", "--mu", "1",
+         "--x", "30", "--y", "20", "--method", method],
+        capsys,
+    )
+    assert rc == 3
+    assert "no admissible contour angle" in err
+
+
 def test_eval_contour_override_multi_preimage_point(capsys):
     # conjugate preimage pair swallowed by a wide arc; lemma1 then applies
     rc, out, _ = run_cli(

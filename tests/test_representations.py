@@ -20,9 +20,8 @@ from ml2v.representations import (
     eval_lemma3,
     eval_remark1,
     ml_integrand,
-    pole_image,
-    residue_x,
-    residue_y,
+    pole_images,
+    residue_terms_y,
 )
 from ml2v.series import eval_double_series
 
@@ -37,12 +36,12 @@ def closed_form(x, y):
 
 
 def test_pole_image():
-    assert pole_image(4.0, 0.5) == pytest.approx(2.0)
-    assert pole_image(-4.0, 0.5) == pytest.approx(2.0j)
-    assert pole_image(0.0, 0.7) == 0j
+    assert pytest.approx(2.0) in pole_images(4.0, 0.5)
+    assert pytest.approx(2.0j) in pole_images(-4.0, 0.5)
+    assert pole_images(0.0, 0.7) == (0j,)
     # phase 2*pi falls off the principal sheet: no pole on the cut plane
-    assert pole_image(-1.0, 2.0) is None
-    assert pole_image(1j, 1.5) is not None
+    assert pole_images(-1.0, 2.0) == ()
+    assert pole_images(1j, 1.5) != ()
 
 
 def test_pole_images_enumeration():
@@ -154,8 +153,9 @@ def test_image_on_contour_raises():
 def test_degenerate_images_raise():
     with pytest.raises(DegenerateDenominator):
         eval_lemma3(3.0, 3.0, P111, BASE)
+    pp = validate_params(0.5, 1, 1)
     with pytest.raises(DegenerateDenominator):
-        residue_y(2.0 ** 0.5, 2.0, validate_params(0.5, 1, 1))
+        residue_terms_y(2.0 ** 0.5, 2.0, pp, pole_images(2.0, pp.alpha))
 
 
 def test_residue_only_path(monkeypatch):
@@ -166,7 +166,8 @@ def test_residue_only_path(monkeypatch):
 
     monkeypatch.setattr("ml2v.representations.ml_integrand", silent)
     ev = eval_lemma2(-1.0, 2.0, P111, BASE)
-    assert ev.value == pytest.approx(residue_y(-1.0, 2.0, P111), rel=1e-15)
+    res = sum(residue_terms_y(-1.0, 2.0, P111, pole_images(2.0, P111.alpha)))
+    assert ev.value == pytest.approx(res, rel=1e-15)
 
 
 def test_contour_parameter_independence():
@@ -187,8 +188,8 @@ def test_choose_contour_clearance():
     pp = validate_params(0.8, 0.8, 1)
     spec = choose_contour(6.0, 7.0, pp)
     for w, power in ((6.0, pp.beta), (7.0, pp.alpha)):
-        img = pole_image(w, power)
-        assert contour_clearance(img, spec) >= 0.05
+        for img in pole_images(w, power):
+            assert contour_clearance(img, spec) >= 0.05
 
 
 def test_auto_small_uses_series():

@@ -146,6 +146,14 @@ def test_one_variable_shifted_kappa():
     assert abs(ev.value - ref) <= max(ev.est_error, 1e-12)
 
 
+def test_one_variable_overflow_is_soft():
+    # terms beyond the double range end the sum uncertified, as in the
+    # double series, instead of raising OverflowError
+    for z, rho, kappa in ((800.0, 1.0, 1.0), (50.0, 0.2, 1.0), (10.0, 0.3, -2.5 + 0.5j)):
+        ev = eval_ml_one(z, rho, kappa)
+        assert math.isinf(ev.est_error)
+
+
 def test_one_variable_validation():
     with pytest.raises(DomainError):
         eval_ml_one(1.0, 0.0, 1.0)
