@@ -42,8 +42,9 @@ for t in (10.0, 20.0, 40.0, 80.0):
         errs.append(abs(ev.value - ref))
     print(f"{t:5.0f} " + " ".join(f"{e:12.3e}" for e in errs))
 
-# the error estimate is calibrated per parameter set and certifies the
-# expansion only where it truly wins; the dispatcher relies on this
+# the error estimate is twice the first two omitted rings of tail terms, so
+# it certifies the expansion only where it truly wins; the dispatcher
+# relies on this
 params = validate_params(0.5, 0.5, 1.0)
 for t in (6.0, 15.0, 40.0):
     ev = eval_asymptotic(-t, -t, params)

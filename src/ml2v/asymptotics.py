@@ -11,12 +11,14 @@ zeta| <= tau1, the same residue term the contour representations use.
 Case1 keeps residues from both arguments, Case2 only x's, Case3 only
 y's, Case4 neither.
 
-The expansion error has no computable constant attached, so est_error is
-modeled as c * (|x|^(-p_beta) + |y|^(-p_alpha)) / |xy| with c calibrated
-once per parameter set against the extended-precision oracle at three
-probe magnitudes and cached, plus a flat per-term rounding allowance
-(the residue terms are assembled in extended precision, so only their
-final double rounding and the accumulation remain).
+The remainder is of the order of the first omitted terms (Paris &
+Kaminski, Asymptotics and Mellin-Barnes Integrals, 2001), so est_error is
+twice the magnitude sum of the two omitted rings, the terms with
+max(n - p_beta, m - p_alpha) in {1, 2}: two rings, because 1/Gamma can
+vanish on one.  A flat per-term rounding allowance comes on top (the
+residue terms are assembled in extended precision, so only their final
+double rounding and the accumulation remain).  Nothing is calibrated or
+cached: the estimate depends on the call's arguments alone.
 """
 
 from __future__ import annotations
@@ -30,17 +32,12 @@ import numpy as np
 from .core import EPS, Evaluation, Parameters, angle_window
 from .errors import DomainError, MagnitudeFloor
 from .gamma import recip_gamma
-from .oracle import oracle_eval
+from .oracle import oracle_eval  # noqa: F401  unused; perfbench/tracer.py wraps it here
 from .representations import pole_images, residue_terms_x, residue_terms_y
 
 # Below this magnitude for min(|x|, |y|) the o() error model says nothing;
 # the dispatcher keeps such points on the series or contour routes.
 MAGNITUDE_FLOOR = 5.0
-
-# Safety multiplier on the calibrated error constant.
-_CAL_SAFETY = 2.0
-
-_CAL_CACHE: dict[tuple, float] = {}
 
 
 class AsymptoticCase(Enum):
@@ -109,6 +106,15 @@ def classify_case(
     return _sectors(x, y, params, tau1)[0]
 
 
+def _tail_terms(x: complex, y: complex, params: Parameters, rows: int, cols: int) -> np.ndarray:
+    """x^(-n) y^(-m) / Gamma(mu - alpha n - beta m) for n <= rows, m <= cols."""
+    n = np.arange(1, rows + 1, dtype=float)
+    m = np.arange(1, cols + 1, dtype=float)
+    nn, mm = np.meshgrid(n, m, indexing="ij")
+    rg = recip_gamma(params.mu - params.alpha * nn - params.beta * mm)
+    return np.power(x, -n)[:, None] * np.power(y, -m)[None, :] * rg
+
+
 def asympt_tail_sum(
     x: complex, y: complex, params: Parameters, orders: TruncationOrders | None = None
 ) -> complex:
@@ -119,45 +125,7 @@ def asympt_tail_sum(
     y = complex(y)
     if x == 0 or y == 0:
         raise DomainError("tail sum needs x != 0 and y != 0")
-    n = np.arange(1, orders.p_beta + 1, dtype=float)
-    m = np.arange(1, orders.p_alpha + 1, dtype=float)
-    nn, mm = np.meshgrid(n, m, indexing="ij")
-    rg = recip_gamma(params.mu - params.alpha * nn - params.beta * mm)
-    xn = np.power(x, -n)[:, None]
-    ym = np.power(y, -m)[None, :]
-    return complex(np.sum(xn * ym * rg))
-
-
-def _case_parts(
-    x: complex,
-    y: complex,
-    params: Parameters,
-    orders: TruncationOrders,
-    tau1: float | None,
-) -> tuple[AsymptoticCase, list[complex]]:
-    case, xi, yi = _sectors(x, y, params, tau1)
-    parts = [asympt_tail_sum(x, y, params, orders)]
-    parts += residue_terms_x(x, y, params, xi)
-    parts += residue_terms_y(x, y, params, yi)
-    return case, parts
-
-
-def _calibrated_constant(params: Parameters, orders: TruncationOrders) -> float:
-    """Error-model constant from oracle probes at x = y = -t, t in {10, 20, 40}."""
-    key = (params.alpha, params.beta, params.mu, orders.p_alpha, orders.p_beta)
-    cached = _CAL_CACHE.get(key)
-    if cached is not None:
-        return cached
-    c = 0.0
-    for t in (10.0, 20.0, 40.0):
-        ref = oracle_eval(-t, -t, params, digits=30).as_complex()
-        _, parts = _case_parts(-t, -t, params, orders, None)
-        err = abs(sum(parts) - ref)
-        shape = (t ** -orders.p_beta + t ** -orders.p_alpha) / t**2
-        c = max(c, err / shape)
-    c *= _CAL_SAFETY
-    _CAL_CACHE[key] = c
-    return c
+    return complex(np.sum(_tail_terms(x, y, params, orders.p_beta, orders.p_alpha)))
 
 
 def eval_asymptotic(
@@ -167,7 +135,7 @@ def eval_asymptotic(
     orders: TruncationOrders | None = None,
     tau1: float | None = None,
 ) -> Evaluation:
-    """Case-dispatched expansion value with a calibrated error estimate.
+    """Case-dispatched expansion value with a next-ring error estimate.
 
     Raises MagnitudeFloor when min(|x|, |y|) < MAGNITUDE_FLOOR and
     DegenerateDenominator when a needed residue denominator collapses.
@@ -181,12 +149,18 @@ def eval_asymptotic(
             f"min(|x|, |y|) = {min(abs(x), abs(y)):.3g} below the asymptotic "
             f"floor {MAGNITUDE_FLOOR}"
         )
-    case, parts = _case_parts(x, y, params, orders, tau1)
-    value = sum(parts)
-    c = _calibrated_constant(params, orders)
-    shape = (abs(x) ** -orders.p_beta + abs(y) ** -orders.p_alpha) / abs(x * y)
-    est = c * shape + EPS * sum(8.0 * abs(p) for p in parts)
-    return Evaluation(value, est, f"asymptotic-{case.value}")
+    case, xi, yi = _sectors(x, y, params, tau1)
+    pb, pa = orders.p_beta, orders.p_alpha
+    # one block holds the tail and the two omitted rings around it; the
+    # tail is summed from a contiguous copy, exactly as asympt_tail_sum does
+    terms = _tail_terms(x, y, params, pb + 2, pa + 2)
+    parts = [complex(np.ascontiguousarray(terms[:pb, :pa]).sum())]
+    parts += residue_terms_x(x, y, params, xi)
+    parts += residue_terms_y(x, y, params, yi)
+    rings = np.abs(terms)
+    rings[:pb, :pa] = 0.0
+    est = 2.0 * float(rings.sum()) + EPS * sum(8.0 * abs(p) for p in parts)
+    return Evaluation(sum(parts), est, f"asymptotic-{case.value}")
 
 
 def expansion_sides(

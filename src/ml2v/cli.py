@@ -9,7 +9,8 @@ or JSON carrying the same fields; numbers are printed at 17 significant
 digits in both formats so they parse to identical doubles.  Exit codes:
 0 success, 1 selftest failure, 2 domain error, 3 numeric failure.
 Complex literals on the command line are "a+bi" / "a-bi" / "a" with no
-spaces (a trailing j is accepted too).
+spaces (a trailing j is accepted too); one that starts with a minus may
+follow its flag after a space or after "=".
 """
 
 from __future__ import annotations
@@ -436,8 +437,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_literals(argv: list[str]) -> list[str]:
+    """Write "--x -2-1i" as "--x=-2-1i": argparse reads "-2" as a value
+    but any other literal that starts with a minus as an unknown option."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and tok.startswith("-"):
+            try:
+                parse_complex(tok)
+            except DomainError:
+                pass
+            else:
+                out[-1] += "=" + tok
+                continue
+        out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_attach_negative_literals(argv))
     try:
         return args.func(args)
     except DomainError as exc:

@@ -1,7 +1,11 @@
 """Large-argument expansions: cases, tail algebra, decay rates, honesty."""
 
+import ast
 import cmath
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from ml2v.core import validate_params
 from ml2v.errors import DomainError, MagnitudeFloor
 from ml2v.gamma import recip_gamma
 from ml2v.oracle import oracle_eval
+from ml2v.representations import choose_contour, eval_with_contour
 
 P_HALF = validate_params(0.5, 0.5, 1)
 P_08 = validate_params(0.8, 0.8, 1)
@@ -191,3 +196,54 @@ def test_expansion_identity_random():
         worst = max(worst, abs(lhs - rhs) / abs(lhs))
         n_ok += 1
     assert worst <= 1e-12
+
+
+def test_cold_call_at_unequal_orders_is_prompt_and_honest():
+    # the estimate needs no oracle: a first call in a fresh interpreter at
+    # unequal, non-dyadic orders returns at once (it once hung for minutes)
+    code = (
+        "import time; t = time.perf_counter()\n"
+        "from ml2v.asymptotics import eval_asymptotic\n"
+        "from ml2v.core import validate_params\n"
+        "ev = eval_asymptotic(-30.0, -25.0, validate_params(0.5, 0.8, 1))\n"
+        "print(repr(ev.value), repr(ev.est_error), time.perf_counter() - t)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    value, est, seconds = (ast.literal_eval(w) for w in out.stdout.split())
+    assert seconds < 10.0
+    pp = validate_params(0.5, 0.8, 1)
+    ref = eval_with_contour(-30.0, -25.0, pp, choose_contour(-30.0, -25.0, pp), tol=1e-13)
+    assert abs(value - ref.value) <= est
+
+
+# (x, y) at (1.2, 0.9, 1) where an error constant calibrated against the
+# oracle at x = y = -10, -20, -40 understated the error; the same points
+# as the benchmark's LARGE_DISHONEST
+DISHONEST_120_090 = (
+    (-6.136594049682714 + 18.21078306001843j, 13.195190600664633 - 44.826007360400716j),
+    (-17.087927510554113 - 7.923649425585795j, 18.33983364661026 - 55.17562739608184j),
+    (-14.995428461622627 - 10.570641722821842j, 14.98448887874843 - 54.574987437519965j),
+)
+
+
+@pytest.mark.parametrize("x,y", DISHONEST_120_090)
+def test_next_ring_estimate_honest_at_wide_orders(x, y):
+    pp = validate_params(1.2, 0.9, 1)
+    ev = eval_asymptotic(x, y, pp)
+    ref = eval_with_contour(x, y, pp, choose_contour(x, y, pp), tol=1e-12)
+    assert ref.est_error < 0.1 * ev.est_error
+    assert abs(ev.value - ref.value) <= ev.est_error
+
+
+def test_result_independent_of_call_history():
+    pp = validate_params(0.7, 0.7, 0.5 + 0.3j)
+    x, y = -40.0 + 12.0j, 25.0 - 30.0j
+    before = eval_asymptotic(x, y, pp)
+    eval_asymptotic(x, y, pp, TruncationOrders(1, 2))
+    eval_asymptotic(-30.0, -25.0, validate_params(0.5, 0.8, 1))
+    eval_asymptotic(x, y, P_HALF, TruncationOrders(4, 4))
+    assert eval_asymptotic(x, y, pp) == before

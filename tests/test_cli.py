@@ -40,6 +40,29 @@ def test_parse_complex_forms():
             cli.parse_complex(bad)
 
 
+def _without_ms(text):
+    return [{k: v for k, v in row.items() if k != "ms"} for row in csv_rows(text)]
+
+
+@pytest.mark.parametrize(
+    "head,flag,literal,tail",
+    [
+        (["eval", "--alpha", "1", "--beta", "1"], "--x", "-2-1i", ["--y", "1"]),
+        (["eval", "--alpha", "0.8", "--beta", "0.9", "--x", "1", "--y", "-1"],
+         "--mu", "-0.5+1i", []),
+        (["grid", "--alpha", "0.5", "--beta", "0.8", "--x", "1", "--y-max", "2",
+          "--y-count", "2"], "--y-min", "-8-3i", []),
+    ],
+    ids=["x", "mu", "grid-bound"],
+)
+def test_negative_literal_after_a_space(head, flag, literal, tail, capsys):
+    # argparse alone takes "-2-1i" for an option; both spellings must agree
+    rc_eq, out_eq, _ = run_cli(head + [f"{flag}={literal}"] + tail, capsys)
+    rc_sp, out_sp, err = run_cli(head + [flag, literal] + tail, capsys)
+    assert rc_eq == rc_sp == 0, err
+    assert _without_ms(out_sp) == _without_ms(out_eq)
+
+
 def test_eval_series_closed_form(capsys):
     rc, out, _ = run_cli(
         ["eval", "--alpha", "1", "--beta", "1", "--mu", "1",
