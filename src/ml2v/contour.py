@@ -1,11 +1,20 @@
 """Keyhole-contour discretization and adaptive panel quadrature.
 
-Panels are evaluated with nested Gauss-Legendre rules (8 and 16 nodes); the
-difference between the two is the panel error estimate, and the worst panel
-is split until the error sum meets the tolerance or the node budget runs
-out.  Ray panels are graded geometrically outward from the arc because the
-integrands of interest decay like exp(cos(theta*d) * r^d) along the rays;
-arc panels are uniform in angle.
+The contour is stored as one (P, 4) array of panel rows (r0, r1, phi0, phi1):
+the panel is the path z = r e^{i phi} with r and phi both linear in the rule
+abscissa, so a ray panel holds phi at -theta or +theta and an arc panel holds
+r = eps.  Points, dz and splits are then the same formula for both kinds.
+
+Each panel is evaluated with the 8- and 16-node Gauss-Legendre rules, 24
+integrand evaluations (the rules share no nodes); the difference of the two
+is the panel error estimate and the 16-node value is kept.  The initial
+sweep evaluates every panel in one integrand call.  Each refinement round
+then halves the fewest worst panels whose estimates add up to the excess
+over the tolerance, as many as the node budget allows, again in one call,
+until the error sum meets the tolerance or the budget runs out.  Ray panels
+are graded geometrically outward from the arc because the integrands of
+interest decay like exp(cos(theta*d) * r^d) along the rays; arc panels are
+uniform in angle.
 
 The truncation radius R solves exp(cos(theta*d) * R^d) <= trunc_tol, and an
 a-posteriori tail estimate from the actual endpoint magnitudes is folded
@@ -13,19 +22,17 @@ into the reported error, so algebraic prefactors the solve ignores still
 show up honestly.
 
 theta = pi is a valid contour (circle plus the twice-passed negative axis).
-The two ray passages are parameterized with unit vectors exp(+-i pi) whose
-tiny imaginary residue places each on the correct side of the principal
-branch cut, which is exactly where the upper and lower passage belong.
+The ray points are r exp(+-i pi), whose tiny imaginary residue places each
+passage on the correct side of the principal branch cut, which is exactly
+where the upper and lower passage belong.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -44,7 +51,10 @@ _ARC_PANEL_ANGLE = math.pi / 8
 
 _GL_COARSE = np.polynomial.legendre.leggauss(8)
 _GL_FINE = np.polynomial.legendre.leggauss(16)
-_EVALS_PER_PANEL = len(_GL_COARSE[0]) + len(_GL_FINE[0])
+# The abscissae of both rules, coarse first, mapped from [-1, 1] to [0, 1].
+_T = 0.5 * (np.concatenate([_GL_COARSE[0], _GL_FINE[0]]) + 1.0)
+_N_COARSE = len(_GL_COARSE[0])
+_EVALS_PER_PANEL = len(_T)
 
 
 @dataclass(frozen=True)
@@ -54,54 +64,25 @@ class IntegrandSpec:
     f maps an ndarray of contour points to integrand values; decay is the
     exponent d in the ray decay law exp(cos(theta*d) r^d); poles are the
     integrand's finite poles (checked against the contour before any node
-    is spent); pole_floor overrides the default proximity floor.
+    is spent).
     """
 
     f: Callable[[np.ndarray], np.ndarray]
     decay: float
     poles: tuple[complex, ...] = ()
-    pole_floor: float | None = None
-
-
-@dataclass(frozen=True)
-class _Panel:
-    """One oriented panel: a straight segment or an arc piece."""
-
-    kind: str            # "line" | "arc"
-    a: complex           # line: start point; arc: start angle (real part)
-    b: complex
-    radius: float = 0.0  # arc only
-
-    def nodes(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Map rule abscissae xs in [-1, 1] to points and d(point)/dx."""
-        t = 0.5 * (xs + 1.0)
-        if self.kind == "line":
-            dz = self.b - self.a
-            return self.a + t * dz, np.full_like(xs, 0.5 * dz, dtype=complex)
-        phi0, phi1 = self.a.real, self.b.real
-        phi = phi0 + t * (phi1 - phi0)
-        z = self.radius * np.exp(1j * phi)
-        return z, 0.5 * (phi1 - phi0) * 1j * z
-
-    def split(self) -> tuple["_Panel", "_Panel"]:
-        if self.kind == "line":
-            mid = 0.5 * (self.a + self.b)
-        else:
-            mid = complex(0.5 * (self.a.real + self.b.real))
-        return (
-            _Panel(self.kind, self.a, mid, self.radius),
-            _Panel(self.kind, mid, self.b, self.radius),
-        )
 
 
 @dataclass(frozen=True)
 class DiscretizedContour:
-    """Truncated, panelized keyhole contour ready for quadrature."""
+    """Truncated, panelized keyhole contour ready for quadrature.
+
+    panels holds one row (r0, r1, phi0, phi1) per panel, in path order.
+    """
 
     spec: ContourSpec
     radius: float          # truncation radius R
     decay: float
-    panels: tuple[_Panel, ...]
+    panels: np.ndarray
 
 
 def _ray_radii(eps: float, radius: float) -> list[float]:
@@ -135,38 +116,34 @@ def build_contour(
     radius = (math.log(1.0 / trunc_tol) / -c) ** (1.0 / decay)
     radius = max(radius, 2.0 * eps)
 
-    u_up = complex(np.exp(1j * theta))
-    u_dn = complex(np.exp(-1j * theta))
-    panels: list[_Panel] = []
     rs = _ray_radii(eps, radius)
-    # incoming ray, from R e^{-i theta} down to eps e^{-i theta}
-    for r_out, r_in in zip(rs[::-1], rs[-2::-1]):
-        panels.append(_Panel("line", r_out * u_dn, r_in * u_dn))
-    # arc from -theta to +theta
     n_arc = max(4, math.ceil(theta * (1.0 + abs(decay)) / _ARC_PANEL_ANGLE))
     phis = np.linspace(-theta, theta, n_arc + 1)
-    for p0, p1 in zip(phis[:-1], phis[1:]):
-        panels.append(_Panel("arc", complex(p0), complex(p1), radius=eps))
-    # outgoing ray, from eps e^{i theta} up to R e^{i theta}
-    for r_in, r_out in zip(rs[:-1], rs[1:]):
-        panels.append(_Panel("line", r_in * u_up, r_out * u_up))
-    return DiscretizedContour(spec=spec, radius=radius, decay=decay, panels=tuple(panels))
+    rows = (
+        # incoming ray, from R e^{-i theta} down to eps e^{-i theta}
+        [(r_out, r_in, -theta, -theta) for r_out, r_in in zip(rs[::-1], rs[-2::-1])]
+        # arc from -theta to +theta
+        + [(eps, eps, p0, p1) for p0, p1 in zip(phis[:-1], phis[1:])]
+        # outgoing ray, from eps e^{i theta} up to R e^{i theta}
+        + [(r_in, r_out, theta, theta) for r_in, r_out in zip(rs[:-1], rs[1:])]
+    )
+    panels = np.array(rows, dtype=float)
+    panels.flags.writeable = False
+    return DiscretizedContour(spec=spec, radius=radius, decay=decay, panels=panels)
 
 
 def size_contour(
-    spec: ContourSpec,
-    integrand: IntegrandSpec,
-    tol: float,
-    trunc_tol: float | None = None,
+    spec: ContourSpec, integrand: IntegrandSpec, tol: float
 ) -> DiscretizedContour:
     """build_contour with the radius enlarged until the actual tail is small.
 
     The plain truncation solve ignores algebraic prefactors in the
-    integrand; this wrapper checks the a-posteriori tail bound at the
+    integrand; this wrapper starts from the truncation tolerance
+    min(1e-16, tol/100), checks the a-posteriori tail bound at the
     truncation points and keeps shrinking the truncation tolerance (hence
     growing R) until that bound drops below tol / 10 or bottoms out.
     """
-    tt = trunc_tol if trunc_tol is not None else min(1e-16, tol * 1e-2)
+    tt = min(1e-16, tol * 1e-2)
     dc = build_contour(spec, integrand.decay, tt)
     for _ in range(6):
         tail = _tail_estimate(dc, integrand.f)
@@ -188,15 +165,17 @@ def node_budget_default() -> int:
         return DEFAULT_NODE_BUDGET
 
 
-def _eval_panel(panel: _Panel, f: Callable) -> tuple[complex, float]:
-    """Embedded-rule panel value and error estimate."""
-    xs_c, ws_c = _GL_COARSE
-    xs_f, ws_f = _GL_FINE
-    z_c, dz_c = panel.nodes(xs_c)
-    z_f, dz_f = panel.nodes(xs_f)
-    coarse = np.sum(ws_c * f(z_c) * dz_c)
-    fine = np.sum(ws_f * f(z_f) * dz_f)
-    return complex(fine), float(abs(fine - coarse))
+def _eval_rows(rows: np.ndarray, f: Callable) -> tuple[np.ndarray, np.ndarray]:
+    """Fine-rule values and |fine - coarse| estimates of panel rows, from
+    one call of f on all their nodes."""
+    r0, r1, phi0, phi1 = rows.T[:, :, None]
+    dr, dphi = r1 - r0, phi1 - phi0
+    e = np.exp(1j * (phi0 + _T * dphi))
+    z = (r0 + _T * dr) * e
+    g = f(z) * (0.5 * (dr * e + 1j * dphi * z))
+    coarse = np.sum(g[:, :_N_COARSE] * _GL_COARSE[1], axis=1)
+    fine = np.sum(g[:, _N_COARSE:] * _GL_FINE[1], axis=1)
+    return fine, np.abs(fine - coarse)
 
 
 def _tail_estimate(contour: DiscretizedContour, f: Callable) -> float:
@@ -226,9 +205,7 @@ def integrate(
     """
     if node_budget is None:
         node_budget = node_budget_default()
-    floor = integrand.pole_floor
-    if floor is None:
-        floor = POLE_FLOOR_REL * contour.spec.epsilon
+    floor = POLE_FLOOR_REL * contour.spec.epsilon
     for pole in integrand.poles:
         dist = contour_distance(pole, contour.spec)
         if dist < floor:
@@ -239,38 +216,37 @@ def integrate(
 
     f = integrand.f
     tail = _tail_estimate(contour, f)
-    nodes_used = 2
-    counter = itertools.count()
-    heap: list = []
-    total = 0.0 + 0.0j
-    total_est = tail
-    for panel in contour.panels:
-        if nodes_used + _EVALS_PER_PANEL > node_budget:
-            raise QuadratureError(
-                f"node budget {node_budget} exhausted during initial panel sweep"
-            )
-        val, est = _eval_panel(panel, f)
-        nodes_used += _EVALS_PER_PANEL
-        total += val
-        total_est += est
-        heapq.heappush(heap, (-est, next(counter), panel, val, est))
+    rows = contour.panels
+    nodes_used = 2 + _EVALS_PER_PANEL * len(rows)
+    if nodes_used > node_budget:
+        raise QuadratureError(
+            f"node budget {node_budget} exhausted during initial panel sweep"
+        )
+    vals, ests = _eval_rows(rows, f)
+    total_est = tail + float(np.sum(ests))
 
-    while total_est > tol and heap:
-        if nodes_used + 2 * _EVALS_PER_PANEL > node_budget:
+    while total_est > tol:
+        affordable = (node_budget - nodes_used) // (2 * _EVALS_PER_PANEL)
+        if affordable < 1:
             raise QuadratureError(
                 f"estimated error {total_est:.3g} > tol {tol:.3g} with node "
                 f"budget {node_budget} exhausted ({nodes_used} nodes used)"
             )
-        _, _, panel, val, est = heapq.heappop(heap)
-        left, right = panel.split()
-        lv, le = _eval_panel(left, f)
-        rv, re_ = _eval_panel(right, f)
-        nodes_used += 2 * _EVALS_PER_PANEL
-        total += lv + rv - val
-        total_est += le + re_ - est
-        heapq.heappush(heap, (-le, next(counter), left, lv, le))
-        heapq.heappush(heap, (-re_, next(counter), right, rv, re_))
+        # the fewest worst panels whose estimates cover the excess over tol
+        worst = np.argsort(-ests)
+        need = np.searchsorted(np.cumsum(ests[worst]), total_est - tol) + 1
+        split = worst[: min(need, affordable)]
+        # columns 0::2 are the starts (r0, phi0), 1::2 the ends (r1, phi1)
+        left, right = rows[split], rows[split]
+        left[:, 1::2] = right[:, 0::2] = 0.5 * (left[:, 0::2] + left[:, 1::2])
+        halves = np.concatenate([left, right])
+        half_vals, half_ests = _eval_rows(halves, f)
+        nodes_used += _EVALS_PER_PANEL * len(halves)
+        rows = np.concatenate([np.delete(rows, split, axis=0), halves])
+        vals = np.concatenate([np.delete(vals, split), half_vals])
+        ests = np.concatenate([np.delete(ests, split), half_ests])
+        total_est = tail + float(np.sum(ests))
 
-    if not math.isfinite(total_est) or total_est > tol:
+    if not math.isfinite(total_est):
         raise QuadratureError(f"error estimate {total_est:.3g} did not reach tol {tol:.3g}")
-    return Evaluation(value=total, est_error=total_est, method="quadrature")
+    return Evaluation(value=complex(np.sum(vals)), est_error=total_est, method="quadrature")

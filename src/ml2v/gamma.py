@@ -69,6 +69,26 @@ def _kernel_loggamma(z: np.ndarray) -> np.ndarray:
     return 0.5 * math.log(2.0 * math.pi) + (w + 0.5) * np.log(t) - t + np.log(acc)
 
 
+def _reflection(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The reflection split shared by recip_gamma and log_recip_gamma.
+
+    Returns the mask Re z < 1/2, sin(pi z)/pi on it (1 elsewhere), and
+    log Gamma of 1 - z on it (of z elsewhere), so that 1/Gamma(z) is
+    sine * exp(lg) on the mask and exp(-lg) off it.
+    """
+    refl = z.real < 0.5
+    with np.errstate(all="ignore"):
+        # Series blocks mostly lie right of 1/2: skip the sine when none reflects.
+        sine = np.where(refl, _sinpi(z) / math.pi, 1.0) if refl.any() else np.ones_like(z)
+        return refl, sine, _kernel_loggamma(np.where(refl, 1.0 - z, z))
+
+
+def _at_poles(z: np.ndarray) -> np.ndarray:
+    """Arguments within POLE_SNAP of a non-positive integer."""
+    n = np.round(z.real)
+    return (np.abs(z - n) < POLE_SNAP) & (n <= 0)
+
+
 def recip_gamma(s):
     """1/Gamma(s) for complex s (scalar or ndarray), entire in s.
 
@@ -77,22 +97,14 @@ def recip_gamma(s):
     reduced sine, so near-pole arguments keep full relative accuracy.
     """
     arr = np.asarray(s, dtype=complex)
-    scalar = arr.ndim == 0
     z = np.atleast_1d(arr)
-    out = np.empty(z.shape, dtype=complex)
-
-    refl = z.real < 0.5
-    with np.errstate(over="ignore", under="ignore"):
-        if np.any(~refl):
-            out[~refl] = np.exp(-_kernel_loggamma(z[~refl]))
-        if np.any(refl):
-            zr = z[refl]
-            out[refl] = _sinpi(zr) / math.pi * np.exp(_kernel_loggamma(1.0 - zr))
-
-    n = np.round(z.real)
-    snap = (np.abs(z - n) < POLE_SNAP) & (n <= 0)
-    out[snap] = 0.0
-    return complex(out[0]) if scalar else out
+    refl, sine, lg = _reflection(z)
+    # Select rather than multiply by sine everywhere: 1 * w turns -0j into +0j.
+    with np.errstate(all="ignore"):
+        w = np.exp(np.where(refl, lg, -lg))
+        out = np.where(refl, sine * w, w)
+    out = np.where(_at_poles(z), 0.0, out)
+    return complex(out[0]) if arr.ndim == 0 else out
 
 
 def log_recip_gamma(s):
@@ -103,22 +115,12 @@ def log_recip_gamma(s):
     Used where |1/Gamma| spans more than the double exponent range.
     """
     arr = np.asarray(s, dtype=complex)
-    scalar = arr.ndim == 0
     z = np.atleast_1d(arr)
-    out = np.empty(z.shape, dtype=complex)
-
-    refl = z.real < 0.5
-    if np.any(~refl):
-        out[~refl] = -_kernel_loggamma(z[~refl])
-    if np.any(refl):
-        zr = z[refl]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out[refl] = np.log(_sinpi(zr) / math.pi + 0j) + _kernel_loggamma(1.0 - zr)
-
-    n = np.round(z.real)
-    snap = (np.abs(z - n) < POLE_SNAP) & (n <= 0)
-    out[snap] = complex(-math.inf, 0.0)
-    return complex(out[0]) if scalar else out
+    refl, sine, lg = _reflection(z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(refl, np.log(sine + 0j) + lg, -lg)
+    out = np.where(_at_poles(z), complex(-math.inf, 0.0), out)
+    return complex(out[0]) if arr.ndim == 0 else out
 
 
 def recip_gamma_hankel(

@@ -120,3 +120,41 @@ def test_node_budget_env(monkeypatch):
     assert node_budget_default() == 5000
     monkeypatch.setenv("ML2V_NODE_BUDGET", "not-a-number")
     assert node_budget_default() == DEFAULT_NODE_BUDGET
+
+
+def _counted(f):
+    """f wrapped to record the number of points of every call."""
+    calls = []
+
+    def g(z):
+        calls.append(int(np.size(z)))
+        return f(z)
+
+    return g, calls
+
+
+def test_one_integrand_call_per_round():
+    dc = build_contour(ContourSpec(1.0, 3 * math.pi / 4), decay=1.0, trunc_tol=1e-18)
+    for tol, rounds in ((1e-8, 0), (1e-13, 1)):
+        f, calls = _counted(lambda u: np.exp(u) * u ** (-2.5))
+        ev = integrate(dc, IntegrandSpec(f=f, decay=1.0), tol=tol)
+        assert ev.est_error <= tol
+        # the tail estimate, the initial sweep of all panels, then one call
+        # per refinement round holding both halves of every panel it splits
+        assert calls[:2] == [2, 24 * len(dc.panels)]
+        assert len(calls) == 2 + rounds
+        assert all(n % 48 == 0 for n in calls[2:])
+
+
+def test_budget_exhausted_during_refinement():
+    dc = build_contour(ContourSpec(1.0, 3 * math.pi / 4), decay=1.0, trunc_tol=1e-18)
+    f, calls = _counted(lambda u: np.exp(u) * u ** (-2.5))
+    integrate(dc, IntegrandSpec(f=f, decay=1.0), tol=1e-13)
+    sweep, converged = 2 + 24 * len(dc.panels), sum(calls)
+    budget = (sweep + converged) // 2
+    assert sweep + 48 <= budget < converged
+    f, calls = _counted(lambda u: np.exp(u) * u ** (-2.5))
+    with pytest.raises(QuadratureError, match=r"exhausted \(\d+ nodes used\)") as info:
+        integrate(dc, IntegrandSpec(f=f, decay=1.0), tol=1e-13, node_budget=budget)
+    assert sweep < sum(calls) <= budget
+    assert f"({sum(calls)} nodes used)" in str(info.value)

@@ -1,0 +1,91 @@
+#!/usr/bin/env python3
+"""Bit-level fingerprints of ml2v on a fixed seeded call set, and their diff.
+
+    PYTHONPATH=<tree>/src python tools/fingerprint.py record > A.txt
+    python tools/fingerprint.py compare A.txt B.txt
+
+record prints one line per call: group, inputs, float.hex of the value and of
+est_error, and the method tag or exception type.  The calls: the corpus and
+seeded points through eval_auto, the same points through eval_with_contour on
+choose_contour's contour, and recip_gamma/log_recip_gamma on a seeded array.
+compare counts per group the bit-identical lines, the tag or exception
+changes, the values that differ by more than est_A + est_B, and gives the
+worst |dvalue| / (est_A + est_B).
+"""
+
+import cmath
+import math
+import random
+import sys
+import warnings
+
+import numpy as np
+
+SEED = 4242
+PARAM_SETS = ((0.5, 0.8, 1), (1.2, 0.9, 1), (0.7, 0.7, 0.5 + 0.3j), (1, 1, 1), (0.5, 0.5, 1))
+POINTS_PER_SET = 40
+
+
+def _hex(v: complex) -> str:
+    return f"{v.real.hex()} {v.imag.hex()}"
+
+
+def _line(group: str, inputs: str, call) -> str:
+    try:
+        ev = call()
+    except Exception as exc:  # the exception type is part of the fingerprint
+        return f"{group}\t{inputs}\t-\t-\t{type(exc).__name__}"
+    return f"{group}\t{inputs}\t{_hex(complex(ev.value))}\t{float(ev.est_error).hex()}\t{ev.method}"
+
+
+def record() -> None:
+    import ml2v
+    from ml2v.gamma import log_recip_gamma, recip_gamma
+
+    warnings.simplefilter("ignore")
+    for rec in ml2v.load_corpus():
+        inputs = f"{rec.alpha} {rec.beta} {rec.mu!r} {rec.x!r} {rec.y!r}"
+        print(_line("corpus", inputs, lambda: ml2v.eval_auto(rec.x, rec.y, rec.params())))
+    rng = random.Random(SEED)
+    for a, b, mu in PARAM_SETS:
+        p = ml2v.validate_params(a, b, mu)
+        for _ in range(POINTS_PER_SET):
+            x, y = (cmath.rect(10 ** rng.uniform(-1, 1.6), rng.uniform(-math.pi, math.pi)) for _ in "xy")
+            inputs = f"{a} {b} {mu!r} {x!r} {y!r}"
+            print(_line("auto", inputs, lambda: ml2v.eval_auto(x, y, p)))
+            print(_line("contour", inputs, lambda: ml2v.eval_with_contour(x, y, p, ml2v.choose_contour(x, y, p))))
+    g = np.random.default_rng(SEED)
+    poles = -np.arange(30.0)
+    s = np.concatenate([g.normal(0, 25, 400) + 1j * g.normal(0, 4, 400), g.normal(0, 25, 200) + 0j,
+                        g.normal(0, 25, 200) - 0j, poles, poles + g.normal(0, 1e-12, 30), poles + 0.5])
+    for name, fn in (("recip_gamma", recip_gamma), ("log_recip_gamma", log_recip_gamma)):
+        for si, v in zip(s, fn(s)):
+            print(f"{name}\t{complex(si)!r}\t{_hex(complex(v))}\t{0.0.hex()}\t-")
+
+
+def compare(path_a: str, path_b: str) -> None:
+    with open(path_a) as fa, open(path_b) as fb:
+        pairs = list(zip(fa.read().splitlines(), fb.read().splitlines(), strict=True))
+    stats: dict[str, list] = {}
+    for la, lb in pairs:
+        (group, inputs, va, ea, ta), (_, inputs_b, vb, eb, tb) = la.split("\t"), lb.split("\t")
+        assert inputs == inputs_b, f"call sets differ: {inputs} / {inputs_b}"
+        st = stats.setdefault(group, [0, 0, 0, 0, 0.0])
+        st[0], st[1], st[2] = st[0] + 1, st[1] + (la == lb), st[2] + (ta != tb)
+        if la != lb and "-" not in (va, vb):
+            za, zb = (complex(*map(float.fromhex, v.split())) for v in (va, vb))
+            delta, bound = abs(za - zb), float.fromhex(ea) + float.fromhex(eb)
+            st[3] += delta > bound
+            st[4] = max(st[4], delta / bound if bound > 0 else (0.0 if delta == 0 else math.inf))
+    print(f"{'group':<16} {'lines':>6} {'identical':>9} {'tag_changes':>11} {'over_est':>8} {'worst_d/est':>11}")
+    for group, (n, same, tags, over, worst) in stats.items():
+        print(f"{group:<16} {n:>6} {same:>9} {tags:>11} {over:>8} {worst:>11.3g}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["record"]:
+        record()
+    elif sys.argv[1:2] == ["compare"] and len(sys.argv) == 4:
+        compare(sys.argv[2], sys.argv[3])
+    else:
+        sys.exit(__doc__)
