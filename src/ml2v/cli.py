@@ -8,14 +8,16 @@ Output contract: CSV rows under the fixed header
 or JSON carrying the same fields; numbers are printed at 17 significant
 digits in both formats so they parse to identical doubles.  Exit codes:
 0 success, 1 selftest failure, 2 domain error, 3 numeric failure.
-Complex literals on the command line are "a+bi" / "a-bi" / "a" with no
-spaces (a trailing j is accepted too); one that starts with a minus may
-follow its flag after a space or after "=".
+Complex literals on the command line are finite "a+bi" / "a-bi" / "a" with
+no spaces (a trailing j is accepted too); one that starts with a minus may
+follow its flag after a space or after "=".  A non-finite literal, or a
+--tol that is not positive and finite, is a domain error.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -70,7 +72,7 @@ _NUMERIC_ERRORS = (
 )
 
 
-def parse_complex(text: str) -> complex:
+def _complex_literal(text: str) -> complex:
     """Parse "a+bi" / "a-bi" / "a"; no spaces or parentheses."""
     s = str(text).strip()
     if not s or any(ch.isspace() for ch in s) or "(" in s or ")" in s:
@@ -79,6 +81,21 @@ def parse_complex(text: str) -> complex:
         return complex(s.replace("i", "j").replace("I", "j"))
     except ValueError:
         raise DomainError(f"bad complex literal {text!r}") from None
+
+
+def parse_complex(text: str) -> complex:
+    """A finite complex literal "a+bi" / "a-bi" / "a"."""
+    z = _complex_literal(text)
+    if not cmath.isfinite(z):
+        raise DomainError(f"complex literal {text!r} is not finite")
+    return z
+
+
+def _tol(args, default: float) -> float:
+    tol = default if args.tol is None else args.tol
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"--tol must be positive and finite, got {tol}")
+    return tol
 
 
 def fmt17(v: float) -> str:
@@ -222,7 +239,7 @@ def _axis_values(args, name: str) -> list[complex]:
 def cmd_eval(args) -> int:
     params = _params_from(args)
     x, y = parse_complex(args.x), parse_complex(args.y)
-    tol = args.tol if args.tol is not None else 1e-8
+    tol = _tol(args, 1e-8)
     t0 = time.perf_counter()
     try:
         ev = evaluate_point(args, x, y, params, args.method, tol)
@@ -241,7 +258,7 @@ def cmd_grid(args) -> int:
     params = _params_from(args)
     xs = _axis_values(args, "x")
     ys = _axis_values(args, "y")
-    tol = args.tol if args.tol is not None else 1e-8
+    tol = _tol(args, 1e-8)
     rows = []
     failures = 0
     for x in xs:                      # x-major row order
@@ -296,7 +313,7 @@ def _compare_methods(args, x: complex, y: complex, params: Parameters,
 def _compare_corpus(args) -> int:
     path = None if args.corpus == "__packaged__" else args.corpus
     records = load_corpus(path)
-    tol = args.tol if args.tol is not None else 1e-7
+    tol = _tol(args, 1e-7)
     worst = 0.0
     flagged = 0
     for i, rec in enumerate(records):
@@ -329,7 +346,7 @@ def cmd_compare(args) -> int:
     params = _params_from(args)
     xs = _axis_values(args, "x")
     ys = _axis_values(args, "y")
-    tol = args.tol if args.tol is not None else 1e-8
+    tol = _tol(args, 1e-8)
     worst = 0.0
     flagged = 0
     for x in xs:
@@ -444,7 +461,7 @@ def _attach_negative_literals(argv: list[str]) -> list[str]:
     for tok in argv:
         if out and out[-1].startswith("--") and "=" not in out[-1] and tok.startswith("-"):
             try:
-                parse_complex(tok)
+                _complex_literal(tok)
             except DomainError:
                 pass
             else:

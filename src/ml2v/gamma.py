@@ -103,6 +103,9 @@ def recip_gamma(s):
     with np.errstate(all="ignore"):
         w = np.exp(np.where(refl, lg, -lg))
         out = np.where(refl, sine * w, w)
+    if refl.any():
+        # A real argument whose 1/Gamma overflows gets inf * (s+0j) = inf+nanj.
+        out = np.where((z.imag == 0) & np.isnan(out.imag), out.real + 0j, out)
     out = np.where(_at_poles(z), 0.0, out)
     return complex(out[0]) if arr.ndim == 0 else out
 

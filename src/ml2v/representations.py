@@ -45,6 +45,7 @@ from .core import (
 from .errors import (
     BudgetExceeded,
     DegenerateDenominator,
+    DomainError,
     GeometryError,
     PoleProximityError,
     QuadratureError,
@@ -367,10 +368,13 @@ def eval_auto(x: complex, y: complex, params: Parameters, tol: float = 1e-8) -> 
     Large arguments (both beyond ASYMPTOTIC_RADIUS) try the asymptotic
     expansion first.  Everything else, and every failed attempt, funnels
     through the contour representations and finally back to the series.
-    Raises BudgetExceeded only when every route fails to certify a result.
+    Raises DomainError for a non-finite argument, and BudgetExceeded only
+    when every route fails to certify a result.
     """
     x = complex(x)
     y = complex(y)
+    if not (cmath.isfinite(x) and cmath.isfinite(y)):
+        raise DomainError(f"x and y must be finite, got x={x}, y={y}")
     if max(abs(x), abs(y)) <= SERIES_RADIUS:
         return eval_double_series(x, y, params, SeriesBudget(tol=min(tol, 1e-12)))
 

@@ -4,8 +4,11 @@ Six suites, each checking one analytic identity the evaluators must
 satisfy: the reciprocal-gamma Hankel identity, contour-deformation
 invariance, the shift recurrence in mu, argument-swap symmetry, the
 finite-expansion remainder identity, and the asymptotic decay ladder
-against the frozen corpus.  A suite that raises is reported as a failure,
-never as a crash, so a broken build still produces a full table.
+against the frozen corpus.  This module holds the only copy of each
+check, with one seed, one sample count and one tolerance; the test
+suite runs them through ``ml2v selftest``.  A suite that raises is
+reported as a failure, never as a crash, so a broken build still
+produces a full table.
 """
 
 from __future__ import annotations
@@ -25,7 +28,9 @@ from .series import SeriesBudget, eval_double_series
 
 SUITES = ("gamma", "deformation", "recurrence", "symmetry", "expansion", "decay")
 
-_SEED = 20260825
+# recurrence and symmetry draw the same points from this seed
+_POINT_SEED = 424242
+_POINTS = 200
 
 
 @dataclass(frozen=True)
@@ -70,10 +75,10 @@ def _random_point(rng) -> tuple:
 
 def _suite_recurrence() -> tuple[bool, str]:
     # E(mu) = 1/Gamma(mu) + x E(mu+a) + y E(mu+b) - x y E(mu+a+b)
-    rng = np.random.default_rng(_SEED)
+    rng = np.random.default_rng(_POINT_SEED)
     budget = SeriesBudget(tol=1e-13)
     worst = 0.0
-    for _ in range(25):
+    for _ in range(_POINTS):
         a, b, mu, x, y = _random_point(rng)
         evs = [
             eval_double_series(x, y, validate_params(a, b, mu + s), budget)
@@ -87,17 +92,17 @@ def _suite_recurrence() -> tuple[bool, str]:
             - x * y * evs[3].value
         )
         scale = max(1.0, *(abs(e.value) for e in evs))
-        slack = 4.0 * sum(e.est_error for e in evs) + 1e-11 * scale
+        slack = 4.0 * sum(e.est_error for e in evs) + 1e-12 * scale
         worst = max(worst, abs(lhs - rhs) / slack)
     return worst <= 1.0, f"max residual / allowance = {worst:.3f}"
 
 
 def _suite_symmetry() -> tuple[bool, str]:
     # E_{a,b}(x, y; mu) = E_{b,a}(y, x; mu)
-    rng = np.random.default_rng(_SEED + 1)
+    rng = np.random.default_rng(_POINT_SEED)
     budget = SeriesBudget(tol=1e-13)
     worst = 0.0
-    for _ in range(25):
+    for _ in range(_POINTS):
         a, b, mu, x, y = _random_point(rng)
         e1 = eval_double_series(x, y, validate_params(a, b, mu), budget)
         e2 = eval_double_series(y, x, validate_params(b, a, mu), budget)
@@ -108,10 +113,10 @@ def _suite_symmetry() -> tuple[bool, str]:
 
 def _suite_expansion() -> tuple[bool, str]:
     # finite expansion with exact remainder, sampled off the denominator zeros
-    rng = np.random.default_rng(_SEED + 2)
+    rng = np.random.default_rng(101)
     worst = 0.0
     n_ok = 0
-    while n_ok < 20:
+    while n_ok < 100:
         a, b = rng.uniform(0.5, 1.4), rng.uniform(0.5, 1.4)
         if a * b >= 2:
             continue
@@ -132,27 +137,32 @@ def _suite_expansion() -> tuple[bool, str]:
 
 
 def _suite_decay() -> tuple[bool, str]:
-    # truncation error at (-t, -t), a = b = 1/2, shrinks like t^-(2+p)
+    # truncation error at (-t, -t), a = b = 1/2, stays within est_error and
+    # shrinks like t^-(2+p)
     records = {
         -rec.x.real: rec
         for rec in load_corpus()
         if rec.alpha == 0.5 and rec.beta == 0.5 and rec.mu == 1 and rec.x == rec.y
     }
-    ts = sorted(records)
-    if len(ts) < 3:
+    ts = (10.0, 20.0, 40.0, 80.0)
+    if not set(ts) <= set(records):
         return False, "frozen corpus lacks the decay ladder records"
     params = validate_params(0.5, 0.5, 1.0)
-    worst_ratio = 0.0
+    worst_ratio = worst_honesty = 0.0
     for p in (1, 2, 3):
         orders = TruncationOrders(p, p)
         scaled = []
         for t in ts:
-            err = abs(eval_asymptotic(-t, -t, params, orders).value - records[t].value())
+            ev = eval_asymptotic(-t, -t, params, orders)
+            err = abs(ev.value - records[t].value())
+            worst_honesty = max(worst_honesty, err / ev.est_error)
             scaled.append(err * t ** (2 + p))
         for lo, hi in zip(scaled, scaled[1:]):
-            if lo > 0:
-                worst_ratio = max(worst_ratio, hi / lo)
-    return worst_ratio <= 2.0, f"max scaled-error growth ratio = {worst_ratio:.3f}"
+            worst_ratio = max(worst_ratio, hi / lo)
+    return worst_ratio <= 2.0 and worst_honesty <= 1.0, (
+        f"max scaled-error growth ratio = {worst_ratio:.3f}, "
+        f"max error / estimate = {worst_honesty:.3f}"
+    )
 
 
 _BODIES = {

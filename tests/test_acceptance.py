@@ -1,19 +1,20 @@
 """Acceptance battery: closed-form anchors, cross-method agreement, contour
-deformation, asymptotic decay, bulk identities, and oracle consistency."""
+deformation, the pole-crossing jump, and oracle consistency.
+
+The reciprocal-gamma, recurrence, symmetry, expansion and decay identities
+run as ``ml2v selftest`` suites (tests/test_cli.py::test_selftest_all_suites).
+"""
 
 import cmath
 import math
 
 import mpmath as mp
-import numpy as np
 import pytest
 
 from ml2v import cli
-from ml2v.asymptotics import TruncationOrders, eval_asymptotic, expansion_sides
 from ml2v.contour import integrate, size_contour
 from ml2v.core import ContourSpec, admissible_theta_window, validate_params
 from ml2v.errors import DegenerateDenominator, PoleProximityError, RegionError
-from ml2v.gamma import recip_gamma, recip_gamma_hankel
 from ml2v.oracle import load_corpus, oracle_eval
 from ml2v.representations import (
     choose_contour,
@@ -154,15 +155,6 @@ def test_named_routes_match_dispatch():
     assert seen == set(routes)
 
 
-def test_reciprocal_gamma_hankel_identity():
-    worst = 0.0
-    for re in np.linspace(-3.0, 4.0, 5):
-        for im in np.linspace(-2.0, 2.0, 4):
-            s = complex(re, im)
-            worst = max(worst, abs(recip_gamma_hankel(s) - complex(recip_gamma(s))))
-    assert worst <= 1e-8
-
-
 def _admissible_variants(base: ContourSpec, params) -> list[ContourSpec]:
     lo, hi = admissible_theta_window(params, warn=False)
     out = []
@@ -225,77 +217,6 @@ def test_pole_crossing_jump_matches_residue():
     t_in = eval_lemma1(x, y, params, spec_in, tol=1e-9).value
     t_out = eval_lemma2(x, y, params, spec_out, tol=1e-9).value
     assert abs(t_in - t_out) <= 2e-7
-
-
-def test_asymptotic_decay_ladder():
-    records = {
-        -rec.x.real: rec
-        for rec in load_corpus()
-        if rec.alpha == 0.5 and rec.beta == 0.5 and rec.mu == 1 and rec.x == rec.y
-    }
-    ts = (10.0, 20.0, 40.0, 80.0)
-    assert set(ts) <= set(records)
-    params = validate_params(0.5, 0.5, 1.0)
-    for p in (1, 2, 3):
-        orders = TruncationOrders(p, p)
-        scaled = []
-        for t in ts:
-            err = abs(eval_asymptotic(-t, -t, params, orders).value - records[t].value())
-            scaled.append(err * t ** (2 + p))
-        for lo_v, hi_v in zip(scaled, scaled[1:]):
-            assert hi_v <= 2.0 * lo_v
-
-
-def test_expansion_identity_bulk():
-    rng = np.random.default_rng(101)
-    worst = 0.0
-    n_ok = 0
-    while n_ok < 100:
-        a, b = rng.uniform(0.5, 1.4), rng.uniform(0.5, 1.4)
-        if a * b >= 2:
-            continue
-        pp = validate_params(a, b, complex(rng.uniform(0.3, 1.5), rng.uniform(-0.4, 0.4)))
-        zeta = rng.uniform(0.5, 3.0) * cmath.exp(1j * rng.uniform(-math.pi * 0.999, math.pi * 0.999))
-        x = rng.uniform(2, 6) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
-        y = rng.uniform(2, 6) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
-        w1, w2 = zeta ** (1 / b), zeta ** (1 / a)
-        if abs(w1 - x) < 0.05 * (1 + abs(w1) + abs(x)):
-            continue
-        if abs(w2 - y) < 0.05 * (1 + abs(w2) + abs(y)):
-            continue
-        orders = TruncationOrders(int(rng.integers(1, 5)), int(rng.integers(1, 5)))
-        lhs, rhs = expansion_sides(zeta, x, y, pp, orders)
-        worst = max(worst, abs(lhs - rhs) / abs(lhs))
-        n_ok += 1
-    assert worst <= 1e-12
-
-
-def test_recurrence_and_symmetry_bulk():
-    rng = np.random.default_rng(424242)
-    budget = SeriesBudget(tol=1e-13)
-    for _ in range(200):
-        a, b = rng.uniform(0.4, 1.3), rng.uniform(0.4, 1.3)
-        while a * b >= 2:
-            a, b = rng.uniform(0.4, 1.3), rng.uniform(0.4, 1.3)
-        mu = complex(rng.uniform(0.5, 1.5), rng.uniform(-0.3, 0.3))
-        x = rng.uniform(0.2, 3.0) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
-        y = rng.uniform(0.2, 3.0) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
-        evs = [
-            eval_double_series(x, y, validate_params(a, b, mu + s), budget)
-            for s in (0.0, a, b, a + b)
-        ]
-        rhs = (
-            complex(recip_gamma(mu))
-            + x * evs[1].value
-            + y * evs[2].value
-            - x * y * evs[3].value
-        )
-        scale = max(1.0, *(abs(e.value) for e in evs))
-        assert abs(evs[0].value - rhs) <= 4.0 * sum(e.est_error for e in evs) + 1e-12 * scale
-        swap = eval_double_series(y, x, validate_params(b, a, mu), budget)
-        assert abs(evs[0].value - swap.value) <= 4.0 * (
-            evs[0].est_error + swap.est_error
-        ) + 1e-13
 
 
 def test_oracle_digit_consistency():

@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from ml2v.asymptotics import (
@@ -17,7 +16,6 @@ from ml2v.asymptotics import (
     classify_case,
     default_tau1,
     eval_asymptotic,
-    expansion_sides,
 )
 from ml2v.core import validate_params
 from ml2v.errors import DomainError, MagnitudeFloor
@@ -140,25 +138,6 @@ def test_tau1_override_flips_case_consistently():
     assert abs(wide.value - ref) <= wide.est_error
 
 
-def test_algebraic_decay_ladder():
-    # x = y = -t at alpha = beta = 1/2: error after truncation at order p
-    # falls like t^-(2+p); the scaled errors must not grow with t
-    refs = {
-        t: oracle_eval(-t, -t, P_HALF, digits=30).as_complex()
-        for t in (10.0, 20.0, 40.0)
-    }
-    for p in (1, 2, 3):
-        orders = TruncationOrders(p, p)
-        scaled = []
-        for t, ref in refs.items():
-            ev = eval_asymptotic(-t, -t, P_HALF, orders)
-            err = abs(ev.value - ref)
-            assert err <= ev.est_error
-            scaled.append(err * t ** (2 + p))
-        for earlier, later in zip(scaled, scaled[1:]):
-            assert later <= 2.0 * earlier
-
-
 def test_first_order_decay_constant():
     # the leading coefficient at p = 1 approaches 1/sqrt(pi)
     t = 40.0
@@ -166,36 +145,6 @@ def test_first_order_decay_constant():
     ev = eval_asymptotic(-t, -t, P_HALF, TruncationOrders(1, 1))
     scaled = abs(ev.value - ref) * t**3
     assert abs(scaled - 1.0 / math.sqrt(math.pi)) < 0.01
-
-
-def test_expansion_identity_random():
-    # residual of the finite expansion with exact remainder, sampled off
-    # the denominator zeros (the identity's own validity condition)
-    rng = np.random.default_rng(101)
-    worst = 0.0
-    n_ok = 0
-    while n_ok < 100:
-        a, b = rng.uniform(0.5, 1.4), rng.uniform(0.5, 1.4)
-        if a * b >= 2:
-            continue
-        pp = validate_params(
-            a, b, complex(rng.uniform(0.3, 1.5), rng.uniform(-0.4, 0.4))
-        )
-        zeta = rng.uniform(0.5, 3.0) * cmath.exp(
-            1j * rng.uniform(-math.pi * 0.999, math.pi * 0.999)
-        )
-        x = rng.uniform(2, 6) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
-        y = rng.uniform(2, 6) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
-        w1, w2 = zeta ** (1 / b), zeta ** (1 / a)
-        if abs(w1 - x) < 0.05 * (1 + abs(w1) + abs(x)):
-            continue
-        if abs(w2 - y) < 0.05 * (1 + abs(w2) + abs(y)):
-            continue
-        orders = TruncationOrders(int(rng.integers(1, 5)), int(rng.integers(1, 5)))
-        lhs, rhs = expansion_sides(zeta, x, y, pp, orders)
-        worst = max(worst, abs(lhs - rhs) / abs(lhs))
-        n_ok += 1
-    assert worst <= 1e-12
 
 
 def test_cold_call_at_unequal_orders_is_prompt_and_honest():

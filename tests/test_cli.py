@@ -86,6 +86,35 @@ def test_eval_inadmissible_orders_exit_2(capsys):
     assert "domain error" in err
 
 
+EVAL_05 = ["eval", "--alpha", "0.5", "--beta", "0.8"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        EVAL_05 + ["--x", "nan", "--y", "2"],
+        EVAL_05 + ["--x", "1e400", "--y", "2"],
+        EVAL_05 + ["--x", "-1e400", "--y", "2"],
+        EVAL_05 + ["--x", "1", "--y", "2+1e400i"],
+        EVAL_05 + ["--x", "inf", "--y", "2"],
+        EVAL_05 + ["--mu", "nan", "--x", "1", "--y", "2"],
+        EVAL_05 + ["--x", "1", "--y", "2", "--tol", "nan"],
+        EVAL_05 + ["--x", "1", "--y", "2", "--tol", "inf"],
+        EVAL_05 + ["--x", "1", "--y", "2", "--tol", "0"],
+        EVAL_05 + ["--x", "1", "--y", "2", "--tol", "-1e-8"],
+        ["grid", "--alpha", "0.5", "--beta", "0.8", "--x-min", "nan", "--x-max", "1",
+         "--y", "1"],
+    ],
+    ids=["x-nan", "x-overflow", "x-neg-overflow", "y-imag-overflow", "x-inf", "mu-nan",
+         "tol-nan", "tol-inf", "tol-zero", "tol-negative", "grid-bound-nan"],
+)
+def test_non_finite_input_exit_2(argv, capsys):
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 2
+    assert "domain error" in err
+    assert out == ""
+
+
 def test_eval_origin_is_one(capsys):
     rc, out, _ = run_cli(
         ["eval", "--alpha", "1", "--beta", "1", "--mu", "1", "--x", "0", "--y", "0"],

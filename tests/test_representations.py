@@ -8,7 +8,7 @@ import pytest
 
 from ml2v.contour import IntegrandSpec
 from ml2v.core import ContourSpec, RegionLabel, validate_params
-from ml2v.errors import DegenerateDenominator, RegionError
+from ml2v.errors import DegenerateDenominator, DomainError, RegionError
 from ml2v.oracle import oracle_eval
 from ml2v.representations import (
     choose_contour,
@@ -190,6 +190,12 @@ def test_choose_contour_clearance():
     for w, power in ((6.0, pp.beta), (7.0, pp.alpha)):
         for img in pole_images(w, power):
             assert contour_clearance(img, spec) >= 0.05
+
+
+@pytest.mark.parametrize("x,y", [(math.nan, 2.0), (1.0, complex(0, math.inf)), (-math.inf, 1.0)])
+def test_auto_rejects_non_finite_arguments(x, y):
+    with pytest.raises(DomainError):
+        eval_auto(x, y, P111)
 
 
 def test_auto_small_uses_series():
