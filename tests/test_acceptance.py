@@ -2,7 +2,7 @@
 deformation, the pole-crossing jump, and oracle consistency.
 
 The reciprocal-gamma, recurrence, symmetry, expansion and decay identities
-run as ``ml2v selftest`` suites (tests/test_cli.py::test_selftest_all_suites).
+have their only bodies in ``ml2v.selftest``; the tests here run those suites.
 """
 
 import cmath
@@ -28,6 +28,7 @@ from ml2v.representations import (
     pole_images,
     residue_terms_y,
 )
+from ml2v.selftest import run_suite
 from ml2v.series import SeriesBudget, eval_double_series
 
 P111 = validate_params(1.0, 1.0, 1.0)
@@ -155,6 +156,11 @@ def test_named_routes_match_dispatch():
     assert seen == set(routes)
 
 
+def test_reciprocal_gamma_hankel_identity():
+    res = run_suite("gamma")
+    assert res.passed, res.detail
+
+
 def _admissible_variants(base: ContourSpec, params) -> list[ContourSpec]:
     lo, hi = admissible_theta_window(params, warn=False)
     out = []
@@ -217,6 +223,22 @@ def test_pole_crossing_jump_matches_residue():
     t_in = eval_lemma1(x, y, params, spec_in, tol=1e-9).value
     t_out = eval_lemma2(x, y, params, spec_out, tol=1e-9).value
     assert abs(t_in - t_out) <= 2e-7
+
+
+def test_asymptotic_decay_ladder():
+    res = run_suite("decay")
+    assert res.passed, res.detail
+
+
+def test_expansion_identity_bulk():
+    res = run_suite("expansion")
+    assert res.passed, res.detail
+
+
+def test_recurrence_and_symmetry_bulk():
+    for name in ("recurrence", "symmetry"):
+        res = run_suite(name)
+        assert res.passed, f"{name}: {res.detail}"
 
 
 def test_oracle_digit_consistency():

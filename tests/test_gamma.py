@@ -9,6 +9,7 @@ from mpmath import mp
 from ml2v.core import ContourSpec
 from ml2v.errors import GeometryError
 from ml2v.gamma import recip_gamma, recip_gamma_hankel
+from ml2v.selftest import run_suite
 
 mp.dps = 40
 
@@ -83,6 +84,12 @@ def test_recurrence_identity():
         lhs = recip_gamma(s)
         rhs = s * recip_gamma(s + 1.0)
         assert abs(lhs - rhs) <= tol * max(1.0, abs(lhs), abs(rhs))
+
+
+def test_hankel_route_grid():
+    # 20-point grid spanning both half-planes, tolerance 1e-8
+    res = run_suite("gamma")
+    assert res.passed, res.detail
 
 
 def test_hankel_default_and_full_angle():
