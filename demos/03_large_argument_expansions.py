@@ -13,10 +13,10 @@ from ml2v import (
     TruncationOrders,
     classify_case,
     eval_asymptotic,
-    load_corpus,
     oracle_eval,
     validate_params,
 )
+from ml2v.selftest import LADDER_T, decay_ladder
 
 # case1: both arguments carry exponential terms.  x = -20 keeps its pair
 # of conjugate pole preimages inside the sector because beta < 1 bends
@@ -34,14 +34,10 @@ print(f"rel error : {abs(ev.value - ref) / abs(ref):.2e}   (estimate {ev.est_err
 # and raising the truncation order buys whole powers of 1/t; the frozen
 # corpus holds the 30-digit references for this ladder
 params = validate_params(0.5, 0.5, 1.0)
-ladder = {
-    -rec.x.real: rec.value()
-    for rec in load_corpus()
-    if rec.alpha == rec.beta == 0.5 and rec.mu == 1 and rec.x == rec.y
-}
+ladder = decay_ladder()
 print("\njoint decay at x = y = -t, alpha = beta = 0.5")
 print(f"{'t':>5} {'p=1':>12} {'p=2':>12} {'p=3':>12}")
-for t in (10.0, 20.0, 40.0, 80.0):
+for t in LADDER_T:
     ref = ladder[t]
     errs = []
     for p in (1, 2, 3):

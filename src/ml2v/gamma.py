@@ -105,7 +105,9 @@ def recip_gamma(s):
         out = np.where(refl, sine * w, w)
     if refl.any():
         # A real argument whose 1/Gamma overflows gets inf * (s+0j) = inf+nanj.
-        out = np.where((z.imag == 0) & np.isnan(out.imag), out.real + 0j, out)
+        bad = np.isnan(out.imag)
+        if bad.any():
+            out = np.where(bad & (z.imag == 0), out.real + 0j, out)
     out = np.where(_at_poles(z), 0.0, out)
     return complex(out[0]) if arr.ndim == 0 else out
 

@@ -6,9 +6,10 @@ invariance, the shift recurrence in mu, argument-swap symmetry, the
 finite-expansion remainder identity, and the asymptotic decay ladder
 against the frozen corpus.  This module holds the only copy of each
 check, with one seed, one sample count and one tolerance; the test
-suite runs them through ``ml2v selftest``.  A suite that raises is
-reported as a failure, never as a crash, so a broken build still
-produces a full table.
+suite runs them through ``ml2v selftest`` and through the tests named
+after them.  A suite fails on a nan (``np.max`` keeps it, ``max`` would
+not) and on an exception, which is reported, never raised, so a broken
+build still produces a full table.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from .series import SeriesBudget, eval_double_series
 
 SUITES = ("gamma", "deformation", "recurrence", "symmetry", "expansion", "decay")
 
-# recurrence and symmetry draw the same points from this seed
-_POINT_SEED = 424242
-_POINTS = 200
+_SERIES_BUDGET = SeriesBudget(tol=1e-13)
+# the decay ladder x = y = -t
+LADDER_T = (10.0, 20.0, 40.0, 80.0)
 
 
 @dataclass(frozen=True)
@@ -42,46 +43,48 @@ class SuiteResult:
 
 def _suite_gamma() -> tuple[bool, str]:
     # 5 x 4 grid over Re s in [-3, 4], Im s in [-2, 2]
-    worst = 0.0
+    deltas = []
     for re in np.linspace(-3.0, 4.0, 5):
         for im in np.linspace(-2.0, 2.0, 4):
             s = complex(re, im)
-            worst = max(worst, abs(recip_gamma_hankel(s) - complex(recip_gamma(s))))
+            deltas.append(abs(recip_gamma_hankel(s) - complex(recip_gamma(s))))
+    worst = float(np.max(deltas))
     return worst <= 1e-8, f"max |hankel - reflection| = {worst:.3e}"
 
 
 def _suite_deformation() -> tuple[bool, str]:
     # same value from two admissible (eps, theta) choices, any route pattern
     params = validate_params(0.5, 0.8, 1.0)
-    worst = 0.0
+    deltas = []
     for x, y in ((-4.0, 2.0), (2.0, -4.0), (-3.0, -3.0), (3.0, 4.0)):
         base = choose_contour(x, y, params)
         alt = ContourSpec(base.epsilon * 1.9, base.theta * 0.96)
         v1 = eval_with_contour(x, y, params, base, tol=1e-9).value
         v2 = eval_with_contour(x, y, params, alt, tol=1e-9).value
-        worst = max(worst, abs(v1 - v2))
+        deltas.append(abs(v1 - v2))
+    worst = float(np.max(deltas))
     return worst <= 2e-7, f"max cross-contour |delta| = {worst:.3e}"
 
 
-def _random_point(rng) -> tuple:
-    a, b = rng.uniform(0.4, 1.3), rng.uniform(0.4, 1.3)
-    while a * b >= 2:
+def _random_points():
+    # recurrence and symmetry draw the same 200 points from one seed
+    rng = np.random.default_rng(424242)
+    for _ in range(200):
         a, b = rng.uniform(0.4, 1.3), rng.uniform(0.4, 1.3)
-    mu = complex(rng.uniform(0.5, 1.5), rng.uniform(-0.3, 0.3))
-    x = rng.uniform(0.2, 3.0) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
-    y = rng.uniform(0.2, 3.0) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
-    return a, b, mu, x, y
+        while a * b >= 2:
+            a, b = rng.uniform(0.4, 1.3), rng.uniform(0.4, 1.3)
+        mu = complex(rng.uniform(0.5, 1.5), rng.uniform(-0.3, 0.3))
+        x = rng.uniform(0.2, 3.0) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        y = rng.uniform(0.2, 3.0) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        yield a, b, mu, x, y
 
 
 def _suite_recurrence() -> tuple[bool, str]:
     # E(mu) = 1/Gamma(mu) + x E(mu+a) + y E(mu+b) - x y E(mu+a+b)
-    rng = np.random.default_rng(_POINT_SEED)
-    budget = SeriesBudget(tol=1e-13)
-    worst = 0.0
-    for _ in range(_POINTS):
-        a, b, mu, x, y = _random_point(rng)
+    ratios = []
+    for a, b, mu, x, y in _random_points():
         evs = [
-            eval_double_series(x, y, validate_params(a, b, mu + s), budget)
+            eval_double_series(x, y, validate_params(a, b, mu + s), _SERIES_BUDGET)
             for s in (0.0, a, b, a + b)
         ]
         lhs = evs[0].value
@@ -93,30 +96,28 @@ def _suite_recurrence() -> tuple[bool, str]:
         )
         scale = max(1.0, *(abs(e.value) for e in evs))
         slack = 4.0 * sum(e.est_error for e in evs) + 1e-12 * scale
-        worst = max(worst, abs(lhs - rhs) / slack)
+        ratios.append(abs(lhs - rhs) / slack)
+    worst = float(np.max(ratios))
     return worst <= 1.0, f"max residual / allowance = {worst:.3f}"
 
 
 def _suite_symmetry() -> tuple[bool, str]:
     # E_{a,b}(x, y; mu) = E_{b,a}(y, x; mu)
-    rng = np.random.default_rng(_POINT_SEED)
-    budget = SeriesBudget(tol=1e-13)
-    worst = 0.0
-    for _ in range(_POINTS):
-        a, b, mu, x, y = _random_point(rng)
-        e1 = eval_double_series(x, y, validate_params(a, b, mu), budget)
-        e2 = eval_double_series(y, x, validate_params(b, a, mu), budget)
+    ratios = []
+    for a, b, mu, x, y in _random_points():
+        e1 = eval_double_series(x, y, validate_params(a, b, mu), _SERIES_BUDGET)
+        e2 = eval_double_series(y, x, validate_params(b, a, mu), _SERIES_BUDGET)
         slack = 4.0 * (e1.est_error + e2.est_error) + 1e-13
-        worst = max(worst, abs(e1.value - e2.value) / slack)
+        ratios.append(abs(e1.value - e2.value) / slack)
+    worst = float(np.max(ratios))
     return worst <= 1.0, f"max |swap delta| / allowance = {worst:.3f}"
 
 
 def _suite_expansion() -> tuple[bool, str]:
     # finite expansion with exact remainder, sampled off the denominator zeros
     rng = np.random.default_rng(101)
-    worst = 0.0
-    n_ok = 0
-    while n_ok < 100:
+    residuals = []
+    while len(residuals) < 100:
         a, b = rng.uniform(0.5, 1.4), rng.uniform(0.5, 1.4)
         if a * b >= 2:
             continue
@@ -131,34 +132,38 @@ def _suite_expansion() -> tuple[bool, str]:
             continue
         orders = TruncationOrders(int(rng.integers(1, 5)), int(rng.integers(1, 5)))
         lhs, rhs = expansion_sides(zeta, x, y, pp, orders)
-        worst = max(worst, abs(lhs - rhs) / abs(lhs))
-        n_ok += 1
+        residuals.append(abs(lhs - rhs) / abs(lhs))
+    worst = float(np.max(residuals))
     return worst <= 1e-12, f"max relative residual = {worst:.3e}"
+
+
+def decay_ladder() -> dict[float, complex]:
+    """Frozen 30-digit references for E_{1/2,1/2}(-t, -t; 1), keyed by t."""
+    return {
+        -rec.x.real: rec.value()
+        for rec in load_corpus()
+        if rec.alpha == rec.beta == 0.5 and rec.mu == 1 and rec.x == rec.y
+    }
 
 
 def _suite_decay() -> tuple[bool, str]:
     # truncation error at (-t, -t), a = b = 1/2, stays within est_error and
     # shrinks like t^-(2+p)
-    records = {
-        -rec.x.real: rec
-        for rec in load_corpus()
-        if rec.alpha == 0.5 and rec.beta == 0.5 and rec.mu == 1 and rec.x == rec.y
-    }
-    ts = (10.0, 20.0, 40.0, 80.0)
-    if not set(ts) <= set(records):
+    refs = decay_ladder()
+    if not set(LADDER_T) <= set(refs):
         return False, "frozen corpus lacks the decay ladder records"
     params = validate_params(0.5, 0.5, 1.0)
-    worst_ratio = worst_honesty = 0.0
+    growth, honesty = [], []
     for p in (1, 2, 3):
         orders = TruncationOrders(p, p)
         scaled = []
-        for t in ts:
+        for t in LADDER_T:
             ev = eval_asymptotic(-t, -t, params, orders)
-            err = abs(ev.value - records[t].value())
-            worst_honesty = max(worst_honesty, err / ev.est_error)
+            err = abs(ev.value - refs[t])
+            honesty.append(err / ev.est_error)
             scaled.append(err * t ** (2 + p))
-        for lo, hi in zip(scaled, scaled[1:]):
-            worst_ratio = max(worst_ratio, hi / lo)
+        growth += [hi / lo for lo, hi in zip(scaled, scaled[1:])]
+    worst_ratio, worst_honesty = float(np.max(growth)), float(np.max(honesty))
     return worst_ratio <= 2.0 and worst_honesty <= 1.0, (
         f"max scaled-error growth ratio = {worst_ratio:.3f}, "
         f"max error / estimate = {worst_honesty:.3f}"

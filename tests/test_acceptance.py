@@ -28,7 +28,6 @@ from ml2v.representations import (
     pole_images,
     residue_terms_y,
 )
-from ml2v.selftest import run_suite
 from ml2v.series import SeriesBudget, eval_double_series
 
 P111 = validate_params(1.0, 1.0, 1.0)
@@ -156,9 +155,8 @@ def test_named_routes_match_dispatch():
     assert seen == set(routes)
 
 
-def test_reciprocal_gamma_hankel_identity():
-    res = run_suite("gamma")
-    assert res.passed, res.detail
+def test_reciprocal_gamma_hankel_identity(assert_suite_passes):
+    assert_suite_passes("gamma")
 
 
 def _admissible_variants(base: ContourSpec, params) -> list[ContourSpec]:
@@ -225,20 +223,17 @@ def test_pole_crossing_jump_matches_residue():
     assert abs(t_in - t_out) <= 2e-7
 
 
-def test_asymptotic_decay_ladder():
-    res = run_suite("decay")
-    assert res.passed, res.detail
+def test_asymptotic_decay_ladder(assert_suite_passes):
+    assert_suite_passes("decay")
 
 
-def test_expansion_identity_bulk():
-    res = run_suite("expansion")
-    assert res.passed, res.detail
+def test_expansion_identity_bulk(assert_suite_passes):
+    assert_suite_passes("expansion")
 
 
-def test_recurrence_and_symmetry_bulk():
-    for name in ("recurrence", "symmetry"):
-        res = run_suite(name)
-        assert res.passed, f"{name}: {res.detail}"
+def test_recurrence_and_symmetry_bulk(assert_suite_passes):
+    assert_suite_passes("recurrence")
+    assert_suite_passes("symmetry")
 
 
 def test_oracle_digit_consistency():

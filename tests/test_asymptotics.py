@@ -22,7 +22,6 @@ from ml2v.errors import DomainError, MagnitudeFloor
 from ml2v.gamma import recip_gamma
 from ml2v.oracle import oracle_eval
 from ml2v.representations import choose_contour, eval_with_contour
-from ml2v.selftest import run_suite
 
 P_HALF = validate_params(0.5, 0.5, 1)
 P_08 = validate_params(0.8, 0.8, 1)
@@ -139,11 +138,10 @@ def test_tau1_override_flips_case_consistently():
     assert abs(wide.value - ref) <= wide.est_error
 
 
-def test_algebraic_decay_ladder():
+def test_algebraic_decay_ladder(assert_suite_passes):
     # x = y = -t at alpha = beta = 1/2: err <= est_error and the error after
     # truncation at order p falls like t^-(2+p), on the corpus ladder
-    res = run_suite("decay")
-    assert res.passed, res.detail
+    assert_suite_passes("decay")
 
 
 def test_first_order_decay_constant():
@@ -155,10 +153,9 @@ def test_first_order_decay_constant():
     assert abs(scaled - 1.0 / math.sqrt(math.pi)) < 0.01
 
 
-def test_expansion_identity_random():
+def test_expansion_identity_random(assert_suite_passes):
     # finite expansion with exact remainder, sampled off the denominator zeros
-    res = run_suite("expansion")
-    assert res.passed, res.detail
+    assert_suite_passes("expansion")
 
 
 def test_cold_call_at_unequal_orders_is_prompt_and_honest():

@@ -5,10 +5,11 @@ import math
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
-from ml2v import cli
+from ml2v import cli, selftest
 from ml2v.errors import DomainError
 
 E = math.e
@@ -337,6 +338,30 @@ def test_selftest_budget_negative_control():
     )
     assert proc.returncode == 1
     assert "FAIL" in proc.stdout
+
+
+NAN = complex(math.nan, math.nan)
+
+
+@pytest.mark.parametrize(
+    "suite,target,result",
+    [
+        ("gamma", "recip_gamma_hankel", NAN),
+        ("deformation", "eval_with_contour", SimpleNamespace(value=NAN)),
+        ("recurrence", "eval_double_series", SimpleNamespace(value=NAN, est_error=0.0)),
+        ("symmetry", "eval_double_series", SimpleNamespace(value=NAN, est_error=0.0)),
+        ("expansion", "expansion_sides", (NAN, NAN)),
+        ("decay", "eval_asymptotic", SimpleNamespace(value=NAN, est_error=1.0)),
+    ],
+    ids=selftest.SUITES,
+)
+def test_selftest_suite_fails_on_nan(suite, target, result, monkeypatch):
+    # a nan from the evaluator under check must fail the suite, not vanish
+    # from its worst-case statistic
+    monkeypatch.setattr(selftest, target, lambda *a, **k: result)
+    res = selftest.run_suite(suite)
+    assert not res.passed
+    assert "nan" in res.detail
 
 
 def test_module_invocation_end_to_end():

@@ -9,7 +9,6 @@ from mpmath import mp
 from ml2v.core import ContourSpec
 from ml2v.errors import GeometryError
 from ml2v.gamma import recip_gamma, recip_gamma_hankel
-from ml2v.selftest import run_suite
 
 mp.dps = 40
 
@@ -86,10 +85,9 @@ def test_recurrence_identity():
         assert abs(lhs - rhs) <= tol * max(1.0, abs(lhs), abs(rhs))
 
 
-def test_hankel_route_grid():
+def test_hankel_route_grid(assert_suite_passes):
     # 20-point grid spanning both half-planes, tolerance 1e-8
-    res = run_suite("gamma")
-    assert res.passed, res.detail
+    assert_suite_passes("gamma")
 
 
 def test_hankel_default_and_full_angle():
