@@ -15,10 +15,10 @@ The remainder is of the order of the first omitted terms (Paris &
 Kaminski, Asymptotics and Mellin-Barnes Integrals, 2001), so est_error is
 twice the magnitude sum of the two omitted rings, the terms with
 max(n - p_beta, m - p_alpha) in {1, 2}: two rings, because 1/Gamma can
-vanish on one.  A flat per-term rounding allowance comes on top (the
-residue terms are assembled in extended precision, so only their final
-double rounding and the accumulation remain).  Nothing is calibrated or
-cached: the estimate depends on the call's arguments alone.
+vanish on one.  A rounding allowance per part comes on top: 8 EPS |T|
+for the tail and EPS * residue_weight * |t| for each residue t, whose
+exponents are built in long double (see residue_terms_x).  Nothing is
+calibrated or cached: the estimate depends on the call's arguments alone.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .core import EPS, Evaluation, Parameters, angle_window
 from .errors import DomainError, MagnitudeFloor
 from .gamma import recip_gamma
 from .oracle import oracle_eval  # noqa: F401  unused; perfbench/tracer.py wraps it here
-from .representations import pole_images, residue_terms_x, residue_terms_y
+from .representations import pole_images, residue_terms_x, residue_terms_y, residue_weight
 
 # Below this magnitude for min(|x|, |y|) the o() error model says nothing;
 # the dispatcher keeps such points on the series or contour routes.
@@ -121,8 +121,7 @@ def asympt_tail_sum(
     """The exact finite double sum of inverse powers over reciprocal gamma."""
     if orders is None:
         orders = TruncationOrders()
-    x = complex(x)
-    y = complex(y)
+    x, y = complex(x), complex(y)
     if x == 0 or y == 0:
         raise DomainError("tail sum needs x != 0 and y != 0")
     return complex(np.sum(_tail_terms(x, y, params, orders.p_beta, orders.p_alpha)))
@@ -142,8 +141,7 @@ def eval_asymptotic(
     """
     if orders is None:
         orders = TruncationOrders()
-    x = complex(x)
-    y = complex(y)
+    x, y = complex(x), complex(y)
     if min(abs(x), abs(y)) < MAGNITUDE_FLOOR:
         raise MagnitudeFloor(
             f"min(|x|, |y|) = {min(abs(x), abs(y)):.3g} below the asymptotic "
@@ -157,9 +155,11 @@ def eval_asymptotic(
     parts = [complex(np.ascontiguousarray(terms[:pb, :pa]).sum())]
     parts += residue_terms_x(x, y, params, xi)
     parts += residue_terms_y(x, y, params, yi)
+    weights = [8.0] + [residue_weight(z, params.beta, params.alpha) for z in xi]
+    weights += [residue_weight(z, params.alpha, params.beta) for z in yi]
     rings = np.abs(terms)
     rings[:pb, :pa] = 0.0
-    est = 2.0 * float(rings.sum()) + EPS * sum(8.0 * abs(p) for p in parts)
+    est = 2.0 * float(rings.sum()) + EPS * sum(w * abs(p) for w, p in zip(weights, parts))
     return Evaluation(sum(parts), est, f"asymptotic-{case.value}")
 
 
@@ -181,9 +181,7 @@ def expansion_sides(
         orders = TruncationOrders()
     a, b = params.alpha, params.beta
     pa, pb = orders.p_alpha, orders.p_beta
-    zeta = complex(zeta)
-    x = complex(x)
-    y = complex(y)
+    zeta, x, y = complex(zeta), complex(x), complex(y)
     w1 = zeta ** (1.0 / b)
     w2 = zeta ** (1.0 / a)
     lhs = 1.0 / ((w1 - x) * (w2 - y))

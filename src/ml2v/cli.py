@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import itertools
 import json
 import math
 import sys
@@ -149,11 +150,8 @@ def make_row(params: Parameters, x: complex, y: complex, ev: Evaluation | None,
 
 
 def _csv_line(row: dict) -> str:
-    fields = []
-    for key in CSV_HEADER.split(","):
-        v = row[key]
-        fields.append(v if isinstance(v, str) else fmt17(v))
-    return ",".join(fields)
+    values = (row[key] for key in CSV_HEADER.split(","))
+    return ",".join(v if isinstance(v, str) else fmt17(v) for v in values)
 
 
 def _json_obj(row: dict) -> dict:
@@ -183,12 +181,10 @@ def emit_rows(rows: list[dict], fmt: str, single: bool = False) -> None:
 
 
 def _contour_for(args, x: complex, y: complex, params: Parameters) -> ContourSpec:
-    if args.epsilon is None and args.theta is None:
-        return choose_contour(x, y, params)
     base = choose_contour(x, y, params)
     return ContourSpec(
-        args.epsilon if args.epsilon is not None else base.epsilon,
-        args.theta if args.theta is not None else base.theta,
+        base.epsilon if args.epsilon is None else args.epsilon,
+        base.theta if args.theta is None else args.theta,
     )
 
 
@@ -362,20 +358,18 @@ def cmd_compare(args) -> int:
                         f"{fmt17(ev.value.imag)}  est {ev.est_error:.3e}"
                     )
             usable = [(n, e) for n, e, _ in entries if e is not None]
-            for i in range(len(usable)):
-                for j in range(i + 1, len(usable)):
-                    (n1, e1), (n2, e2) = usable[i], usable[j]
-                    delta = abs(e1.value - e2.value)
-                    limit = e1.est_error + e2.est_error + tol * max(
-                        1.0, abs(e1.value), abs(e2.value)
-                    )
-                    worst = max(worst, delta)
-                    ok = delta <= limit
-                    flagged += 0 if ok else 1
-                    print(
-                        f"  pair {n1}/{n2}: |delta| {delta:.3e} "
-                        f"limit {limit:.3e} {'ok' if ok else 'FLAG'}"
-                    )
+            for (n1, e1), (n2, e2) in itertools.combinations(usable, 2):
+                delta = abs(e1.value - e2.value)
+                limit = e1.est_error + e2.est_error + tol * max(
+                    1.0, abs(e1.value), abs(e2.value)
+                )
+                worst = max(worst, delta)
+                ok = delta <= limit
+                flagged += 0 if ok else 1
+                print(
+                    f"  pair {n1}/{n2}: |delta| {delta:.3e} "
+                    f"limit {limit:.3e} {'ok' if ok else 'FLAG'}"
+                )
     print(f"max |delta| = {fmt17(worst)}")
     print(f"flagged: {flagged}")
     return EXIT_OK if flagged == 0 else EXIT_NUMERIC

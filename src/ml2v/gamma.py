@@ -103,11 +103,12 @@ def recip_gamma(s):
     with np.errstate(all="ignore"):
         w = np.exp(np.where(refl, lg, -lg))
         out = np.where(refl, sine * w, w)
-    if refl.any():
-        # A real argument whose 1/Gamma overflows gets inf * (s+0j) = inf+nanj.
-        bad = np.isnan(out.imag)
+        # Where 1/Gamma overflows, sine * w multiplies infinities into a nan
+        # part: redo those as exp(log sine + lg), a real infinity for real s.
+        bad = refl & np.isnan(out)
         if bad.any():
-            out = np.where(bad & (z.imag == 0), out.real + 0j, out)
+            big = np.exp(np.log(sine + 0j) + lg)
+            out = np.where(bad, np.where(z.imag == 0, big.real + 0j, big), out)
     out = np.where(_at_poles(z), 0.0, out)
     return complex(out[0]) if arr.ndim == 0 else out
 

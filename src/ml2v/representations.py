@@ -28,7 +28,6 @@ import cmath
 import math
 
 import numpy as np
-from mpmath import mp
 
 from .contour import IntegrandSpec, integrate, size_contour
 from .core import (
@@ -56,6 +55,12 @@ from .series import SeriesBudget, eval_double_series
 # Residue denominators and pole separations smaller than this relative
 # floor abort the representation in favor of the series.
 DEGENERACY_FLOOR_REL = 1e-6
+
+# Residue exponents are built in long double; EPS_LD is its epsilon on
+# this platform (EPS itself where long double is a plain double).
+_LD, _CLD = np.longdouble, np.clongdouble
+EPS_LD = float(np.finfo(_LD).eps)
+_TWO_PI_I = 2j * np.arctan2(_LD(0.0), _LD(-1.0))
 
 # Dispatcher policy thresholds on |x|, |y|.
 SERIES_RADIUS = 1.0
@@ -129,45 +134,50 @@ def classify_pair(
     return _placement(x, params.beta, spec)[0], _placement(y, params.alpha, spec)[0]
 
 
-def _precise_term(
-    z: complex,
+def residue_weight(image: complex, p_def: float, p_den: float) -> float:
+    """Rounding weight W of the residue term t at image: |error| <= EPS * W * |t|.
+
+    8 covers the final rounding to a double, the rest the long-double
+    rounding of v, which exp(zeta^d) = exp(exp(v)) amplifies by |zeta^d|.
+    """
+    d = 1.0 / (p_def * p_den)
+    zd_v = abs(image) ** d * (1.0 + d * abs(cmath.log(image)))
+    return 8.0 + 16.0 * (EPS_LD / EPS) * (1.0 + zd_v)
+
+
+def _residue_terms(
+    images: tuple[complex, ...],
     p_def: float,
     p_den: float,
     mu: complex,
     w_def: complex,
     w_den: complex,
-) -> complex:
-    """Residue at the preimage z of w_def under zeta -> zeta^(1/p_def).
-
-    Returns exp(zeta^d) zeta^(p+1) / (p_den * w_def * (zeta^(1/p_den) -
-    w_den)) with d = 1/(p_def p_den) and p+1 = (1 + p_def + p_den -
-    mu) d, built at 30 digits and collapsed to a double once.  Raises
+) -> list[complex]:
+    """Residues (see residue_terms_x) at the preimages images of w_def under
+    zeta -> zeta^(1/p_def), with w_den in the other denominator.  Raises
     DegenerateDenominator when zeta^(1/p_den) - w_den nearly vanishes.
 
-    exp(zeta^d) amplifies rounding of the pole or of the exponent d by
-    |zeta^d|, which costs several digits whenever the pole is large.  So
-    the exponents are re-derived from p_def and p_den here rather than
-    accepted pre-rounded, and the double seed z is sharpened by Newton
-    steps on zeta^(1/p_def) = w_def before the term is assembled.
+    exp(zeta^d) amplifies rounding of its exponent by |zeta^d|, so nothing
+    is rounded through the double images: with v = log(w_def on the image's
+    branch) / p_den, zeta^d = exp(v), zeta^(1/p_den) = exp(p_def v) and
+    zeta^(p+1) = exp((1 + p_def + p_den - mu) v), all in long double.
     """
-    w = z ** (1.0 / p_den)
-    if abs(w - w_den) <= DEGENERACY_FLOOR_REL * (1.0 + abs(w) + abs(w_den)):
-        raise DegenerateDenominator(
-            f"pole at {z:.6g}: |zeta^(1/{p_den:g}) - {w_den:.6g}| = "
-            f"{abs(w - w_den):.3g} is inside the degeneracy floor"
-        )
-    with mp.workdps(30):
-        pd = mp.mpf(p_def)
-        pn = mp.mpf(p_den)
-        prod = pd * pn
-        pe1 = (1 + pd + pn - mp.mpc(mu)) / prod
-        wd = mp.mpc(w_def)
-        root = 1 / pd
-        zm = mp.mpc(z)
-        for _ in range(2):
-            zm = zm - (zm**root - wd) * zm ** (1 - root) * pd
-        den = zm ** (1 / pn) - mp.mpc(w_den)
-        return complex(mp.exp(zm ** (1 / prod)) * zm**pe1 / (pn * wd * den))
+    if not images:
+        return []
+    k = [round((cmath.phase(z) / p_def - cmath.phase(w_def)) / (2.0 * math.pi)) for z in images]
+    v = (np.log(_CLD(w_def)) + _TWO_PI_I * np.array(k)) / p_den
+    root = np.exp(p_def * v)
+    den = root - w_den
+    c = _LD(1.0) + p_def + p_den - mu
+    with np.errstate(over="ignore", invalid="ignore"):
+        for z, g, r in zip(images, den.astype(complex).tolist(), root.astype(complex).tolist()):
+            if abs(g) <= DEGENERACY_FLOOR_REL * (1.0 + abs(r) + abs(w_den)):
+                raise DegenerateDenominator(
+                    f"pole at {z:.6g}: |zeta^(1/{p_den:g}) - {w_den:.6g}| = "
+                    f"{abs(g):.3g} is inside the degeneracy floor"
+                )
+        # the denominator joins the exponent: an overflow is a signed inf, not nan
+        return np.exp(np.exp(v) + c * v - np.log(den * w_def * p_den)).astype(complex).tolist()
 
 
 def residue_terms_x(
@@ -179,16 +189,17 @@ def residue_terms_x(
     normalized integral is exp(zeta^d) * zeta^(p+1) / (alpha * x *
     (zeta^(1/alpha) - y)); at the principal preimage this reduces to the
     closed form (1/alpha) exp(x^(1/alpha)) x^((1+beta-mu)/alpha) /
-    (x^(beta/alpha) - y).
+    (x^(beta/alpha) - y).  Built in long double from log x on zeta's branch,
+    each term is within EPS * residue_weight(zeta, beta, alpha) * |term|.
     """
-    return [_precise_term(z, params.beta, params.alpha, params.mu, x, y) for z in images]
+    return _residue_terms(images, params.beta, params.alpha, params.mu, x, y)
 
 
 def residue_terms_y(
     x: complex, y: complex, params: Parameters, images: tuple[complex, ...]
 ) -> list[complex]:
     """Per-preimage residue contributions from the y denominator."""
-    return [_precise_term(z, params.alpha, params.beta, params.mu, y, x) for z in images]
+    return _residue_terms(images, params.alpha, params.beta, params.mu, y, x)
 
 
 def _contour_piece(
@@ -259,8 +270,10 @@ def _contour_route(
     val, est = _contour_piece(x, y, params, spec, tol)
     if not terms:
         return Evaluation(val, est + 8.0 * EPS * abs(val), found)
+    weights = [residue_weight(z, params.beta, params.alpha) for z in x_in]
+    weights += [residue_weight(z, params.alpha, params.beta) for z in y_in]
     total = sum(terms) + val
-    slack = sum(8.0 * abs(t) for t in terms) + 16.0 * abs(total)
+    slack = sum(w * abs(t) for w, t in zip(weights, terms)) + 16.0 * abs(total)
     return Evaluation(total, est + EPS * slack, found)
 
 
@@ -304,12 +317,7 @@ def eval_lemma3(
     spec: ContourSpec,
     tol: float = 1e-8,
 ) -> Evaluation:
-    """Contour integral plus both residue families: both in Omega+.
-
-    Requires the contributing x- and y-preimages to stay apart: coincident
-    preimages collapse two simple poles into a double pole the residue
-    terms cannot represent.
-    """
+    """Contour integral plus both residue families: both in Omega+."""
     return _contour_route(x, y, params, spec, tol, "lemma3")
 
 
@@ -371,8 +379,7 @@ def eval_auto(x: complex, y: complex, params: Parameters, tol: float = 1e-8) -> 
     Raises DomainError for a non-finite argument, and BudgetExceeded only
     when every route fails to certify a result.
     """
-    x = complex(x)
-    y = complex(y)
+    x, y = complex(x), complex(y)
     if not (cmath.isfinite(x) and cmath.isfinite(y)):
         raise DomainError(f"x and y must be finite, got x={x}, y={y}")
     if max(abs(x), abs(y)) <= SERIES_RADIUS:

@@ -158,3 +158,13 @@ def test_budget_exhausted_during_refinement():
         integrate(dc, IntegrandSpec(f=f, decay=1.0), tol=1e-13, node_budget=budget)
     assert sweep < sum(calls) <= budget
     assert f"({sum(calls)} nodes used)" in str(info.value)
+
+
+def test_non_finite_sweep_raises_at_once():
+    # an inf on the inner panels ends the quadrature after the first sweep
+    # instead of refining panels that cannot converge
+    dc = build_contour(ContourSpec(1.0, 3 * math.pi / 4), decay=1.0, trunc_tol=1e-18)
+    f, calls = _counted(lambda u: np.where(np.abs(u) < 3.0, np.inf, np.exp(u) * u ** (-2.5)))
+    with pytest.raises(QuadratureError, match="not finite on the contour"):
+        integrate(dc, IntegrandSpec(f=f, decay=1.0), tol=1e-10)
+    assert calls == [2, 24 * len(dc.panels)]

@@ -43,6 +43,20 @@ def test_real_overflow_is_a_real_infinity():
     assert got[2] == pytest.approx(0.5, rel=1e-13)
 
 
+def test_complex_overflow_has_no_nan():
+    # a non-real argument whose 1/Gamma overflows gets infinite parts signed
+    # by the phase of 1/Gamma, not nan from multiplying infinities
+    for s in (-171.3 + 0.1j, -171.3 - 0.1j, -200.7 + 3j):
+        phase = float(mp.arg(mp.rgamma(mp.mpc(s))))
+        want = complex(math.copysign(math.inf, math.cos(phase)),
+                       math.copysign(math.inf, math.sin(phase)))
+        assert recip_gamma(s) == want
+    got = recip_gamma(np.array([-171.3 + 0.1j, -171.3, 2.5 + 1j]))
+    assert not np.isnan(got).any()
+    assert got[1] == math.inf and got[1].imag == 0.0
+    assert got[2] == pytest.approx(recip_gamma(2.5 + 1j), rel=1e-15)
+
+
 def test_vectorized_matches_scalar():
     rng = np.random.default_rng(11)
     s = rng.uniform(-6, 6, 50) + 1j * rng.uniform(-4, 4, 50)

@@ -1,14 +1,20 @@
 """Contour-plus-residue evaluation routes and the automatic dispatcher."""
 
 import cmath
+import functools
 import math
+import random
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from mpmath import mp
 
+import ml2v.representations as rep
 from ml2v.contour import IntegrandSpec
-from ml2v.core import ContourSpec, RegionLabel, validate_params
-from ml2v.errors import DegenerateDenominator, DomainError, RegionError
+from ml2v.core import EPS, ContourSpec, RegionLabel, angle_window, validate_params
+from ml2v.errors import DegenerateDenominator, DomainError, QuadratureError, RegionError
 from ml2v.oracle import oracle_eval
 from ml2v.representations import (
     choose_contour,
@@ -19,9 +25,12 @@ from ml2v.representations import (
     eval_lemma2,
     eval_lemma3,
     eval_remark1,
+    eval_with_contour,
     ml_integrand,
     pole_images,
+    residue_terms_x,
     residue_terms_y,
+    residue_weight,
 )
 from ml2v.series import eval_double_series
 
@@ -270,3 +279,106 @@ def test_auto_complex_corner_honest():
     ref = oracle_eval(x, y, pp, digits=30).as_complex()
     assert abs(ev.value - ref) <= max(ev.est_error, 1e-7 * max(1.0, abs(ref)))
     assert ev.est_error <= 1e-7 * max(1.0, abs(ref))
+
+
+def _residue_reference(z, p_def, p_den, mu, w_def, w_den):
+    """The residue term at the image z of w_def, at 60 digits, through
+    principal powers of zeta = w_def^p_def on z's branch."""
+    k = round((cmath.phase(z) / p_def - cmath.phase(w_def)) / (2 * math.pi))
+    with mp.workdps(60):
+        pd, pn, w = mp.mpf(p_def), mp.mpf(p_den), mp.mpc(w_def)
+        zeta = mp.exp(pd * (mp.log(w) + 2j * mp.pi * k))
+        d = 1 / (pd * pn)
+        num = mp.exp(zeta**d) * zeta ** ((1 + pd + pn - mp.mpc(mu)) * d)
+        return complex(num / (pn * w * (zeta ** (1 / pn) - mp.mpc(w_den))))
+
+
+@functools.cache
+def _residue_cases(count=150, seed=761):
+    """Seeded residue terms with their references: orders in [0.25, 1.7],
+    complex mu, 0.3 <= |w| <= 80, Re zeta^d <= 650, and a reference in the
+    normal double range (a subnormal term has no relative accuracy)."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        a, b = rng.uniform(0.25, 1.7), rng.uniform(0.25, 1.7)
+        if a * b >= 1.95:
+            continue
+        p = validate_params(a, b, complex(rng.uniform(0.2, 2.5), rng.uniform(-1, 1)))
+        x, y = (cmath.rect(rng.uniform(0.3, 80), rng.uniform(-math.pi, math.pi)) for _ in "xy")
+        for terms, w, w_den, p_def, p_den in ((residue_terms_x, x, y, b, a), (residue_terms_y, y, x, a, b)):
+            for z in pole_images(w, p_def):
+                if (z ** (1 / (p_def * p_den))).real > 650:
+                    continue
+                ref = _residue_reference(z, p_def, p_den, p.mu, w, w_den)
+                if 1e-290 < abs(ref) < math.inf:
+                    cases.append((terms, x, y, p, z, p_def, p_den, ref))
+    return cases
+
+
+def _assert_residues_honest():
+    worst = 0.0
+    for terms, x, y, p, z, p_def, p_den, ref in _residue_cases():
+        (t,) = terms(x, y, p, (z,))
+        bound = EPS * residue_weight(z, p_def, p_den) * abs(t)
+        worst = max(worst, abs(t - ref) / bound)
+    assert worst <= 1.0, f"worst |t - ref| / slack = {worst:.3g}"
+
+
+def test_residue_terms_honest_against_60_digits():
+    _assert_residues_honest()
+
+
+def test_residue_terms_honest_where_long_double_is_double(monkeypatch):
+    # the weight reads the working epsilon, so it stays honest on platforms
+    # whose long double is a plain double
+    monkeypatch.setattr(rep, "_LD", np.float64)
+    monkeypatch.setattr(rep, "_CLD", np.complex128)
+    monkeypatch.setattr(rep, "EPS_LD", EPS)
+    monkeypatch.setattr(rep, "_TWO_PI_I", 2j * math.pi)
+    _assert_residues_honest()
+
+
+# eval_auto points whose route adds residue terms: contour routes on the
+# grid parameters, and asymptotic cases 1-3 at large arguments.
+RESIDUE_POINTS = [
+    ((0.5, 0.8, 1), -4.0, 2.0, "lemma2"),
+    ((0.5, 0.8, 1), 2.0, -4.0, "remark1"),
+    ((0.5, 0.8, 1), 5 + 1j, 6 - 2j, "lemma3"),
+    ((0.5, 0.5, 1), -30.0, 25.0, "asymptotic-case3"),
+    ((0.5, 0.5, 1), 20 + 5j, -40.0, "asymptotic-case2"),
+    ((0.7, 0.7, 0.5 + 0.3j), 30.0, 20.0, "asymptotic-case1"),
+    ((0.7, 0.7, 0.5 + 0.3j), -40 + 12j, 25 - 30j, "asymptotic-case3"),
+]
+
+
+@pytest.mark.parametrize("orders,x,y,method", RESIDUE_POINTS)
+def test_residue_routes_use_no_mpmath(monkeypatch, orders, x, y, method):
+    def refuse(*args, **kwargs):
+        raise AssertionError("mpmath reached on a double-precision path")
+
+    monkeypatch.setattr(mpmath.mp, "mpc", refuse)
+    ev = eval_auto(x, y, validate_params(*orders))
+    assert ev.method == method
+    assert math.isfinite(ev.est_error)
+
+
+@pytest.mark.parametrize("orders,x,y,method", RESIDUE_POINTS)
+def test_residue_routes_ignore_mpmath_precision(orders, x, y, method):
+    p = validate_params(*orders)
+    plain = eval_auto(x, y, p)
+    for dps in (5, 50):
+        with mp.workdps(dps):
+            assert eval_auto(x, y, p) == plain
+
+
+def test_overflowing_integrand_raises_quietly():
+    # eps = 1.8 at orders 0.25: exp(z^16) overflows on the arc, which must
+    # end the quadrature at once, with no numpy warning
+    p = validate_params(0.25, 0.25, 1)
+    lo, hi, _ = angle_window(p)
+    spec = ContourSpec(1.8, lo + 0.6 * (hi - lo))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError, match="not finite"):
+            eval_with_contour(1.5 + 0.5j, -2 + 1j, p, spec, tol=1e-10)

@@ -7,7 +7,10 @@
 record prints one line per call: group, inputs, float.hex of the value and of
 est_error, and the method tag or exception type.  The calls: the corpus and
 seeded points through eval_auto, the same points through eval_with_contour on
-choose_contour's contour, and recip_gamma/log_recip_gamma on a seeded array.
+choose_contour's contour, residue_terms_x/_y at every pole image of those
+points, and recip_gamma/log_recip_gamma on a seeded array.  A residue line's
+est_error is the term's rounding slack EPS * residue_weight * |t| (a flat
+weight of 8 for trees without residue_weight).
 compare counts per group the bit-identical lines, the tag or exception
 changes, the values that differ by more than est_A + est_B, and gives the
 worst |dvalue| / (est_A + est_B).
@@ -40,7 +43,16 @@ def _line(group: str, inputs: str, call) -> str:
 
 def record() -> None:
     import ml2v
+    from ml2v import representations as rep
     from ml2v.gamma import log_recip_gamma, recip_gamma
+
+    weight = getattr(rep, "residue_weight", lambda *_: 8.0)
+
+    def residue(side, x, y, p, z):
+        terms = rep.residue_terms_x if side == "x" else rep.residue_terms_y
+        (t,) = terms(x, y, p, (z,))
+        powers = (p.beta, p.alpha) if side == "x" else (p.alpha, p.beta)
+        return ml2v.Evaluation(t, sys.float_info.epsilon * weight(z, *powers) * abs(t), "-")
 
     warnings.simplefilter("ignore")
     for rec in ml2v.load_corpus():
@@ -54,6 +66,9 @@ def record() -> None:
             inputs = f"{a} {b} {mu!r} {x!r} {y!r}"
             print(_line("auto", inputs, lambda: ml2v.eval_auto(x, y, p)))
             print(_line("contour", inputs, lambda: ml2v.eval_with_contour(x, y, p, ml2v.choose_contour(x, y, p))))
+            for side, w, power in (("x", x, b), ("y", y, a)):
+                for z in rep.pole_images(w, power):
+                    print(_line("residues", f"{inputs} {side} {z!r}", lambda: residue(side, x, y, p, z)))
     g = np.random.default_rng(SEED)
     poles = -np.arange(30.0)
     s = np.concatenate([g.normal(0, 25, 400) + 1j * g.normal(0, 4, 400), g.normal(0, 25, 200) + 0j,
