@@ -16,10 +16,13 @@ are graded geometrically outward from the arc because the integrands of
 interest decay like exp(cos(theta*d) * r^d) along the rays; arc panels are
 uniform in angle.
 
-The truncation radius R solves exp(cos(theta*d) * R^d) <= trunc_tol, and an
-a-posteriori tail estimate from the actual endpoint magnitudes is folded
-into the reported error, so algebraic prefactors the solve ignores still
-show up honestly.
+integrate sizes the contour itself.  The truncation radius R solves
+exp(cos(theta*d) * R^d) <= trunc_tol, starting from trunc_tol =
+min(1e-16, tol/100); an a-posteriori tail estimate from the actual endpoint
+magnitudes then catches the algebraic prefactors that solve ignores.  While
+that estimate exceeds tol/10, trunc_tol shrinks (R grows) and the contour is
+rebuilt, at most six times; the last estimate is folded into the reported
+error.
 
 theta = pi is a valid contour (circle plus the twice-passed negative axis).
 The ray points are r exp(+-i pi), whose tiny imaginary residue places each
@@ -36,15 +39,11 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ContourSpec, Evaluation, contour_distance
-from .errors import GeometryError, PoleProximityError, QuadratureError
+from .core import ContourSpec, Evaluation
+from .errors import GeometryError, QuadratureError
 
 DEFAULT_NODE_BUDGET = 200_000
 NODE_BUDGET_ENV = "ML2V_NODE_BUDGET"
-
-# Poles closer to the contour than this fraction of the arc radius abort
-# the quadrature rather than degrade it.
-POLE_FLOOR_REL = 1e-3
 
 # Angular width per initial arc panel, before the decay-rate scaling.
 _ARC_PANEL_ANGLE = math.pi / 8
@@ -62,14 +61,11 @@ class IntegrandSpec:
     """Evaluation contract for a contour integrand.
 
     f maps an ndarray of contour points to integrand values; decay is the
-    exponent d in the ray decay law exp(cos(theta*d) r^d); poles are the
-    integrand's finite poles (checked against the contour before any node
-    is spent).
+    exponent d in the ray decay law exp(cos(theta*d) r^d).
     """
 
     f: Callable[[np.ndarray], np.ndarray]
     decay: float
-    poles: tuple[complex, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -132,29 +128,6 @@ def build_contour(
     return DiscretizedContour(spec=spec, radius=radius, decay=decay, panels=panels)
 
 
-def size_contour(
-    spec: ContourSpec, integrand: IntegrandSpec, tol: float
-) -> DiscretizedContour:
-    """build_contour with the radius enlarged until the actual tail is small.
-
-    The plain truncation solve ignores algebraic prefactors in the
-    integrand; this wrapper starts from the truncation tolerance
-    min(1e-16, tol/100), checks the a-posteriori tail bound at the
-    truncation points and keeps shrinking the truncation tolerance (hence
-    growing R) until that bound drops below tol / 10 or bottoms out.
-    """
-    tt = min(1e-16, tol * 1e-2)
-    dc = build_contour(spec, integrand.decay, tt)
-    for _ in range(6):
-        tail = _tail_estimate(dc, integrand.f)
-        if tail <= 0.1 * tol or tt <= 1e-290:
-            break
-        shrink = 0.1 * tol / tail if math.isfinite(tail) and tail > 0 else 0.0
-        tt = max(1e-300, tt * min(0.5, shrink))
-        dc = build_contour(spec, integrand.decay, tt)
-    return dc
-
-
 def node_budget_default() -> int:
     try:
         return max(1, int(os.environ[NODE_BUDGET_ENV]))
@@ -189,33 +162,34 @@ def _tail_estimate(contour: DiscretizedContour, f: Callable) -> float:
 
 
 def integrate(
-    contour: DiscretizedContour,
+    spec: ContourSpec,
     integrand: IntegrandSpec,
     tol: float,
     node_budget: int | None = None,
 ) -> Evaluation:
-    """Adaptive quadrature of integrand.f over the contour.
+    """Adaptive quadrature of integrand.f over gamma(eps; theta), sized for tol.
 
     Returns the raw contour integral (no 1/(2 pi i) normalization) with an
     error estimate combining panel estimates and the truncation tail.
-    Raises PoleProximityError before spending nodes if a declared pole sits
-    within the proximity floor, and QuadratureError as soon as a sweep
-    meets a non-finite integrand value, or if the tolerance is unreachable
-    within the node budget.
+    Raises GeometryError (from build_contour) before any node is evaluated
+    when the rays do not decay, and QuadratureError as soon as a sweep meets
+    a non-finite integrand value, or if the tolerance is unreachable within
+    the node budget.
     """
     if node_budget is None:
         node_budget = node_budget_default()
-    floor = POLE_FLOOR_REL * contour.spec.epsilon
-    for pole in integrand.poles:
-        dist = contour_distance(pole, contour.spec)
-        if dist < floor:
-            raise PoleProximityError(
-                f"pole {pole:.6g} sits {dist:.3g} from the contour "
-                f"(floor {floor:.3g}); choose a different contour"
-            )
-
     f = integrand.f
+    tt = min(1e-16, tol * 1e-2)
+    contour = build_contour(spec, integrand.decay, tt)
     tail = _tail_estimate(contour, f)
+    for _ in range(6):
+        if tail <= 0.1 * tol or tt <= 1e-290:
+            break
+        shrink = 0.1 * tol / tail if math.isfinite(tail) and tail > 0 else 0.0
+        tt = max(1e-300, tt * min(0.5, shrink))
+        contour = build_contour(spec, integrand.decay, tt)
+        tail = _tail_estimate(contour, f)
+
     rows = contour.panels
     nodes_used = 2 + _EVALS_PER_PANEL * len(rows)
     if nodes_used > node_budget:

@@ -16,9 +16,8 @@ import math
 
 import numpy as np
 
-from .contour import IntegrandSpec, integrate, size_contour
+from .contour import IntegrandSpec, integrate
 from .core import ContourSpec
-from .errors import GeometryError
 
 # Classic 9-term rational kernel, g = 7.  Certified against a 50-digit
 # reference during development: relative error stays below ~2e-13 on
@@ -136,18 +135,13 @@ def recip_gamma_hankel(
 ) -> complex:
     """1/Gamma(s) via the Hankel contour integral, principal branch of u^(-s).
 
-    Requires theta > pi/2 so e^u decays on the rays.  Raises QuadratureError
-    (from the quadrature layer) when tol is unreachable within the node
-    budget.
+    Requires theta > pi/2 so e^u decays on the rays.  Raises GeometryError
+    otherwise and QuadratureError when tol is unreachable within the node
+    budget, both from the quadrature layer.
     """
     if contour is None:
         contour = ContourSpec(epsilon=1.0, theta=3.0 * math.pi / 4.0)
-    if contour.theta <= math.pi / 2.0:
-        raise GeometryError(
-            f"hankel route needs theta > pi/2 for ray decay, got {contour.theta}"
-        )
     s = complex(s)
     integrand = IntegrandSpec(f=lambda u: np.exp(u) * u ** (-s), decay=1.0)
-    dc = size_contour(contour, integrand, tol * 2.0 * math.pi * 0.9)
-    ev = integrate(dc, integrand, tol=tol * 2.0 * math.pi * 0.9)
+    ev = integrate(contour, integrand, tol=tol * 2.0 * math.pi * 0.9)
     return complex(ev.value / (2j * math.pi))

@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .contour import IntegrandSpec, integrate, size_contour
+from .contour import IntegrandSpec, integrate
 from .core import (
     EPS,
     ContourSpec,
@@ -55,6 +55,10 @@ from .series import SeriesBudget, eval_double_series
 # Residue denominators and pole separations smaller than this relative
 # floor abort the representation in favor of the series.
 DEGENERACY_FLOOR_REL = 1e-6
+
+# Pole images closer to the contour than this fraction of the arc radius
+# abort the quadrature rather than degrade it.
+POLE_FLOOR_REL = 1e-3
 
 # Residue exponents are built in long double; EPS_LD is its epsilon on
 # this platform (EPS itself where long double is a plain double).
@@ -96,7 +100,7 @@ def pole_images(w: complex, power: float) -> tuple[complex, ...]:
 
 
 def ml_integrand(x: complex, y: complex, params: Parameters) -> IntegrandSpec:
-    """Integrand of the contour representation, with its poles declared."""
+    """Integrand of the contour representation."""
     a, b = params.alpha, params.beta
     d = 1.0 / (a * b)
     p = (1.0 + a + b - params.mu) * d - 1.0
@@ -104,21 +108,20 @@ def ml_integrand(x: complex, y: complex, params: Parameters) -> IntegrandSpec:
     def f(z: np.ndarray) -> np.ndarray:
         return np.exp(z**d) * z**p / ((z ** (1.0 / b) - x) * (z ** (1.0 / a) - y))
 
-    poles = pole_images(x, b) + pole_images(y, a)
-    return IntegrandSpec(f=f, decay=d, poles=poles)
+    return IntegrandSpec(f=f, decay=d)
 
 
 def _placement(
     w: complex, power: float, spec: ContourSpec
-) -> tuple[RegionLabel, tuple[complex, ...]]:
-    """Region label of w against spec (see classify_pair), and those of
-    its preimages that lie in Omega+."""
+) -> tuple[RegionLabel, tuple[complex, ...], tuple[complex, ...]]:
+    """Region label of w against spec (see classify_pair), those of its
+    preimages that lie in Omega+, and all of its preimages."""
     images = pole_images(w, power)
     labels = [classify_region(img, spec) for img in images]
     inside = tuple(im for im, l in zip(images, labels) if l is RegionLabel.OMEGA_PLUS)
     if RegionLabel.ON_CONTOUR in labels:
-        return RegionLabel.ON_CONTOUR, inside
-    return (RegionLabel.OMEGA_PLUS if inside else RegionLabel.OMEGA_MINUS), inside
+        return RegionLabel.ON_CONTOUR, inside, images
+    return (RegionLabel.OMEGA_PLUS if inside else RegionLabel.OMEGA_MINUS), inside, images
 
 
 def classify_pair(
@@ -206,11 +209,8 @@ def _contour_piece(
     x: complex, y: complex, params: Parameters, spec: ContourSpec, tol: float
 ) -> tuple[complex, float]:
     """The normalized contour integral and its absolute error estimate."""
-    integrand = ml_integrand(x, y, params)
     scale = 2.0 * math.pi * params.alpha * params.beta
-    quad_tol = tol * scale * 0.9
-    dc = size_contour(spec, integrand, quad_tol)
-    ev = integrate(dc, integrand, tol=quad_tol)
+    ev = integrate(spec, ml_integrand(x, y, params), tol=tol * scale * 0.9)
     return complex(ev.value / (1j * scale)), ev.est_error / scale
 
 
@@ -236,13 +236,15 @@ def _contour_route(
     route is the method tag of the placement the caller requires, or None
     to accept whichever holds.  Raises GeometryError when spec's angle
     leaves the admissible window, RegionError when an image is pinned on
-    the contour or the placement is not route's, and DegenerateDenominator
+    the contour or the placement is not route's, DegenerateDenominator
     when a residue denominator collapses or an x- and a y-preimage in
-    Omega+ coincide: the two simple poles then merge into a double pole
-    the residue terms cannot represent.
+    Omega+ coincide (the two simple poles then merge into a double pole
+    the residue terms cannot represent), and PoleProximityError, before
+    any integrand call, when a preimage lies within POLE_FLOOR_REL * eps of
+    the contour.
     """
-    lx, x_in = _placement(x, params.beta, spec)
-    ly, y_in = _placement(y, params.alpha, spec)
+    lx, x_in, x_all = _placement(x, params.beta, spec)
+    ly, y_in, y_all = _placement(y, params.alpha, spec)
     pinned = RegionLabel.ON_CONTOUR in (lx, ly)
     # with no route required, a pinned image is reported before the angle
     if route is not None or not pinned:
@@ -267,6 +269,13 @@ def _contour_route(
     terms = (residue_terms_x(x, y, params, x_in) if x_in else []) + (
         residue_terms_y(x, y, params, y_in) if y_in else []
     )
+    floor = POLE_FLOOR_REL * spec.epsilon
+    for pole in x_all + y_all:
+        if (dist := contour_distance(pole, spec)) < floor:
+            raise PoleProximityError(
+                f"pole {pole:.6g} sits {dist:.3g} from the contour "
+                f"(floor {floor:.3g}); choose a different contour"
+            )
     val, est = _contour_piece(x, y, params, spec, tol)
     if not terms:
         return Evaluation(val, est + 8.0 * EPS * abs(val), found)
@@ -376,8 +385,9 @@ def eval_auto(x: complex, y: complex, params: Parameters, tol: float = 1e-8) -> 
     Large arguments (both beyond ASYMPTOTIC_RADIUS) try the asymptotic
     expansion first.  Everything else, and every failed attempt, funnels
     through the contour representations and finally back to the series.
-    Raises DomainError for a non-finite argument, and BudgetExceeded only
-    when every route fails to certify a result.
+    A contour result counts only with a finite est_error.  Raises
+    DomainError for a non-finite argument, and BudgetExceeded only when
+    every route fails to certify a result.
     """
     x, y = complex(x), complex(y)
     if not (cmath.isfinite(x) and cmath.isfinite(y)):
@@ -398,7 +408,9 @@ def eval_auto(x: complex, y: complex, params: Parameters, tol: float = 1e-8) -> 
             pass
 
     try:
-        return eval_with_contour(x, y, params, choose_contour(x, y, params), tol)
+        ev = eval_with_contour(x, y, params, choose_contour(x, y, params), tol)
+        if math.isfinite(ev.est_error):
+            return ev
     except (
         RegionError,
         DegenerateDenominator,

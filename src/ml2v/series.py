@@ -78,13 +78,15 @@ def _blocks(x, y, alpha, beta, mu, max_terms):
             with np.errstate(over="ignore", under="ignore", invalid="ignore"):
                 terms = np.exp(logmag + 1j * phase)
             terms[logmag == -np.inf] = 0.0
-        mags = np.abs(terms)
-        yield complex(terms.sum()), float(mags.sum()), float(mags.max(initial=0.0))
-        used += k + 1
-        k += 1
+        # sums past the double range are inf or nan: the certificate stops there
         with np.errstate(over="ignore", invalid="ignore"):
+            mags = np.abs(terms)
+            block = complex(terms.sum()), float(mags.sum()), float(mags.max(initial=0.0))
             xp = np.append(xp, xp[-1] * x)
             yp = np.append(yp, yp[-1] * y)
+        yield block
+        used += k + 1
+        k += 1
 
 
 def _single_terms(z, rho, kappa, max_terms):
@@ -131,8 +133,8 @@ def _certified_sum(
 
     Blocks before kmin are summed without ratio tracking.  Returns
     est_error = +inf when the blocks run out (the term budget) before the
-    certificate fires, or once an overflowed block's infinite magnitude has
-    entered the rounding term.
+    certificate fires, or at the first block whose magnitude sum is not
+    finite: nothing past it can be certified.
     """
     value = 0.0 + 0.0j
     weighted_abs = 0.0
@@ -140,6 +142,8 @@ def _certified_sum(
     run = 0
     for k, (bval, bsum, bpeak) in enumerate(blocks):
         value += bval
+        if not math.isfinite(bsum):
+            break
         weighted_abs += _term_condition(k, sigma, mu_mag) * bsum
         if k >= kmin:
             if prev_peak is not None and (

@@ -8,12 +8,17 @@ from ml2v.selftest import run_suite
 
 
 @pytest.fixture(scope="session")
-def assert_suite_passes():
-    """Assert that a named selftest suite passes; each suite runs once per session."""
-    run = functools.cache(run_suite)
+def cached_run_suite():
+    """selftest.run_suite with each suite run once per session."""
+    return functools.cache(run_suite)
+
+
+@pytest.fixture(scope="session")
+def assert_suite_passes(cached_run_suite):
+    """Assert that a named selftest suite passes."""
 
     def check(name: str) -> None:
-        res = run(name)
+        res = cached_run_suite(name)
         assert res.passed, f"{name}: {res.detail}"
 
     return check

@@ -6,17 +6,16 @@ have their only bodies in ``ml2v.selftest``; the tests here run those suites.
 """
 
 import cmath
-import math
 
 import mpmath as mp
 import pytest
 
 from ml2v import cli
-from ml2v.contour import integrate, size_contour
 from ml2v.core import ContourSpec, admissible_theta_window, validate_params
 from ml2v.errors import DegenerateDenominator, PoleProximityError, RegionError
 from ml2v.oracle import load_corpus, oracle_eval
 from ml2v.representations import (
+    _contour_piece,
     choose_contour,
     eval_auto,
     eval_lemma1,
@@ -24,7 +23,6 @@ from ml2v.representations import (
     eval_lemma3,
     eval_remark1,
     eval_with_contour,
-    ml_integrand,
     pole_images,
     residue_terms_y,
 )
@@ -195,11 +193,7 @@ def test_contour_deformation_invariance():
 
 
 def _normalized_integral(x, y, params, spec, tol=1e-10) -> complex:
-    integrand = ml_integrand(x, y, params)
-    scale = 2.0 * math.pi * params.alpha * params.beta
-    dc = size_contour(spec, integrand, tol * scale)
-    ev = integrate(dc, integrand, tol=tol * scale)
-    return complex(ev.value / (1j * scale))
+    return _contour_piece(x, y, params, spec, tol)[0]
 
 
 def test_pole_crossing_jump_matches_residue():

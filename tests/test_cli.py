@@ -311,7 +311,9 @@ def test_compare_corpus_replay(capsys):
     assert delta <= 1e-7
 
 
-def test_selftest_all_suites(capsys):
+def test_selftest_all_suites(capsys, monkeypatch, cached_run_suite):
+    # the table comes from the session's one run of each suite
+    monkeypatch.setattr(selftest, "run_suite", cached_run_suite)
     rc, out, _ = run_cli(["selftest"], capsys)
     assert rc == 0
     assert "6 of 6 suites passed" in out
@@ -319,7 +321,8 @@ def test_selftest_all_suites(capsys):
         assert name in out
 
 
-def test_selftest_suite_filter(capsys):
+def test_selftest_suite_filter(capsys, monkeypatch, cached_run_suite):
+    monkeypatch.setattr(selftest, "run_suite", cached_run_suite)
     rc, out, _ = run_cli(["selftest", "--suite", "gamma"], capsys)
     assert rc == 0
     assert "1 of 1 suites passed" in out

@@ -1,6 +1,7 @@
 """Contour discretization and adaptive quadrature on the keyhole path."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -14,16 +15,17 @@ from ml2v.contour import (
     integrate,
     node_budget_default,
 )
-from ml2v.core import ContourSpec
+from ml2v.core import ContourSpec, validate_params
 from ml2v.errors import GeometryError, PoleProximityError, QuadratureError
+from ml2v.representations import eval_with_contour, ml_integrand
 
 mp.dps = 40
+P111 = validate_params(1, 1, 1)
 
 
 def _hankel_recip_gamma(s, spec, tol=1e-10):
-    dc = build_contour(spec, decay=1.0, trunc_tol=1e-18)
     ig = IntegrandSpec(f=lambda u: np.exp(u) * u ** (-s), decay=1.0)
-    ev = integrate(dc, ig, tol=tol)
+    ev = integrate(spec, ig, tol=tol)
     return ev.value / (2j * math.pi), ev.est_error
 
 
@@ -82,10 +84,9 @@ def test_real_parameter_result_is_real():
 
 def test_tighter_tolerance_tightens_result():
     spec = ContourSpec(1.0, 3 * math.pi / 4)
-    dc = build_contour(spec, decay=1.0, trunc_tol=1e-18)
     ig = IntegrandSpec(f=lambda u: np.exp(u) * u ** (-2.5), decay=1.0)
-    loose = integrate(dc, ig, tol=1e-4)
-    tight = integrate(dc, ig, tol=1e-12)
+    loose = integrate(spec, ig, tol=1e-4)
+    tight = integrate(spec, ig, tol=1e-12)
     assert loose.est_error <= 1e-4
     assert tight.est_error <= 1e-12
     ref = complex(2j * math.pi * mp.rgamma(2.5))
@@ -94,23 +95,41 @@ def test_tighter_tolerance_tightens_result():
 
 
 def test_pole_proximity_rejected():
+    # the floor is 1e-3 * eps: a pole image 5e-4 off the arc is inside it,
+    # yet outside the on-contour band
     spec = ContourSpec(1.0, 3 * math.pi / 4)
-    dc = build_contour(spec, decay=1.0)
-    on_arc = cmath.exp(0.3j)  # lies exactly on the arc
-    ig = IntegrandSpec(f=lambda u: np.exp(u), decay=1.0, poles=(on_arc,))
+    near_arc = 1.0005 * cmath.exp(0.3j)
     with pytest.raises(PoleProximityError):
-        integrate(dc, ig, tol=1e-8)
+        eval_with_contour(near_arc, -3.0, P111, spec)
     # a comfortably distant pole is fine
-    ig2 = IntegrandSpec(f=lambda u: np.exp(u) / (u - 40j), decay=1.0, poles=(40j,))
-    integrate(dc, ig2, tol=1e-8)
+    ev = eval_with_contour(40j, -3.0, P111, spec)
+    assert math.isfinite(ev.est_error)
+
+
+def test_pole_proximity_raised_before_any_evaluation(monkeypatch):
+    calls = []
+
+    def counted(x, y, params):
+        real = ml_integrand(x, y, params)
+
+        def f(z):
+            calls.append(int(np.size(z)))
+            return real.f(z)
+
+        return dataclasses.replace(real, f=f)
+
+    monkeypatch.setattr("ml2v.representations.ml_integrand", counted)
+    spec = ContourSpec(1.0, 3 * math.pi / 4)
+    with pytest.raises(PoleProximityError):
+        eval_with_contour(1.0005 * cmath.exp(0.3j), -3.0, P111, spec)
+    assert calls == []
 
 
 def test_node_budget_exhaustion():
     spec = ContourSpec(1.0, 3 * math.pi / 4)
-    dc = build_contour(spec, decay=1.0)
     ig = IntegrandSpec(f=lambda u: np.exp(u) * u ** (-2.5), decay=1.0)
     with pytest.raises(QuadratureError):
-        integrate(dc, ig, tol=1e-12, node_budget=10)
+        integrate(spec, ig, tol=1e-12, node_budget=10)
 
 
 def test_node_budget_env(monkeypatch):
@@ -134,28 +153,29 @@ def _counted(f):
 
 
 def test_one_integrand_call_per_round():
-    dc = build_contour(ContourSpec(1.0, 3 * math.pi / 4), decay=1.0, trunc_tol=1e-18)
+    spec = ContourSpec(1.0, 3 * math.pi / 4)
+    sweep = 24 * len(build_contour(spec, decay=1.0).panels)
     for tol, rounds in ((1e-8, 0), (1e-13, 1)):
         f, calls = _counted(lambda u: np.exp(u) * u ** (-2.5))
-        ev = integrate(dc, IntegrandSpec(f=f, decay=1.0), tol=tol)
+        ev = integrate(spec, IntegrandSpec(f=f, decay=1.0), tol=tol)
         assert ev.est_error <= tol
-        # the tail estimate, the initial sweep of all panels, then one call
+        # one tail estimate, the initial sweep of all panels, then one call
         # per refinement round holding both halves of every panel it splits
-        assert calls[:2] == [2, 24 * len(dc.panels)]
+        assert calls[:2] == [2, sweep]
         assert len(calls) == 2 + rounds
         assert all(n % 48 == 0 for n in calls[2:])
 
 
 def test_budget_exhausted_during_refinement():
-    dc = build_contour(ContourSpec(1.0, 3 * math.pi / 4), decay=1.0, trunc_tol=1e-18)
+    spec = ContourSpec(1.0, 3 * math.pi / 4)
     f, calls = _counted(lambda u: np.exp(u) * u ** (-2.5))
-    integrate(dc, IntegrandSpec(f=f, decay=1.0), tol=1e-13)
-    sweep, converged = 2 + 24 * len(dc.panels), sum(calls)
+    integrate(spec, IntegrandSpec(f=f, decay=1.0), tol=1e-13)
+    sweep, converged = 2 + 24 * len(build_contour(spec, decay=1.0).panels), sum(calls)
     budget = (sweep + converged) // 2
     assert sweep + 48 <= budget < converged
     f, calls = _counted(lambda u: np.exp(u) * u ** (-2.5))
     with pytest.raises(QuadratureError, match=r"exhausted \(\d+ nodes used\)") as info:
-        integrate(dc, IntegrandSpec(f=f, decay=1.0), tol=1e-13, node_budget=budget)
+        integrate(spec, IntegrandSpec(f=f, decay=1.0), tol=1e-13, node_budget=budget)
     assert sweep < sum(calls) <= budget
     assert f"({sum(calls)} nodes used)" in str(info.value)
 
@@ -163,8 +183,8 @@ def test_budget_exhausted_during_refinement():
 def test_non_finite_sweep_raises_at_once():
     # an inf on the inner panels ends the quadrature after the first sweep
     # instead of refining panels that cannot converge
-    dc = build_contour(ContourSpec(1.0, 3 * math.pi / 4), decay=1.0, trunc_tol=1e-18)
+    spec = ContourSpec(1.0, 3 * math.pi / 4)
     f, calls = _counted(lambda u: np.where(np.abs(u) < 3.0, np.inf, np.exp(u) * u ** (-2.5)))
     with pytest.raises(QuadratureError, match="not finite on the contour"):
-        integrate(dc, IntegrandSpec(f=f, decay=1.0), tol=1e-10)
-    assert calls == [2, 24 * len(dc.panels)]
+        integrate(spec, IntegrandSpec(f=f, decay=1.0), tol=1e-10)
+    assert calls == [2, 24 * len(build_contour(spec, decay=1.0).panels)]

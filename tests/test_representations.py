@@ -4,6 +4,7 @@ import cmath
 import functools
 import math
 import random
+import time
 import warnings
 
 import mpmath
@@ -14,7 +15,13 @@ from mpmath import mp
 import ml2v.representations as rep
 from ml2v.contour import IntegrandSpec
 from ml2v.core import EPS, ContourSpec, RegionLabel, angle_window, validate_params
-from ml2v.errors import DegenerateDenominator, DomainError, QuadratureError, RegionError
+from ml2v.errors import (
+    BudgetExceeded,
+    DegenerateDenominator,
+    DomainError,
+    QuadratureError,
+    RegionError,
+)
 from ml2v.oracle import oracle_eval
 from ml2v.representations import (
     choose_contour,
@@ -171,7 +178,7 @@ def test_residue_only_path(monkeypatch):
     # with the integrand forced to zero, lemma2 returns exactly the y residue
     def silent(x, y, params):
         real = ml_integrand(x, y, params)
-        return IntegrandSpec(lambda z: np.zeros_like(z), real.decay, real.poles)
+        return IntegrandSpec(lambda z: np.zeros_like(z), real.decay)
 
     monkeypatch.setattr("ml2v.representations.ml_integrand", silent)
     ev = eval_lemma2(-1.0, 2.0, P111, BASE)
@@ -252,6 +259,16 @@ def test_auto_degenerate_falls_back_to_series():
     assert ev.method == "series"
     ref = closed_form(3.0, 3.0)
     assert abs(ev.value - ref) <= max(ev.est_error, 1e-11 * abs(ref))
+
+
+@pytest.mark.parametrize("x, y", [(30.0, 20.0), (40.0, -30.0)])
+def test_auto_rejects_infinite_estimates(x, y):
+    # the true value overflows a double: the contour route (lemma3, remark1)
+    # returns est_error = inf there, which must not count as a result
+    t0 = time.process_time()
+    with pytest.raises(BudgetExceeded):
+        eval_auto(x, y, validate_params(0.5, 0.5, 1))
+    assert time.process_time() - t0 < 2.0
 
 
 def test_auto_large_uses_asymptotics():

@@ -2,6 +2,8 @@
 
 import cmath
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -106,6 +108,19 @@ def test_all_zero_value():
 def test_budget_exhaustion_is_soft():
     ev = eval_double_series(30.0, 30.0, validate_params(0.5, 0.5, 1), SeriesBudget(max_terms=50))
     assert math.isinf(ev.est_error)
+
+
+def test_overflow_stops_at_first_infinite_block():
+    # terms of E(30, 20) near e^900 leave the double range at block 772:
+    # the sum stops there, quietly, instead of running out the term budget
+    pp = validate_params(0.5, 0.5, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t0 = time.process_time()
+        ev = eval_double_series(30.0, 20.0, pp)
+        elapsed = time.process_time() - t0
+    assert math.isinf(ev.est_error)
+    assert elapsed < 0.5
 
 
 def test_cancellation_error_estimate_honest():

@@ -8,9 +8,14 @@ record prints one line per call: group, inputs, float.hex of the value and of
 est_error, and the method tag or exception type.  The calls: the corpus and
 seeded points through eval_auto, the same points through eval_with_contour on
 choose_contour's contour, residue_terms_x/_y at every pole image of those
-points, and recip_gamma/log_recip_gamma on a seeded array.  A residue line's
-est_error is the term's rounding slack EPS * residue_weight * |t| (a flat
-weight of 8 for trees without residue_weight).
+points, recip_gamma/log_recip_gamma on a seeded array, and the near group:
+seeded points through eval_with_contour on choose_contour's contour after y
+is moved so that one of its pole images sits just inside or outside the arc,
+at 1e-11 to 2e-3 times eps.  Those offsets straddle the on-contour band
+(1e-9 * max(1, |image|)) and the pole floor (1e-3 * eps), so the near lines
+record which check rejects each point first.  A residue line's est_error is
+the term's rounding slack EPS * residue_weight * |t| (a flat weight of 8 for
+trees without residue_weight).
 compare counts per group the bit-identical lines, the tag or exception
 changes, the values that differ by more than est_A + est_B, and gives the
 worst |dvalue| / (est_A + est_B).
@@ -27,6 +32,9 @@ import numpy as np
 SEED = 4242
 PARAM_SETS = ((0.5, 0.8, 1), (1.2, 0.9, 1), (0.7, 0.7, 0.5 + 0.3j), (1, 1, 1), (0.5, 0.5, 1))
 POINTS_PER_SET = 40
+# log10 of a near point's offset from the arc, relative to eps: around the
+# on-contour band, inside the pole floor, and just outside it
+NEAR_STRATA = ((-11.0, -8.0), (-6.0, -3.0), (-3.0, math.log10(2e-3)))
 
 
 def _hex(v: complex) -> str:
@@ -69,6 +77,17 @@ def record() -> None:
             for side, w, power in (("x", x, b), ("y", y, a)):
                 for z in rep.pole_images(w, power):
                     print(_line("residues", f"{inputs} {side} {z!r}", lambda: residue(side, x, y, p, z)))
+    near = random.Random(SEED + 1)
+    for a, b, mu in PARAM_SETS:
+        p = ml2v.validate_params(a, b, mu)
+        for _ in range(POINTS_PER_SET):
+            x, y = (cmath.rect(10 ** near.uniform(-1, 1.6), near.uniform(-math.pi, math.pi)) for _ in "xy")
+            spec = ml2v.choose_contour(x, y, p)
+            off = near.choice((-1, 1)) * 10 ** near.uniform(*near.choice(NEAR_STRATA))
+            # y = image^(1/alpha), so the image is one of y's pole images
+            y = cmath.rect(spec.epsilon * (1 + off), near.uniform(-spec.theta, spec.theta)) ** (1 / a)
+            inputs = f"{a} {b} {mu!r} {x!r} {y!r} {spec.epsilon!r} {spec.theta!r}"
+            print(_line("near", inputs, lambda: ml2v.eval_with_contour(x, y, p, spec)))
     g = np.random.default_rng(SEED)
     poles = -np.arange(30.0)
     s = np.concatenate([g.normal(0, 25, 400) + 1j * g.normal(0, 4, 400), g.normal(0, 25, 200) + 0j,
