@@ -20,9 +20,14 @@ integrate sizes the contour itself.  The truncation radius R solves
 exp(cos(theta*d) * R^d) <= trunc_tol, starting from trunc_tol =
 min(1e-16, tol/100); an a-posteriori tail estimate from the actual endpoint
 magnitudes then catches the algebraic prefactors that solve ignores.  While
-that estimate exceeds tol/10, trunc_tol shrinks (R grows) and the contour is
-rebuilt, at most six times; the last estimate is folded into the reported
-error.
+that estimate exceeds tol/10, trunc_tol shrinks (R grows), at most six
+times; the last estimate is folded into the reported error, and only the
+final R is panelized.
+
+build_contour keeps its last CONTOUR_MEMO_SIZE contours, each with the
+initial sweep's nodes and path factors, all as read-only arrays: points that
+share a contour share that work, and an integrand may keep its own
+node-only factors per node array (see representations.ml_integrand).
 
 theta = pi is a valid contour (circle plus the twice-passed negative axis).
 The ray points are r exp(+-i pi), whose tiny imaginary residue places each
@@ -32,6 +37,7 @@ where the upper and lower passage belong.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -44,6 +50,9 @@ from .errors import GeometryError, QuadratureError
 
 DEFAULT_NODE_BUDGET = 200_000
 NODE_BUDGET_ENV = "ML2V_NODE_BUDGET"
+
+# Distinct (spec, decay, trunc_tol) contours build_contour keeps.
+CONTOUR_MEMO_SIZE = 16
 
 # Angular width per initial arc panel, before the decay-rate scaling.
 _ARC_PANEL_ANGLE = math.pi / 8
@@ -72,13 +81,17 @@ class IntegrandSpec:
 class DiscretizedContour:
     """Truncated, panelized keyhole contour ready for quadrature.
 
-    panels holds one row (r0, r1, phi0, phi1) per panel, in path order.
+    panels holds one row (r0, r1, phi0, phi1) per panel, in path order;
+    nodes and path hold the initial sweep's nodes and path factors (see
+    _nodes), one row per panel.  All three arrays are read-only.
     """
 
     spec: ContourSpec
     radius: float          # truncation radius R
     decay: float
     panels: np.ndarray
+    nodes: np.ndarray
+    path: np.ndarray
 
 
 def _ray_radii(eps: float, radius: float) -> list[float]:
@@ -91,6 +104,36 @@ def _ray_radii(eps: float, radius: float) -> list[float]:
     return rs
 
 
+def _truncation_radius(spec: ContourSpec, decay: float, trunc_tol: float) -> float:
+    """R with exp(cos(theta*decay) * R^decay) = trunc_tol, at least 2 eps.
+
+    Raises GeometryError when cos(theta*decay) >= 0 (no ray decay, the
+    truncation radius would not exist).
+    """
+    if decay <= 0:
+        raise GeometryError(f"decay exponent must be positive, got {decay}")
+    c = math.cos(spec.theta * decay)
+    if c >= 0:
+        raise GeometryError(
+            f"cos(theta*decay) = {c:.6f} >= 0: integrand does not decay on the rays"
+        )
+    if not (0 < trunc_tol < 1):
+        raise GeometryError(f"trunc_tol must lie in (0, 1), got {trunc_tol}")
+    radius = (math.log(1.0 / trunc_tol) / -c) ** (1.0 / decay)
+    return max(radius, 2.0 * spec.epsilon)
+
+
+def _nodes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes z and path factors 0.5 dz/dt of panel rows, one row each: the
+    abscissae _T of both rules on the panel's path t -> r e^{i phi}."""
+    r0, r1, phi0, phi1 = rows.T[:, :, None]
+    dr, dphi = r1 - r0, phi1 - phi0
+    e = np.exp(1j * (phi0 + _T * dphi))
+    z = (r0 + _T * dr) * e
+    return z, 0.5 * (dr * e + 1j * dphi * z)
+
+
+@functools.lru_cache(maxsize=CONTOUR_MEMO_SIZE, typed=True)
 def build_contour(
     spec: ContourSpec, decay: float, trunc_tol: float = 1e-16
 ) -> DiscretizedContour:
@@ -100,18 +143,7 @@ def build_contour(
     truncation radius would not exist).
     """
     eps, theta = spec.epsilon, spec.theta
-    if decay <= 0:
-        raise GeometryError(f"decay exponent must be positive, got {decay}")
-    c = math.cos(theta * decay)
-    if c >= 0:
-        raise GeometryError(
-            f"cos(theta*decay) = {c:.6f} >= 0: integrand does not decay on the rays"
-        )
-    if not (0 < trunc_tol < 1):
-        raise GeometryError(f"trunc_tol must lie in (0, 1), got {trunc_tol}")
-    radius = (math.log(1.0 / trunc_tol) / -c) ** (1.0 / decay)
-    radius = max(radius, 2.0 * eps)
-
+    radius = _truncation_radius(spec, decay, trunc_tol)
     rs = _ray_radii(eps, radius)
     n_arc = max(4, math.ceil(theta * (1.0 + abs(decay)) / _ARC_PANEL_ANGLE))
     phis = np.linspace(-theta, theta, n_arc + 1)
@@ -124,8 +156,10 @@ def build_contour(
         + [(r_in, r_out, theta, theta) for r_in, r_out in zip(rs[:-1], rs[1:])]
     )
     panels = np.array(rows, dtype=float)
-    panels.flags.writeable = False
-    return DiscretizedContour(spec=spec, radius=radius, decay=decay, panels=panels)
+    nodes, path = _nodes(panels)
+    for a in (panels, nodes, path):
+        a.flags.writeable = False
+    return DiscretizedContour(spec, radius, decay, panels, nodes, path)
 
 
 def node_budget_default() -> int:
@@ -135,29 +169,24 @@ def node_budget_default() -> int:
         return DEFAULT_NODE_BUDGET
 
 
-def _eval_rows(rows: np.ndarray, f: Callable) -> tuple[np.ndarray, np.ndarray]:
-    """Fine-rule values and |fine - coarse| estimates of panel rows, from
-    one call of f on all their nodes."""
-    r0, r1, phi0, phi1 = rows.T[:, :, None]
-    dr, dphi = r1 - r0, phi1 - phi0
-    e = np.exp(1j * (phi0 + _T * dphi))
-    z = (r0 + _T * dr) * e
+def _eval_nodes(z: np.ndarray, path: np.ndarray, f: Callable) -> tuple[np.ndarray, np.ndarray]:
+    """Fine-rule values and |fine - coarse| estimates of the panels with
+    these nodes and path factors, from one call of f on all the nodes."""
     # integrate rejects an overflowing integrand by its non-finite estimate
     with np.errstate(over="ignore", invalid="ignore"):
-        g = f(z) * (0.5 * (dr * e + 1j * dphi * z))
+        g = f(z) * path
         coarse = np.sum(g[:, :_N_COARSE] * _GL_COARSE[1], axis=1)
         fine = np.sum(g[:, _N_COARSE:] * _GL_FINE[1], axis=1)
         return fine, np.abs(fine - coarse)
 
 
-def _tail_estimate(contour: DiscretizedContour, f: Callable) -> float:
-    """A-posteriori bound on the two discarded ray tails beyond R."""
-    theta = contour.spec.theta
-    d = contour.decay
-    c = abs(math.cos(theta * d))
-    ends = contour.radius * np.exp(np.array([1j * theta, -1j * theta]))
+def _tail_estimate(spec: ContourSpec, decay: float, radius: float, f: Callable) -> float:
+    """A-posteriori bound on the two discarded ray tails beyond radius."""
+    theta = spec.theta
+    c = abs(math.cos(theta * decay))
+    ends = radius * np.exp(np.array([1j * theta, -1j * theta]))
     mags = np.abs(f(ends))
-    scale = contour.radius ** (1.0 - d) / (d * c)
+    scale = radius ** (1.0 - decay) / (decay * c)
     return float(np.sum(mags) * scale)
 
 
@@ -178,25 +207,26 @@ def integrate(
     """
     if node_budget is None:
         node_budget = node_budget_default()
-    f = integrand.f
+    f, decay = integrand.f, integrand.decay
     tt = min(1e-16, tol * 1e-2)
-    contour = build_contour(spec, integrand.decay, tt)
-    tail = _tail_estimate(contour, f)
+    radius = _truncation_radius(spec, decay, tt)
+    tail = _tail_estimate(spec, decay, radius, f)
     for _ in range(6):
         if tail <= 0.1 * tol or tt <= 1e-290:
             break
         shrink = 0.1 * tol / tail if math.isfinite(tail) and tail > 0 else 0.0
         tt = max(1e-300, tt * min(0.5, shrink))
-        contour = build_contour(spec, integrand.decay, tt)
-        tail = _tail_estimate(contour, f)
+        radius = _truncation_radius(spec, decay, tt)
+        tail = _tail_estimate(spec, decay, radius, f)
 
+    contour = build_contour(spec, decay, tt)
     rows = contour.panels
     nodes_used = 2 + _EVALS_PER_PANEL * len(rows)
     if nodes_used > node_budget:
         raise QuadratureError(
             f"node budget {node_budget} exhausted during initial panel sweep"
         )
-    vals, ests = _eval_rows(rows, f)
+    vals, ests = _eval_nodes(contour.nodes, contour.path, f)
     while not (total_est := tail + float(np.sum(ests))) <= tol:
         # "not <=" lets in the inf or nan estimate of a non-finite node value
         if not math.isfinite(total_est):
@@ -217,7 +247,7 @@ def integrate(
         left, right = rows[split], rows[split]
         left[:, 1::2] = right[:, 0::2] = 0.5 * (left[:, 0::2] + left[:, 1::2])
         halves = np.concatenate([left, right])
-        half_vals, half_ests = _eval_rows(halves, f)
+        half_vals, half_ests = _eval_nodes(*_nodes(halves), f)
         nodes_used += _EVALS_PER_PANEL * len(halves)
         rows = np.concatenate([np.delete(rows, split, axis=0), halves])
         vals = np.concatenate([np.delete(vals, split), half_vals])

@@ -25,6 +25,7 @@ arguments are routed to the asymptotic expansions first.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -66,6 +67,10 @@ _LD, _CLD = np.longdouble, np.clongdouble
 EPS_LD = float(np.finfo(_LD).eps)
 _TWO_PI_I = 2j * np.arctan2(_LD(0.0), _LD(-1.0))
 
+# Distinct (Parameters, node array) pairs whose point-free integrand
+# factors ml_integrand keeps.
+INTEGRAND_MEMO_SIZE = 16
+
 # Dispatcher policy thresholds on |x|, |y|.
 SERIES_RADIUS = 1.0
 ASYMPTOTIC_RADIUS = 15.0
@@ -99,16 +104,57 @@ def pole_images(w: complex, power: float) -> tuple[complex, ...]:
     return tuple(out)
 
 
-def ml_integrand(x: complex, y: complex, params: Parameters) -> IntegrandSpec:
-    """Integrand of the contour representation."""
+def _point_free(z: np.ndarray, params: Parameters) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """exp(z^d) z^p, z^(1/beta) and z^(1/alpha): the integrand's factors that
+    do not depend on (x, y)."""
     a, b = params.alpha, params.beta
     d = 1.0 / (a * b)
     p = (1.0 + a + b - params.mu) * d - 1.0
+    return np.exp(z**d) * z**p, z ** (1.0 / b), z ** (1.0 / a)
+
+
+class _Held:
+    """Memo key for an array by identity.  The key holds the array, so its
+    id cannot pass to another array while the key is in the memo."""
+
+    __slots__ = ("z",)
+
+    def __init__(self, z: np.ndarray) -> None:
+        self.z = z
+
+    def __hash__(self) -> int:
+        return id(self.z)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Held) and other.z is self.z
+
+
+@functools.lru_cache(maxsize=INTEGRAND_MEMO_SIZE)
+def _memo_point_free(params: Parameters, key: _Held) -> tuple[np.ndarray, ...]:
+    out = _point_free(key.z, params)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def ml_integrand(x: complex, y: complex, params: Parameters) -> IntegrandSpec:
+    """Integrand of the contour representation.
+
+    The (x, y)-free factors of a read-only node array that owns its data (a
+    contour's initial sweep, see contour.build_contour) come from a memo
+    of the last INTEGRAND_MEMO_SIZE (Parameters, array) pairs; other arrays
+    (refinement halves, tail end points) are computed directly, with the
+    same operations.
+    """
 
     def f(z: np.ndarray) -> np.ndarray:
-        return np.exp(z**d) * z**p / ((z ** (1.0 / b) - x) * (z ** (1.0 / a) - y))
+        if z.flags.owndata and not z.flags.writeable:
+            ea, zb, za = _memo_point_free(params, _Held(z))
+        else:
+            ea, zb, za = _point_free(z, params)
+        return ea / ((zb - x) * (za - y))
 
-    return IntegrandSpec(f=f, decay=d)
+    return IntegrandSpec(f=f, decay=1.0 / (params.alpha * params.beta))
 
 
 def _placement(

@@ -59,13 +59,18 @@ def _blocks(x, y, alpha, beta, mu, max_terms):
         n = np.arange(k + 1, dtype=float)
         m = k - n
         args = alpha * n + beta * m + mu
-        rg = recip_gamma(args)
-        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            terms = xp * yp[::-1] * rg
-        # rg == 0 with a gamma argument right of the poles means underflow,
-        # not a true zero; those terms need the log route too.
-        underflowed = (rg == 0) & (args.real > 0.5)
-        if not np.all(np.isfinite(terms)) or np.any(underflowed):
+        # A non-finite power makes its direct term non-finite, so once the
+        # power tables overflow only the log route is left.
+        direct = cmath.isfinite(xp[-1]) and cmath.isfinite(yp[-1])
+        if direct:
+            rg = recip_gamma(args)
+            with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+                terms = xp * yp[::-1] * rg
+            # rg == 0 with a gamma argument right of the poles means
+            # underflow, not a true zero; those terms need the log route too.
+            underflowed = (rg == 0) & (args.real > 0.5)
+            direct = np.all(np.isfinite(terms)) and not np.any(underflowed)
+        if not direct:
             lx, ly = _log_abs(x), _log_abs(y)
             px, py = cmath.phase(x), cmath.phase(y)
             lrg = log_recip_gamma(args)

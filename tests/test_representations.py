@@ -4,8 +4,10 @@ import cmath
 import functools
 import math
 import random
+import sys
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -13,7 +15,7 @@ import pytest
 from mpmath import mp
 
 import ml2v.representations as rep
-from ml2v.contour import IntegrandSpec
+from ml2v.contour import CONTOUR_MEMO_SIZE, IntegrandSpec, build_contour
 from ml2v.core import EPS, ContourSpec, RegionLabel, angle_window, validate_params
 from ml2v.errors import (
     BudgetExceeded,
@@ -399,3 +401,62 @@ def test_overflowing_integrand_raises_quietly():
         warnings.simplefilter("error")
         with pytest.raises(QuadratureError, match="not finite"):
             eval_with_contour(1.5 + 0.5j, -2 + 1j, p, spec, tol=1e-10)
+
+
+# Contour-route points under two orders with the same product alpha*beta, so
+# that they share choose_contour's contours and only the memo key tells them apart.
+MEMO_PARAMS = (validate_params(0.5, 0.8, 1), validate_params(0.8, 0.5, 0.5 + 0.3j))
+MEMO_POINTS = ((-3.0, 2.0), (2.5 + 1j, -1.5), (2j, 2.5), (4.0, -4.0), (-3.0, -3.0))
+
+
+def _contour_bits(case):
+    x, y, p = case
+    ev = eval_with_contour(x, y, p, choose_contour(x, y, p))
+    return ev.value.real.hex(), ev.value.imag.hex(), ev.est_error.hex(), ev.method
+
+
+def _clear_memos():
+    build_contour.cache_clear()
+    rep._memo_point_free.cache_clear()
+
+
+def test_results_independent_of_memo_history_and_threads():
+    cases = [(x, y, p) for p in MEMO_PARAMS for x, y in MEMO_POINTS]
+    _clear_memos()
+    cold = [_contour_bits(c) for c in cases]
+    assert {b[3] for b in cold} == {"lemma1", "lemma2", "remark1", "lemma3"}
+    warm = [_contour_bits(c) for c in cases]
+    assert rep._memo_point_free.cache_info().hits > 0
+    _clear_memos()
+    backward = [_contour_bits(c) for c in reversed(cases)][::-1]
+    _clear_memos()
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(_contour_bits, cases * 4, timeout=60))
+    finally:
+        sys.setswitchinterval(switch)
+    assert warm == cold
+    assert backward == cold
+    assert threaded == cold * 4
+
+
+def test_integrand_memo_is_bounded_and_read_only():
+    _clear_memos()
+    n = rep.INTEGRAND_MEMO_SIZE + 4
+    orders = [validate_params(0.3 + 0.05 * i, 0.9, 1) for i in range(n)]
+    first = _contour_bits((-3.0, 2.0, orders[0]))
+    for p in orders[1:]:
+        _contour_bits((-3.0, 2.0, p))
+        assert rep._memo_point_free.cache_info().currsize <= rep.INTEGRAND_MEMO_SIZE
+        assert build_contour.cache_info().currsize <= CONTOUR_MEMO_SIZE
+    misses = rep._memo_point_free.cache_info().misses
+    # evicted, so computed again, to the same bits
+    assert _contour_bits((-3.0, 2.0, orders[0])) == first
+    assert rep._memo_point_free.cache_info().misses > misses
+    spec, decay = choose_contour(-3.0, 2.0, orders[0]), ml_integrand(0, 0, orders[0]).decay
+    nodes = build_contour(spec, decay).nodes
+    for arr in rep._memo_point_free(orders[0], rep._Held(nodes)):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0.0

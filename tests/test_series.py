@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ml2v import series
 from ml2v.core import validate_params
 from ml2v.errors import DomainError
 from ml2v.oracle import oracle_eval
@@ -121,6 +122,28 @@ def test_overflow_stops_at_first_infinite_block():
         elapsed = time.process_time() - t0
     assert math.isinf(ev.est_error)
     assert elapsed < 0.5
+
+
+@pytest.mark.parametrize(
+    "x, y, orders, calls, bits",
+    [
+        # 30^k leaves the double range at k = 209, the sum itself at block 772
+        (30.0, 20.0, (0.5, 0.5, 1), 209, ("inf", "0x0.0p+0", "inf")),
+        # a certified value whose last blocks need the log route
+        (-400.0, -30.0, (1.9, 0.9, 1), 119,
+         ("0x1.d40230db994a2p+12", "-0x1.63bdb53e1a9eep-14", "0x1.50c43b781583fp+20")),
+    ],
+)
+def test_overflowed_powers_skip_recip_gamma(monkeypatch, x, y, orders, calls, bits):
+    # a non-finite power makes its direct term non-finite, so once the power
+    # tables overflow every block goes straight to the log route; skipping
+    # the direct attempt there changes no bit
+    seen = []
+    real = series.recip_gamma
+    monkeypatch.setattr(series, "recip_gamma", lambda a: seen.append(1) or real(a))
+    ev = eval_double_series(x, y, validate_params(*orders))
+    assert len(seen) == calls
+    assert (ev.value.real.hex(), ev.value.imag.hex(), ev.est_error.hex()) == bits
 
 
 def test_cancellation_error_estimate_honest():
