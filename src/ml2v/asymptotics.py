@@ -72,16 +72,11 @@ class TruncationOrders:
             )
 
 
-def default_tau1(params: Parameters) -> float:
-    """Sector parameter near the top of the admissible angle window."""
-    return angle_window(params)[2]
-
-
 def _sectors(
     x: complex, y: complex, params: Parameters, tau1: float | None
 ) -> tuple[AsymptoticCase, tuple[complex, ...], tuple[complex, ...]]:
     """The case, and the pole preimages of x and of y whose angle lies
-    inside the sector |arg| <= tau1 (default: default_tau1)."""
+    inside the sector |arg| <= tau1 (default: angle_window's default angle)."""
     lo, hi, default = angle_window(params)
     if tau1 is None:
         tau1 = default

@@ -173,12 +173,17 @@ def check_angle_window(contour: ContourSpec, params: Parameters) -> None:
 def derived_contour_params(
     contour: ContourSpec, params: Parameters
 ) -> tuple[float, float, float, float]:
-    """Derived windows (eps_alpha, eps_beta, theta_alpha, theta_beta).
+    """Deprecated windows (eps_alpha, eps_beta, theta_alpha, theta_beta).
 
-    x is classified against (eps_alpha, theta_alpha) = (eps^(1/beta), theta/beta)
-    because its pole image in the integration plane is x^beta; y against
-    (eps_beta, theta_beta) = (eps^(1/alpha), theta/alpha).
+    x would be classified against (eps_alpha, theta_alpha) = (eps^(1/beta),
+    theta/beta) because its pole image is x^beta; y against (eps_beta,
+    theta_beta) = (eps^(1/alpha), theta/alpha).  Nothing in ml2v reads them.
     """
+    warnings.warn(
+        "derived_contour_params is deprecated and will be removed in ml2v 0.2.0",
+        DeprecationWarning,
+        stacklevel=2,
+    )
     eps, th = contour.epsilon, contour.theta
     return (
         eps ** (1.0 / params.beta),
@@ -211,6 +216,21 @@ def contour_distance(point: complex, contour: ContourSpec) -> float:
     return d
 
 
+def place_point(
+    point: complex, contour: ContourSpec, delta_b: float | None = None
+) -> tuple[RegionLabel, float]:
+    """classify_region's label of a point, with the contour_distance it read."""
+    p = complex(point)
+    if delta_b is None:
+        delta_b = DELTA_B_REL * max(1.0, abs(p))
+    d = contour_distance(p, contour)
+    if d <= delta_b:
+        return RegionLabel.ON_CONTOUR, d
+    if abs(cmath.phase(p)) < contour.theta and abs(p) > contour.epsilon:
+        return RegionLabel.OMEGA_PLUS, d
+    return RegionLabel.OMEGA_MINUS, d
+
+
 def classify_region(
     point: complex, contour: ContourSpec, delta_b: float | None = None
 ) -> RegionLabel:
@@ -220,11 +240,4 @@ def classify_region(
     |arg point| < theta with |point| > eps; Omega- is the complement
     (including the open disk |point| < eps).
     """
-    p = complex(point)
-    if delta_b is None:
-        delta_b = DELTA_B_REL * max(1.0, abs(p))
-    if contour_distance(p, contour) <= delta_b:
-        return RegionLabel.ON_CONTOUR
-    if abs(cmath.phase(p)) < contour.theta and abs(p) > contour.epsilon:
-        return RegionLabel.OMEGA_PLUS
-    return RegionLabel.OMEGA_MINUS
+    return place_point(point, contour, delta_b)[0]

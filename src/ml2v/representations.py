@@ -39,8 +39,8 @@ from .core import (
     RegionLabel,
     angle_window,
     check_angle_window,
-    classify_region,
     contour_distance,
+    place_point,
 )
 from .errors import (
     BudgetExceeded,
@@ -159,15 +159,16 @@ def ml_integrand(x: complex, y: complex, params: Parameters) -> IntegrandSpec:
 
 def _placement(
     w: complex, power: float, spec: ContourSpec
-) -> tuple[RegionLabel, tuple[complex, ...], tuple[complex, ...]]:
+) -> tuple[RegionLabel, tuple[complex, ...], tuple[tuple[complex, float], ...]]:
     """Region label of w against spec (see classify_pair), those of its
-    preimages that lie in Omega+, and all of its preimages."""
-    images = pole_images(w, power)
-    labels = [classify_region(img, spec) for img in images]
-    inside = tuple(im for im, l in zip(images, labels) if l is RegionLabel.OMEGA_PLUS)
-    if RegionLabel.ON_CONTOUR in labels:
-        return RegionLabel.ON_CONTOUR, inside, images
-    return (RegionLabel.OMEGA_PLUS if inside else RegionLabel.OMEGA_MINUS), inside, images
+    preimages that lie in Omega+, and every preimage with its distance to
+    the contour, each measured once."""
+    placed = [(img, *place_point(img, spec)) for img in pole_images(w, power)]
+    inside = tuple(im for im, l, _ in placed if l is RegionLabel.OMEGA_PLUS)
+    dists = tuple((im, d) for im, _, d in placed)
+    if any(l is RegionLabel.ON_CONTOUR for _, l, _ in placed):
+        return RegionLabel.ON_CONTOUR, inside, dists
+    return (RegionLabel.OMEGA_PLUS if inside else RegionLabel.OMEGA_MINUS), inside, dists
 
 
 def classify_pair(
@@ -287,10 +288,10 @@ def _contour_route(
     Omega+ coincide (the two simple poles then merge into a double pole
     the residue terms cannot represent), and PoleProximityError, before
     any integrand call, when a preimage lies within POLE_FLOOR_REL * eps of
-    the contour.
+    the contour (the distance _placement measured for the label).
     """
-    lx, x_in, x_all = _placement(x, params.beta, spec)
-    ly, y_in, y_all = _placement(y, params.alpha, spec)
+    lx, x_in, x_dist = _placement(x, params.beta, spec)
+    ly, y_in, y_dist = _placement(y, params.alpha, spec)
     pinned = RegionLabel.ON_CONTOUR in (lx, ly)
     # with no route required, a pinned image is reported before the angle
     if route is not None or not pinned:
@@ -316,8 +317,8 @@ def _contour_route(
         residue_terms_y(x, y, params, y_in) if y_in else []
     )
     floor = POLE_FLOOR_REL * spec.epsilon
-    for pole in x_all + y_all:
-        if (dist := contour_distance(pole, spec)) < floor:
+    for pole, dist in x_dist + y_dist:
+        if dist < floor:
             raise PoleProximityError(
                 f"pole {pole:.6g} sits {dist:.3g} from the contour "
                 f"(floor {floor:.3g}); choose a different contour"
@@ -333,55 +334,35 @@ def _contour_route(
 
 
 def eval_lemma1(
-    x: complex,
-    y: complex,
-    params: Parameters,
-    spec: ContourSpec,
-    tol: float = 1e-8,
+    x: complex, y: complex, params: Parameters, spec: ContourSpec, tol: float = 1e-8
 ) -> Evaluation:
     """Pure contour integral: every preimage in Omega-, no residue terms."""
     return _contour_route(x, y, params, spec, tol, "lemma1")
 
 
 def eval_lemma2(
-    x: complex,
-    y: complex,
-    params: Parameters,
-    spec: ContourSpec,
-    tol: float = 1e-8,
+    x: complex, y: complex, params: Parameters, spec: ContourSpec, tol: float = 1e-8
 ) -> Evaluation:
     """Contour integral plus y residues: x in Omega-, y in Omega+."""
     return _contour_route(x, y, params, spec, tol, "lemma2")
 
 
 def eval_remark1(
-    x: complex,
-    y: complex,
-    params: Parameters,
-    spec: ContourSpec,
-    tol: float = 1e-8,
+    x: complex, y: complex, params: Parameters, spec: ContourSpec, tol: float = 1e-8
 ) -> Evaluation:
     """Contour integral plus x residues: x in Omega+, y in Omega-."""
     return _contour_route(x, y, params, spec, tol, "remark1")
 
 
 def eval_lemma3(
-    x: complex,
-    y: complex,
-    params: Parameters,
-    spec: ContourSpec,
-    tol: float = 1e-8,
+    x: complex, y: complex, params: Parameters, spec: ContourSpec, tol: float = 1e-8
 ) -> Evaluation:
     """Contour integral plus both residue families: both in Omega+."""
     return _contour_route(x, y, params, spec, tol, "lemma3")
 
 
 def eval_with_contour(
-    x: complex,
-    y: complex,
-    params: Parameters,
-    spec: ContourSpec,
-    tol: float = 1e-8,
+    x: complex, y: complex, params: Parameters, spec: ContourSpec, tol: float = 1e-8
 ) -> Evaluation:
     """The representation matching where the pole images fall.
 

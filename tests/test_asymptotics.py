@@ -14,7 +14,6 @@ from ml2v.asymptotics import (
     TruncationOrders,
     asympt_tail_sum,
     classify_case,
-    default_tau1,
     eval_asymptotic,
 )
 from ml2v.core import validate_params
@@ -33,13 +32,6 @@ def test_orders_validation():
         TruncationOrders(0, 2)
     with pytest.raises(DomainError):
         TruncationOrders(2, -1)
-
-
-def test_default_tau1_in_window():
-    for pp in (P_HALF, P_08, validate_params(1.2, 0.9, 1)):
-        lo = math.pi * pp.alpha * pp.beta / 2
-        hi = min(math.pi, math.pi * pp.alpha * pp.beta)
-        assert lo < default_tau1(pp) <= hi
 
 
 def test_tau1_window_enforced():

@@ -19,7 +19,7 @@ from ml2v import (
     derived_contour_params,
     validate_params,
 )
-from ml2v.core import check_angle_window, contour_distance
+from ml2v.core import angle_window, check_angle_window, contour_distance
 
 
 def test_validate_standard_regime():
@@ -81,6 +81,14 @@ def test_derived_params_mixed_orders():
     assert eps_b == pytest.approx(0.0625)
     assert th_a == pytest.approx(0.6)
     assert th_b == pytest.approx(1.2)
+
+
+def test_derived_params_deprecated():
+    p = validate_params(0.5, 1.0, 1.0)
+    spec = ContourSpec(epsilon=0.25, theta=0.6)
+    with pytest.warns(DeprecationWarning, match="removed in ml2v 0.2.0"):
+        windows = derived_contour_params(spec, p)
+    assert windows == (0.25**1.0, 0.25**2.0, 0.6 / 1.0, 0.6 / 0.5)
 
 
 def test_classify_region_examples():
@@ -149,3 +157,9 @@ def test_check_angle_window():
     check_angle_window(ContourSpec(1.0, 3 * math.pi / 4), p)
     with pytest.raises(GeometryError):
         check_angle_window(ContourSpec(1.0, math.pi / 4), p)
+    # the default angle (contours and asymptotic sectors) lies in the window
+    for orders in ((0.5, 0.5, 1), (0.8, 0.8, 1), (1.2, 0.9, 1)):
+        pp = validate_params(*orders)
+        lo = math.pi * pp.alpha * pp.beta / 2
+        hi = min(math.pi, math.pi * pp.alpha * pp.beta)
+        assert lo < angle_window(pp)[2] <= hi
