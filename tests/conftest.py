@@ -1,10 +1,16 @@
 """Fixtures shared across the test modules."""
 
 import functools
+import os
+import sys
 
 import pytest
 
 from ml2v.selftest import run_suite
+
+# Tests that start `python -m ml2v.cli` in a subprocess need this session's
+# import path; pytest's `pythonpath` setting reaches only this process.
+os.environ["PYTHONPATH"] = os.pathsep.join(sys.path)
 
 
 @pytest.fixture(scope="session")
