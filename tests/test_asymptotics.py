@@ -16,7 +16,7 @@ from ml2v.asymptotics import (
     classify_case,
     eval_asymptotic,
 )
-from ml2v.core import validate_params
+from ml2v.core import angle_window, validate_params
 from ml2v.errors import DomainError, MagnitudeFloor
 from ml2v.gamma import recip_gamma
 from ml2v.oracle import oracle_eval
@@ -32,6 +32,18 @@ def test_orders_validation():
         TruncationOrders(0, 2)
     with pytest.raises(DomainError):
         TruncationOrders(2, -1)
+
+
+def test_default_tau1_in_window():
+    # the default sector angle lies in the admissible window, and
+    # classify_case uses it when no tau1 is given
+    for pp in (P_HALF, P_08, validate_params(1.2, 0.9, 1)):
+        lo = math.pi * pp.alpha * pp.beta / 2
+        hi = min(math.pi, math.pi * pp.alpha * pp.beta)
+        tau1 = angle_window(pp)[2]
+        assert lo < tau1 <= hi
+        for x, y in ((20.0, 10.0), (-20.0, 10.0), (20.0j, -10.0)):
+            assert classify_case(x, y, pp) is classify_case(x, y, pp, tau1=tau1)
 
 
 def test_tau1_window_enforced():
@@ -156,7 +168,7 @@ def test_cold_call_at_unequal_orders_is_prompt_and_honest():
     code = (
         "import time; t = time.perf_counter()\n"
         "from ml2v.asymptotics import eval_asymptotic\n"
-        "from ml2v.core import validate_params\n"
+        "from ml2v.core import angle_window, validate_params\n"
         "ev = eval_asymptotic(-30.0, -25.0, validate_params(0.5, 0.8, 1))\n"
         "print(repr(ev.value), repr(ev.est_error), time.perf_counter() - t)\n"
     )

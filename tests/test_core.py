@@ -19,7 +19,7 @@ from ml2v import (
     derived_contour_params,
     validate_params,
 )
-from ml2v.core import angle_window, check_angle_window, contour_distance
+from ml2v.core import check_angle_window, contour_distance
 
 
 def test_validate_standard_regime():
@@ -157,9 +157,3 @@ def test_check_angle_window():
     check_angle_window(ContourSpec(1.0, 3 * math.pi / 4), p)
     with pytest.raises(GeometryError):
         check_angle_window(ContourSpec(1.0, math.pi / 4), p)
-    # the default angle (contours and asymptotic sectors) lies in the window
-    for orders in ((0.5, 0.5, 1), (0.8, 0.8, 1), (1.2, 0.9, 1)):
-        pp = validate_params(*orders)
-        lo = math.pi * pp.alpha * pp.beta / 2
-        hi = min(math.pi, math.pi * pp.alpha * pp.beta)
-        assert lo < angle_window(pp)[2] <= hi
