@@ -23,6 +23,7 @@ from .errors import (
     DomainError,
     GeometryError,
     MagnitudeFloor,
+    NumericFailure,
     PoleProximityError,
     QuadratureError,
     RegionError,
@@ -54,6 +55,7 @@ __all__ = [
     "Evaluation",
     "GeometryError",
     "MagnitudeFloor",
+    "NumericFailure",
     "Parameters",
     "PoleProximityError",
     "QuadratureError",

@@ -29,11 +29,17 @@ from enum import Enum
 
 import numpy as np
 
-from .core import EPS, Evaluation, Parameters, angle_window
+from .core import Evaluation, Parameters, angle_window
 from .errors import DomainError, MagnitudeFloor
 from .gamma import recip_gamma
 from .oracle import oracle_eval  # noqa: F401  unused; perfbench/tracer.py wraps it here
-from .representations import pole_images, residue_terms_x, residue_terms_y, residue_weight
+from .representations import (
+    error_bound,
+    pole_images,
+    residue_terms_x,
+    residue_terms_y,
+    residue_weight,
+)
 
 # Below this magnitude for min(|x|, |y|) the o() error model says nothing;
 # the dispatcher keeps such points on the series or contour routes.
@@ -154,7 +160,7 @@ def eval_asymptotic(
     weights += [residue_weight(z, params.alpha, params.beta) for z in yi]
     rings = np.abs(terms)
     rings[:pb, :pa] = 0.0
-    est = 2.0 * float(rings.sum()) + EPS * sum(w * abs(p) for w, p in zip(weights, parts))
+    est = error_bound(2.0 * float(rings.sum()), weights, parts)
     return Evaluation(sum(parts), est, f"asymptotic-{case.value}")
 
 

@@ -26,16 +26,7 @@ import time
 
 from .asymptotics import TruncationOrders, eval_asymptotic
 from .core import EPS, ContourSpec, Evaluation, Parameters, validate_params
-from .errors import (
-    BudgetExceeded,
-    DegenerateDenominator,
-    DomainError,
-    GeometryError,
-    MagnitudeFloor,
-    PoleProximityError,
-    QuadratureError,
-    RegionError,
-)
+from .errors import BudgetExceeded, DomainError, NumericFailure
 from .oracle import load_corpus, oracle_eval
 from .representations import (
     ASYMPTOTIC_RADIUS,
@@ -61,16 +52,6 @@ EXIT_OK = 0
 EXIT_SELFTEST = 1
 EXIT_DOMAIN = 2
 EXIT_NUMERIC = 3
-
-_NUMERIC_ERRORS = (
-    QuadratureError,
-    PoleProximityError,
-    RegionError,
-    DegenerateDenominator,
-    MagnitudeFloor,
-    BudgetExceeded,
-    GeometryError,
-)
 
 
 def _complex_literal(text: str) -> complex:
@@ -237,11 +218,7 @@ def cmd_eval(args) -> int:
     x, y = parse_complex(args.x), parse_complex(args.y)
     tol = _tol(args, 1e-8)
     t0 = time.perf_counter()
-    try:
-        ev = evaluate_point(args, x, y, params, args.method, tol)
-    except _NUMERIC_ERRORS as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    ev = evaluate_point(args, x, y, params, args.method, tol)
     ms = (time.perf_counter() - t0) * 1e3
     emit_rows([make_row(params, x, y, ev, args.method, ms)], args.format, single=True)
     if not math.isfinite(ev.est_error):
@@ -264,7 +241,7 @@ def cmd_grid(args) -> int:
                 ev = evaluate_point(args, x, y, params, args.method, tol)
                 if not math.isfinite(ev.est_error):
                     raise BudgetExceeded("no certified error estimate")
-            except (_NUMERIC_ERRORS + (DomainError,)) as exc:
+            except (NumericFailure, DomainError) as exc:
                 ms = (time.perf_counter() - t0) * 1e3
                 print(f"point x={_c_str(x)} y={_c_str(y)} failed: {exc}", file=sys.stderr)
                 rows.append(make_row(params, x, y, None, args.method, ms))
@@ -279,30 +256,22 @@ def cmd_grid(args) -> int:
 def _compare_methods(args, x: complex, y: complex, params: Parameters,
                      tol: float) -> list[tuple[str, Evaluation | None, str]]:
     """(name, evaluation-or-None, note) for every applicable method."""
-    entries: list[tuple[str, Evaluation | None, str]] = []
-    try:
-        entries.append(("series", eval_double_series(
-            x, y, params, SeriesBudget(tol=min(tol, 1e-10))), ""))
-    except _NUMERIC_ERRORS as exc:
-        entries.append(("series", None, f"skipped: {exc}"))
-
-    spec = _contour_for(args, x, y, params)
-    try:
-        ev = eval_with_contour(x, y, params, spec, tol)
-        entries.append((ev.method, ev, ""))
-    except DegenerateDenominator:
-        entries.append(("lemma3", None, "skipped: degenerate"))
-    except RegionError:
-        entries.append(("contour", None, "skipped: image on contour"))
-    except _NUMERIC_ERRORS as exc:
-        entries.append(("contour", None, f"skipped: {exc}"))
-
+    calls = [
+        ("series", lambda: eval_double_series(x, y, params, SeriesBudget(tol=min(tol, 1e-10)))),
+        ("contour", lambda: eval_with_contour(
+            x, y, params, _contour_for(args, x, y, params), tol)),
+    ]
     if min(abs(x), abs(y)) >= ASYMPTOTIC_RADIUS:
+        calls.append(("asymptotic", lambda: eval_asymptotic(
+            x, y, params, TruncationOrders(args.p_alpha, args.p_beta))))
+    entries: list[tuple[str, Evaluation | None, str]] = []
+    for name, call in calls:
         try:
-            ev = eval_asymptotic(x, y, params, TruncationOrders(args.p_alpha, args.p_beta))
+            ev = call()
+        except (NumericFailure, DomainError) as exc:
+            entries.append((name, None, f"skipped: {exc}"))
+        else:
             entries.append((_split_method(ev.method)[0], ev, ""))
-        except (_NUMERIC_ERRORS + (DomainError,)) as exc:
-            entries.append(("asymptotic", None, f"skipped: {exc}"))
     return entries
 
 
@@ -316,7 +285,7 @@ def _compare_corpus(args) -> int:
         ref = rec.value()
         try:
             ev = eval_auto(rec.x, rec.y, rec.params(), tol=1e-8)
-        except (_NUMERIC_ERRORS + (DomainError,)) as exc:
+        except (NumericFailure, DomainError) as exc:
             print(f"record {i}: FLAG ({type(exc).__name__}: {exc})")
             flagged += 1
             continue
@@ -396,7 +365,6 @@ def _add_param_flags(sp, required: bool = True) -> None:
     sp.add_argument("--p-beta", type=int, default=3, help="asymptotic truncation order (x sum)")
     sp.add_argument("--epsilon", type=float, default=None, help="contour arc radius override")
     sp.add_argument("--theta", type=float, default=None, help="contour ray angle override")
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def _add_axis_flags(sp) -> None:
@@ -419,12 +387,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--x", required=True, help="first argument, complex literal")
     p_eval.add_argument("--y", required=True, help="second argument, complex literal")
     p_eval.add_argument("--method", choices=METHODS, default="auto")
+    p_eval.add_argument("--format", choices=("csv", "json"), default="csv")
     p_eval.set_defaults(func=cmd_eval)
 
     p_grid = sub.add_parser("grid", help="sweep a grid of points")
     _add_param_flags(p_grid)
     _add_axis_flags(p_grid)
     p_grid.add_argument("--method", choices=METHODS, default="auto")
+    p_grid.add_argument("--format", choices=("csv", "json"), default="csv")
     p_grid.set_defaults(func=cmd_grid)
 
     p_cmp = sub.add_parser("compare", help="cross-check every applicable method")
@@ -473,7 +443,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except _NUMERIC_ERRORS as exc:
+    except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -1,35 +1,40 @@
-"""Error and warning types shared across the package."""
+"""Error and warning types shared across the package.  Every route failure
+is a NumericFailure and keeps its builtin base; DomainError is bad input."""
 
 
 class DomainError(ValueError):
     """Parameter or argument combination outside the admissible domain."""
 
 
-class RegionError(ValueError):
+class NumericFailure(Exception):
+    """The method could not certify a value at this point; another method may."""
+
+
+class RegionError(NumericFailure, ValueError):
     """A point is not in the region a representation requires."""
 
 
-class GeometryError(ValueError):
+class GeometryError(NumericFailure, ValueError):
     """Contour geometry yields no decay, or no admissible angle window."""
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(NumericFailure, RuntimeError):
     """Requested tolerance unreachable within the node budget."""
 
 
-class PoleProximityError(ValueError):
+class PoleProximityError(NumericFailure, ValueError):
     """An integrand pole sits closer to the contour than the safety floor."""
 
 
-class DegenerateDenominator(ZeroDivisionError):
+class DegenerateDenominator(NumericFailure, ZeroDivisionError):
     """A residue or expansion denominator is below its degeneracy floor."""
 
 
-class MagnitudeFloor(ValueError):
+class MagnitudeFloor(NumericFailure, ValueError):
     """Arguments too small in magnitude for the asymptotic expansion."""
 
 
-class BudgetExceeded(RuntimeError):
+class BudgetExceeded(NumericFailure, RuntimeError):
     """A summation could not certify its tail within the given budget."""
 
 

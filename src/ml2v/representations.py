@@ -46,9 +46,8 @@ from .errors import (
     BudgetExceeded,
     DegenerateDenominator,
     DomainError,
-    GeometryError,
+    NumericFailure,
     PoleProximityError,
-    QuadratureError,
     RegionError,
 )
 from .series import SeriesBudget, eval_double_series
@@ -93,7 +92,10 @@ def pole_images(w: complex, power: float) -> tuple[complex, ...]:
     if w == 0:
         return (0j,)
     ph = cmath.phase(w)
-    r = abs(w) ** power
+    try:
+        r = abs(w) ** power
+    except OverflowError:
+        raise DomainError(f"the pole images of {w:.6g} overflow a double") from None
     lo = (-math.pi / power - ph) / (2.0 * math.pi)
     hi = (math.pi / power - ph) / (2.0 * math.pi)
     out = []
@@ -188,11 +190,26 @@ def residue_weight(image: complex, p_def: float, p_den: float) -> float:
     """Rounding weight W of the residue term t at image: |error| <= EPS * W * |t|.
 
     8 covers the final rounding to a double, the rest the long-double
-    rounding of v, which exp(zeta^d) = exp(exp(v)) amplifies by |zeta^d|.
+    rounding of v, which exp(zeta^d) = exp(exp(v)) amplifies by |zeta^d|;
+    inf where |zeta^d| overflows a double.
     """
     d = 1.0 / (p_def * p_den)
-    zd_v = abs(image) ** d * (1.0 + d * abs(cmath.log(image)))
+    try:
+        zd_v = abs(image) ** d * (1.0 + d * abs(cmath.log(image)))
+    except OverflowError:
+        return math.inf
     return 8.0 + 16.0 * (EPS_LD / EPS) * (1.0 + zd_v)
+
+
+def error_bound(base: float, weights: list[float], terms: list[complex]) -> float:
+    """base + EPS * sum(w * |t|) over terms t with rounding weights w; inf
+    where a modulus overflows a double or the bound is nan (inf - inf among
+    overflowing terms)."""
+    try:
+        est = base + EPS * sum(w * abs(t) for w, t in zip(weights, terms))
+    except OverflowError:
+        return math.inf
+    return math.inf if math.isnan(est) else est
 
 
 def _residue_terms(
@@ -329,8 +346,7 @@ def _contour_route(
     weights = [residue_weight(z, params.beta, params.alpha) for z in x_in]
     weights += [residue_weight(z, params.alpha, params.beta) for z in y_in]
     total = sum(terms) + val
-    slack = sum(w * abs(t) for w, t in zip(weights, terms)) + 16.0 * abs(total)
-    return Evaluation(total, est + EPS * slack, found)
+    return Evaluation(total, error_bound(est, weights + [16.0], terms + [total]), found)
 
 
 def eval_lemma1(
@@ -412,9 +428,11 @@ def eval_auto(x: complex, y: complex, params: Parameters, tol: float = 1e-8) -> 
     Large arguments (both beyond ASYMPTOTIC_RADIUS) try the asymptotic
     expansion first.  Everything else, and every failed attempt, funnels
     through the contour representations and finally back to the series.
-    A contour result counts only with a finite est_error.  Raises
-    DomainError for a non-finite argument, and BudgetExceeded only when
-    every route fails to certify a result.
+    A contour result counts only with a finite est_error.  A route that
+    raises a NumericFailure hands the point on; any other exception
+    propagates.  Raises DomainError for a non-finite argument or one whose
+    pole images overflow a double, and BudgetExceeded only when every route
+    fails to certify a result.
     """
     x, y = complex(x), complex(y)
     if not (cmath.isfinite(x) and cmath.isfinite(y)):
@@ -431,20 +449,14 @@ def eval_auto(x: complex, y: complex, params: Parameters, tol: float = 1e-8) -> 
                 1.0, abs(ev.value)
             ):
                 return ev
-        except (ArithmeticError, ValueError, RuntimeError):
+        except NumericFailure:
             pass
 
     try:
         ev = eval_with_contour(x, y, params, choose_contour(x, y, params), tol)
         if math.isfinite(ev.est_error):
             return ev
-    except (
-        RegionError,
-        DegenerateDenominator,
-        PoleProximityError,
-        QuadratureError,
-        GeometryError,
-    ):
+    except NumericFailure:
         pass
 
     ev = eval_double_series(x, y, params, SeriesBudget(tol=min(tol, 1e-12)))

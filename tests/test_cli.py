@@ -300,7 +300,16 @@ def test_compare_degenerate_skipped(capsys):
         capsys,
     )
     assert rc == 0
-    assert "skipped: degenerate" in out
+    assert "  contour: skipped: pole images 3+0j and 3+0j are too close" in out.splitlines()
+
+
+def test_compare_has_no_format_flag(capsys):
+    # compare prints text only; --format belongs to eval and grid
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["compare", "--alpha", "1", "--beta", "1", "--x", "3", "--y", "3",
+                  "--format", "json"])
+    assert exc.value.code == cli.EXIT_DOMAIN
+    assert "--format" in capsys.readouterr().err
 
 
 def test_compare_corpus_replay(capsys):

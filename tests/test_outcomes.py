@@ -1,0 +1,90 @@
+"""Typed outcomes: eval_auto returns a finite est_error or raises a type from
+errors.py, and its routes hand on only the NumericFailure family."""
+
+import cmath
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ml2v.asymptotics as asymptotics
+from ml2v import cli, errors
+from ml2v.core import validate_params
+from ml2v.errors import BudgetExceeded, DomainError, NumericFailure
+from ml2v.representations import eval_auto
+
+ROUTE_FAILURES = {
+    errors.RegionError: ValueError,
+    errors.GeometryError: ValueError,
+    errors.QuadratureError: RuntimeError,
+    errors.PoleProximityError: ValueError,
+    errors.DegenerateDenominator: ZeroDivisionError,
+    errors.MagnitudeFloor: ValueError,
+    errors.BudgetExceeded: RuntimeError,
+}
+
+
+def test_route_failures_form_one_family():
+    for kind, builtin in ROUTE_FAILURES.items():
+        assert issubclass(kind, NumericFailure) and issubclass(kind, builtin)
+    assert not issubclass(DomainError, NumericFailure)
+    assert issubclass(DomainError, ValueError)
+
+
+def _argument(draw) -> complex:
+    """|z| log-uniform in [0.1, 1e300], any phase."""
+    return cmath.rect(10.0 ** draw(st.floats(-1.0, 300.0)), draw(st.floats(-math.pi, math.pi)))
+
+
+@st.composite
+def _cases(draw):
+    alpha = draw(st.floats(0.1, 1.99))
+    beta = draw(st.floats(0.1, min(1.99, 1.98 / alpha)).filter(lambda b: alpha * b < 1.98))
+    mu = complex(draw(st.floats(0.1, 2.0)), draw(st.floats(-1.0, 1.0)))
+    return validate_params(alpha, beta, mu), _argument(draw), _argument(draw)
+
+
+@settings(derandomize=True, max_examples=100, database=None, deadline=None)
+@given(_cases())
+def test_auto_result_is_finite_or_typed(case):
+    params, x, y = case
+    try:
+        ev = eval_auto(x, y, params)
+    except (NumericFailure, DomainError):
+        return
+    assert math.isfinite(ev.est_error)
+
+
+@pytest.mark.parametrize(
+    "x, y, orders, kind",
+    [
+        # the pole image |x|^1.6 overflows a double
+        (1e200, 2.0, (1.0, 1.6, 1.0), DomainError),
+        # residue terms overflow, and inf - inf once made est_error nan
+        (-1.105016848960226e89 - 2.1032005491960428e89j,
+         9.767437409987782e49 + 3.0923269790118426e49j,
+         (1.6993131208295111, 1.0549864208954447, 0.9450112899127583), BudgetExceeded),
+        # residue_weight's |image|^16 overflows
+        (1e80, 3.0, (0.25, 0.25, 1.0), BudgetExceeded),
+    ],
+)
+def test_auto_overflow_is_typed(x, y, orders, kind):
+    with pytest.raises(kind):
+        eval_auto(x, y, validate_params(*orders))
+
+
+def test_auto_lets_an_asymptotic_bug_through(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("a bug, not a route failure")
+
+    monkeypatch.setattr(asymptotics, "eval_asymptotic", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        eval_auto(30.0, 20.0, validate_params(1, 1, 1))
+
+
+def test_cli_overflow_exits_numeric(capsys):
+    rc = cli.main(["eval", "--alpha", "0.25", "--beta", "0.25", "--x", "1e80", "--y", "3"])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_NUMERIC
+    assert err.startswith("numeric failure: no method certified a value")
