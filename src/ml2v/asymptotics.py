@@ -113,7 +113,10 @@ def _tail_terms(x: complex, y: complex, params: Parameters, rows: int, cols: int
     m = np.arange(1, cols + 1, dtype=float)
     nn, mm = np.meshgrid(n, m, indexing="ij")
     rg = recip_gamma(params.mu - params.alpha * nn - params.beta * mm)
-    return np.power(x, -n)[:, None] * np.power(y, -m)[None, :] * rg
+    # x^(-n) overflows inside numpy's complex power at huge |x|; the caller
+    # rejects the resulting non-finite terms
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.power(x, -n)[:, None] * np.power(y, -m)[None, :] * rg
 
 
 def asympt_tail_sum(

@@ -333,7 +333,8 @@ def cmd_compare(args) -> int:
                     1.0, abs(e1.value), abs(e2.value)
                 )
                 worst = max(worst, delta)
-                ok = delta <= limit
+                # a pair without a finite limit is uncertified, not in agreement
+                ok = math.isfinite(limit) and delta <= limit
                 flagged += 0 if ok else 1
                 print(
                     f"  pair {n1}/{n2}: |delta| {delta:.3e} "

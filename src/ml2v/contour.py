@@ -185,7 +185,10 @@ def _tail_estimate(spec: ContourSpec, decay: float, radius: float, f: Callable) 
     theta = spec.theta
     c = abs(math.cos(theta * decay))
     ends = radius * np.exp(np.array([1j * theta, -1j * theta]))
-    mags = np.abs(f(ends))
+    # as in _eval_nodes: an overflowing integrand gives a non-finite tail,
+    # which integrate rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        mags = np.abs(f(ends))
     scale = radius ** (1.0 - decay) / (decay * c)
     return float(np.sum(mags) * scale)
 

@@ -16,6 +16,7 @@ as a soft failure they can route around.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -44,54 +45,87 @@ def _log_abs(w: complex) -> float:
     return math.log(abs(w)) if w != 0 else -math.inf
 
 
+# Anti-diagonal blocks per recip_gamma call: its fixed cost, not the
+# element work, dominates a low-order block.
+_RUN = 16
+
+
+def _extend(powers, z, size):
+    """The power table z^0 .. z^(len - 1) grown to z^(size - 1).  Each new
+    entry is the previous one times z, so the table has the bits of a
+    product taken one step at a time."""
+    factors = np.full(size - len(powers) + 1, z)
+    factors[0] = powers[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.concatenate((powers[:-1], np.cumprod(factors)))
+
+
+def _log_terms(x, y, n, m, args):
+    """Terms x^n y^m / Gamma(args) built in log space."""
+    lx, ly = _log_abs(x), _log_abs(y)
+    px, py = cmath.phase(x), cmath.phase(y)
+    lrg = log_recip_gamma(args)
+    logmag = (
+        np.where(n > 0, n * lx, 0.0)
+        + np.where(m > 0, m * ly, 0.0)
+        + lrg.real
+    )
+    phase = n * px + m * py + lrg.imag
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        terms = np.exp(logmag + 1j * phase)
+    terms[logmag == -np.inf] = 0.0
+    return terms
+
+
 def _blocks(x, y, alpha, beta, mu, max_terms):
     """Anti-diagonal blocks k = 0, 1, ... as (sum, magnitude sum, peak
     magnitude), for as long as the total term count stays within max_terms.
 
-    Falls back to log-space evaluation when the power tables overflow or
-    the reciprocal gamma underflows while the true terms are still sizable.
+    The terms of _RUN consecutive blocks come from one recip_gamma call.
+    A block falls back to log-space evaluation when the power tables
+    overflow or the reciprocal gamma underflows while the true terms are
+    still sizable.
     """
     xp = np.array([1.0 + 0.0j])
     yp = np.array([1.0 + 0.0j])
     used = 0
-    k = 0
-    while used + k + 1 <= max_terms:
-        n = np.arange(k + 1, dtype=float)
-        m = k - n
+    for k0 in itertools.count(step=_RUN):
+        ks = np.arange(k0, k0 + _RUN)
+        # block k = k0 + j holds n = 0 .. k, m = k - n at [starts[j], ends[j])
+        ends = np.cumsum(ks + 1)
+        starts = ends - ks - 1
+        ni = np.arange(ends[-1]) - np.repeat(starts, ks + 1)
+        mi = np.repeat(ks, ks + 1) - ni
+        n, m = ni.astype(float), mi.astype(float)
         args = alpha * n + beta * m + mu
-        # A non-finite power makes its direct term non-finite, so once the
-        # power tables overflow only the log route is left.
-        direct = cmath.isfinite(xp[-1]) and cmath.isfinite(yp[-1])
-        if direct:
+        xp, yp = _extend(xp, x, k0 + _RUN), _extend(yp, y, k0 + _RUN)
+        # A non-finite power makes its direct term non-finite, and the
+        # powers stay non-finite past it: once the tables overflow only the
+        # log route is left.
+        direct = np.isfinite(xp[k0:]) & np.isfinite(yp[k0:])
+        if direct[0]:
             rg = recip_gamma(args)
             with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-                terms = xp * yp[::-1] * rg
+                terms = xp[ni] * yp[mi] * rg
+                mags = np.abs(terms)
             # rg == 0 with a gamma argument right of the poles means
             # underflow, not a true zero; those terms need the log route too.
-            underflowed = (rg == 0) & (args.real > 0.5)
-            direct = np.all(np.isfinite(terms)) and not np.any(underflowed)
-        if not direct:
-            lx, ly = _log_abs(x), _log_abs(y)
-            px, py = cmath.phase(x), cmath.phase(y)
-            lrg = log_recip_gamma(args)
-            logmag = (
-                np.where(n > 0, n * lx, 0.0)
-                + np.where(m > 0, m * ly, 0.0)
-                + lrg.real
-            )
-            phase = n * px + m * py + lrg.imag
-            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-                terms = np.exp(logmag + 1j * phase)
-            terms[logmag == -np.inf] = 0.0
-        # sums past the double range are inf or nan: the certificate stops there
-        with np.errstate(over="ignore", invalid="ignore"):
-            mags = np.abs(terms)
-            block = complex(terms.sum()), float(mags.sum()), float(mags.max(initial=0.0))
-            xp = np.append(xp, xp[-1] * x)
-            yp = np.append(yp, yp[-1] * y)
-        yield block
-        used += k + 1
-        k += 1
+            bad = ~np.isfinite(terms) | ((rg == 0) & (args.real > 0.5))
+            direct &= ~np.logical_or.reduceat(bad, starts)
+        for k, start, end, ok in zip(ks.tolist(), starts.tolist(), ends.tolist(), direct.tolist()):
+            if used + k + 1 > max_terms:
+                return
+            if ok:
+                t, a = terms[start:end], mags[start:end]
+            else:
+                t = _log_terms(x, y, n[start:end], m[start:end], args[start:end])
+                with np.errstate(over="ignore"):
+                    a = np.abs(t)
+            # sums past the double range are inf or nan: the certificate stops there
+            with np.errstate(over="ignore", invalid="ignore"):
+                block = complex(t.sum()), float(a.sum()), float(a.max(initial=0.0))
+            yield block
+            used += k + 1
 
 
 def _single_terms(z, rho, kappa, max_terms):

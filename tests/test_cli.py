@@ -303,6 +303,18 @@ def test_compare_degenerate_skipped(capsys):
     assert "  contour: skipped: pole images 3+0j and 3+0j are too close" in out.splitlines()
 
 
+def test_compare_flags_a_pair_without_a_finite_limit(capsys):
+    # every method reports est_error = inf here: an uncertified pair is not
+    # an agreement, even where |delta| is inf too
+    rc, out, _ = run_cli(
+        ["compare", "--alpha", "0.5", "--beta", "0.5", "--x", "30", "--y", "-40"], capsys
+    )
+    pairs = [line for line in out.splitlines() if line.startswith("  pair ")]
+    assert rc == cli.EXIT_NUMERIC
+    assert pairs and all(line.endswith("limit inf FLAG") for line in pairs)
+    assert f"flagged: {len(pairs)}" in out
+
+
 def test_compare_has_no_format_flag(capsys):
     # compare prints text only; --format belongs to eval and grid
     with pytest.raises(SystemExit) as exc:

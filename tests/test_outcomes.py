@@ -3,6 +3,7 @@ errors.py, and its routes hand on only the NumericFailure family."""
 
 import cmath
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -72,6 +73,24 @@ def test_auto_result_is_finite_or_typed(case):
 def test_auto_overflow_is_typed(x, y, orders, kind):
     with pytest.raises(kind):
         eval_auto(x, y, validate_params(*orders))
+
+
+@pytest.mark.parametrize(
+    "x, y, orders",
+    [
+        # numpy's complex power overflows in the asymptotic tail terms
+        (-1.105016848960226e89 - 2.1032005491960428e89j,
+         9.767437409987782e49 + 3.0923269790118426e49j,
+         (1.6993131208295111, 1.0549864208954447, 0.9450112899127583)),
+        # the integrand's denominator overflows at the contour's tail end points
+        (1e9, 1e300, (1.0, 1.0, 1.0)),
+    ],
+)
+def test_auto_overflow_warns_nothing(x, y, orders):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BudgetExceeded):
+            eval_auto(x, y, validate_params(*orders))
 
 
 def test_auto_lets_an_asymptotic_bug_through(monkeypatch):

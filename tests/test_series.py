@@ -1,6 +1,7 @@
 """Certified double-series summation and its one-variable relative."""
 
 import cmath
+import itertools
 import math
 import time
 import warnings
@@ -127,23 +128,52 @@ def test_overflow_stops_at_first_infinite_block():
 @pytest.mark.parametrize(
     "x, y, orders, calls, bits",
     [
-        # 30^k leaves the double range at k = 209, the sum itself at block 772
-        (30.0, 20.0, (0.5, 0.5, 1), 209, ("inf", "0x0.0p+0", "inf")),
+        # 30^k leaves the double range at k = 209, the sum itself at block 772:
+        # the 14 runs of 16 blocks that start at k <= 208 call recip_gamma
+        (30.0, 20.0, (0.5, 0.5, 1), 14, ("inf", "0x0.0p+0", "inf")),
         # a certified value whose last blocks need the log route
-        (-400.0, -30.0, (1.9, 0.9, 1), 119,
+        (-400.0, -30.0, (1.9, 0.9, 1), 8,
          ("0x1.d40230db994a2p+12", "-0x1.63bdb53e1a9eep-14", "0x1.50c43b781583fp+20")),
     ],
 )
 def test_overflowed_powers_skip_recip_gamma(monkeypatch, x, y, orders, calls, bits):
-    # a non-finite power makes its direct term non-finite, so once the power
-    # tables overflow every block goes straight to the log route; skipping
-    # the direct attempt there changes no bit
+    # a non-finite power makes its direct term non-finite, so a run of blocks
+    # that starts with the power tables overflowed goes straight to the log
+    # route; skipping the direct attempt there changes no bit
     seen = []
     real = series.recip_gamma
     monkeypatch.setattr(series, "recip_gamma", lambda a: seen.append(1) or real(a))
     ev = eval_double_series(x, y, validate_params(*orders))
     assert len(seen) == calls
     assert (ev.value.real.hex(), ev.value.imag.hex(), ev.est_error.hex()) == bits
+
+
+@pytest.mark.parametrize("max_terms, blocks", [(20, 5), (136, 16), (137, 16), (500, 31)])
+def test_term_budget_stops_at_the_last_whole_block(max_terms, blocks):
+    # K blocks hold K(K+1)/2 terms: the budget keeps the largest such K, whether
+    # it ends part-way through a run of blocks (5, 31) or on its boundary (16)
+    args = (0.9 + 0.2j, -0.7 + 0.4j, 0.25, 0.25, 1 + 0j)
+    got = list(series._blocks(*args, max_terms))
+    assert len(got) == blocks
+    assert got == list(itertools.islice(series._blocks(*args, 10**6), blocks))
+
+
+@pytest.mark.parametrize(
+    "x, y, orders, bits",
+    [
+        # a low-order unit-disk point, certified after about 60 blocks
+        (-0.3 + 0.9j, -0.8 + 0.1j, (0.25, 0.25, 1),
+         ("0x1.c2b948714d3a9p-3", "0x1.ade8c090594a6p-3", "0x1.0d3eba4721350p-40")),
+        # Re mu < 1/2: recip_gamma reflects the first blocks' arguments only,
+        # inside one run
+        (0.6 - 0.3j, -0.5 + 0.7j, (0.7, 0.6, -1.3 + 0.4j),
+         ("0x1.796643f6521d5p-1", "-0x1.1a9835dee8002p-1", "0x1.0fee105235690p-42")),
+    ],
+)
+def test_pinned_bits(x, y, orders, bits):
+    ev = eval_double_series(x, y, validate_params(*orders))
+    assert (ev.value.real.hex(), ev.value.imag.hex(), ev.est_error.hex()) == bits
+    assert ev.method == "series"
 
 
 def test_cancellation_error_estimate_honest():

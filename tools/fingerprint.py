@@ -13,7 +13,11 @@ seeded points through eval_with_contour on choose_contour's contour after y
 is moved so that one of its pole images sits just inside or outside the arc,
 at 1e-11 to 2e-3 times eps.  Those offsets straddle the on-contour band
 (1e-9 * max(1, |image|)) and the pole floor (1e-3 * eps), so the near lines
-record which check rejects each point first.  A residue line's est_error is
+record which check rejects each point first.  The series group calls
+eval_double_series directly: seeded unit-disk points at orders down to 0.25
+and at complex mu with Re mu < 1/2, the log route and overflowed power
+tables at fixed points, and seeded points under term budgets that end
+part-way through a run of anti-diagonals.  A residue line's est_error is
 the term's rounding slack EPS * residue_weight * |t| (a flat weight of 8 for
 trees without residue_weight).
 compare counts per group the bit-identical lines, the tag or exception
@@ -35,6 +39,12 @@ POINTS_PER_SET = 40
 # log10 of a near point's offset from the arc, relative to eps: around the
 # on-contour band, inside the pole floor, and just outside it
 NEAR_STRATA = ((-11.0, -8.0), (-6.0, -3.0), (-3.0, math.log10(2e-3)))
+# series group: unit-disk orders, fixed points whose blocks take the log route
+# ((-400, -30)) or whose power tables overflow ((30, 20)), and term budgets
+SERIES_SETS = ((0.25, 0.25, 1), (0.25, 0.6, 1), (0.5, 0.8, 1), (1.2, 0.9, 1),
+               (0.7, 0.6, 0.2 + 0.7j), (0.4, 0.9, -1.3 + 0.4j))
+SERIES_FIXED = ((-400.0, -30.0, (1.9, 0.9, 1)), (30.0, 20.0, (0.5, 0.5, 1)))
+SERIES_BUDGETS = (20, 50, 136, 137, 300, 1000, 5000)
 
 
 def _hex(v: complex) -> str:
@@ -53,6 +63,7 @@ def record() -> None:
     import ml2v
     from ml2v import representations as rep
     from ml2v.gamma import log_recip_gamma, recip_gamma
+    from ml2v.series import SeriesBudget, eval_double_series
 
     weight = getattr(rep, "residue_weight", lambda *_: 8.0)
 
@@ -88,6 +99,21 @@ def record() -> None:
             y = cmath.rect(spec.epsilon * (1 + off), near.uniform(-spec.theta, spec.theta)) ** (1 / a)
             inputs = f"{a} {b} {mu!r} {x!r} {y!r} {spec.epsilon!r} {spec.theta!r}"
             print(_line("near", inputs, lambda: ml2v.eval_with_contour(x, y, p, spec)))
+    srng = random.Random(SEED + 2)
+    for a, b, mu in SERIES_SETS:
+        p = ml2v.validate_params(a, b, mu)
+        for _ in range(POINTS_PER_SET // 2):
+            x, y = (cmath.rect(srng.uniform(0, 1), srng.uniform(-math.pi, math.pi)) for _ in "xy")
+            print(_line("series", f"{a} {b} {mu!r} {x!r} {y!r}", lambda: eval_double_series(x, y, p)))
+    for x, y, orders in SERIES_FIXED:
+        inputs = f"{' '.join(map(repr, orders))} {x!r} {y!r}"
+        print(_line("series", inputs, lambda: eval_double_series(x, y, ml2v.validate_params(*orders))))
+    for max_terms in SERIES_BUDGETS:
+        a, b, mu = srng.choice(SERIES_SETS)
+        x, y = (cmath.rect(srng.uniform(1, 8), srng.uniform(-math.pi, math.pi)) for _ in "xy")
+        budget = SeriesBudget(max_terms=max_terms)
+        inputs = f"{a} {b} {mu!r} {x!r} {y!r} {max_terms}"
+        print(_line("series", inputs, lambda: eval_double_series(x, y, ml2v.validate_params(a, b, mu), budget)))
     g = np.random.default_rng(SEED)
     poles = -np.arange(30.0)
     s = np.concatenate([g.normal(0, 25, 400) + 1j * g.normal(0, 4, 400), g.normal(0, 25, 200) + 0j,
