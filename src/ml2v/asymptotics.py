@@ -113,10 +113,10 @@ def _tail_terms(x: complex, y: complex, params: Parameters, rows: int, cols: int
     m = np.arange(1, cols + 1, dtype=float)
     nn, mm = np.meshgrid(n, m, indexing="ij")
     rg = recip_gamma(params.mu - params.alpha * nn - params.beta * mm)
-    # x^(-n) overflows inside numpy's complex power at huge |x|; the caller
-    # rejects the resulting non-finite terms
+    # exp(-n log x) underflows to 0 at huge |x|, where numpy's complex power
+    # overflows x^n and returns nan; the caller rejects a non-finite term
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.power(x, -n)[:, None] * np.power(y, -m)[None, :] * rg
+        return np.exp(-n * np.log(x))[:, None] * np.exp(-m * np.log(y))[None, :] * rg
 
 
 def asympt_tail_sum(

@@ -26,8 +26,10 @@ final R is panelized.
 
 build_contour keeps its last CONTOUR_MEMO_SIZE contours, each with the
 initial sweep's nodes and path factors, all as read-only arrays: points that
-share a contour share that work, and an integrand may keep its own
-node-only factors per node array (see representations.ml_integrand).
+share a contour share that work.  The tail estimate's two end points are
+kept the same way, per (theta, R), so an integrand may keep its own
+node-only factors per node array for both (see
+representations.ml_integrand).
 
 theta = pi is a valid contour (circle plus the twice-passed negative axis).
 The ray points are r exp(+-i pi), whose tiny imaginary residue places each
@@ -180,15 +182,22 @@ def _eval_nodes(z: np.ndarray, path: np.ndarray, f: Callable) -> tuple[np.ndarra
         return fine, np.abs(fine - coarse)
 
 
+@functools.lru_cache(maxsize=CONTOUR_MEMO_SIZE)
+def _tail_ends(theta: float, radius: float) -> np.ndarray:
+    """The ray end points R e^{+-i theta}, as a read-only array kept like a
+    contour's nodes, so that an integrand's node memo sees them again."""
+    ends = radius * np.exp(np.array([1j * theta, -1j * theta]))
+    ends.flags.writeable = False
+    return ends
+
+
 def _tail_estimate(spec: ContourSpec, decay: float, radius: float, f: Callable) -> float:
     """A-posteriori bound on the two discarded ray tails beyond radius."""
-    theta = spec.theta
-    c = abs(math.cos(theta * decay))
-    ends = radius * np.exp(np.array([1j * theta, -1j * theta]))
+    c = abs(math.cos(spec.theta * decay))
     # as in _eval_nodes: an overflowing integrand gives a non-finite tail,
     # which integrate rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        mags = np.abs(f(ends))
+        mags = np.abs(f(_tail_ends(spec.theta, radius)))
     scale = radius ** (1.0 - decay) / (decay * c)
     return float(np.sum(mags) * scale)
 

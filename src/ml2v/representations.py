@@ -106,13 +106,36 @@ def pole_images(w: complex, power: float) -> tuple[complex, ...]:
     return tuple(out)
 
 
+def _multiplied_out(e: complex) -> bool:
+    """Whether numpy's complex power z**e multiplies z out: a real integer
+    exponent below 100 in size."""
+    return e.imag == 0 and e.real.is_integer() and abs(e.real) < 100
+
+
 def _point_free(z: np.ndarray, params: Parameters) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """exp(z^d) z^p, z^(1/beta) and z^(1/alpha): the integrand's factors that
-    do not depend on (x, y)."""
+    do not depend on (x, y).
+
+    Each power z^e is exp(e log z) from one principal log per node, whose
+    arctan2 keeps the sign of a theta = pi node's imaginary part and so the
+    side of the cut each passage belongs to.  A small integer power is left
+    to numpy, which multiplies it out, cheaper and exact-er.
+    """
     a, b = params.alpha, params.beta
     d = 1.0 / (a * b)
     p = (1.0 + a + b - params.mu) * d - 1.0
-    return np.exp(z**d) * z**p, z ** (1.0 / b), z ** (1.0 / a)
+    log_z = (
+        None
+        if all(map(_multiplied_out, (d, p, 1.0 / b, 1.0 / a)))
+        else np.log(np.abs(z)) + 1j * np.arctan2(z.imag, z.real)
+    )
+
+    def power(e: complex) -> np.ndarray:
+        return z**e if _multiplied_out(e) else np.exp(e * log_z)
+
+    zd = power(d)
+    ea = np.exp(zd) * z**p if _multiplied_out(p) else np.exp(zd + p * log_z)
+    return ea, power(1.0 / b), power(1.0 / a)
 
 
 class _Held:
@@ -142,11 +165,11 @@ def _memo_point_free(params: Parameters, key: _Held) -> tuple[np.ndarray, ...]:
 def ml_integrand(x: complex, y: complex, params: Parameters) -> IntegrandSpec:
     """Integrand of the contour representation.
 
-    The (x, y)-free factors of a read-only node array that owns its data (a
-    contour's initial sweep, see contour.build_contour) come from a memo
-    of the last INTEGRAND_MEMO_SIZE (Parameters, array) pairs; other arrays
-    (refinement halves, tail end points) are computed directly, with the
-    same operations.
+    The (x, y)-free factors (see _point_free, one log per node) of a
+    read-only node array that owns its data (a contour's initial sweep or
+    its two tail end points, see the contour module) come from a memo of
+    the last INTEGRAND_MEMO_SIZE (Parameters, array) pairs; other arrays
+    (refinement halves) are computed directly, with the same operations.
     """
 
     def f(z: np.ndarray) -> np.ndarray:

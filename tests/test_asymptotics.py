@@ -7,11 +7,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ml2v.asymptotics import (
     AsymptoticCase,
     TruncationOrders,
+    _tail_terms,
     asympt_tail_sum,
     classify_case,
     eval_asymptotic,
@@ -201,6 +203,17 @@ def test_next_ring_estimate_honest_at_wide_orders(x, y):
     ref = eval_with_contour(x, y, pp, choose_contour(x, y, pp), tol=1e-12)
     assert ref.est_error < 0.1 * ev.est_error
     assert abs(ev.value - ref.value) <= ev.est_error
+
+
+def test_tail_terms_underflow_at_huge_arguments():
+    # x^4 overflows a double here: numpy's complex power gave nan terms and
+    # an infinite est_error, where the terms underflow to 0
+    x, y = -1.105e89 - 2.103e89j, 20.0 + 5.0j
+    assert np.isfinite(_tail_terms(x, y, P_HALF, 5, 5)).all()
+    ev = eval_asymptotic(x, y, P_HALF)
+    ref = eval_with_contour(x, y, P_HALF, choose_contour(x, y, P_HALF))
+    assert math.isfinite(ev.est_error)
+    assert abs(ev.value - ref.value) <= ev.est_error + ref.est_error
 
 
 def test_result_independent_of_call_history():

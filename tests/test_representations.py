@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 from mpmath import mp
 
+import ml2v.contour as con
 import ml2v.representations as rep
-from ml2v.contour import CONTOUR_MEMO_SIZE, IntegrandSpec, build_contour
+from ml2v.contour import CONTOUR_MEMO_SIZE, IntegrandSpec, build_contour, integrate
 from ml2v.core import EPS, ContourSpec, RegionLabel, angle_window, validate_params
 from ml2v.errors import (
     BudgetExceeded,
@@ -417,6 +418,7 @@ def _contour_bits(case):
 
 def _clear_memos():
     build_contour.cache_clear()
+    con._tail_ends.cache_clear()
     rep._memo_point_free.cache_clear()
 
 
@@ -460,3 +462,79 @@ def test_integrand_memo_is_bounded_and_read_only():
     for arr in rep._memo_point_free(orders[0], rep._Held(nodes)):
         with pytest.raises(ValueError):
             arr[0, 0] = 0.0
+
+
+def test_second_integrate_takes_every_factor_from_the_memo(monkeypatch):
+    _clear_memos()
+    p = validate_params(0.5, 0.8, 1)
+    x, y = -3.0, 2.0
+    spec = choose_contour(x, y, p)
+    calls = []
+    point_free = rep._point_free
+
+    def counted(z, params):
+        calls.append(z)
+        return point_free(z, params)
+
+    monkeypatch.setattr(rep, "_point_free", counted)
+    first = integrate(spec, ml_integrand(x, y, p), tol=1e-6)
+    # no refinement: every call was on a tail's end points or the sweep
+    assert sum(z.shape == (2,) for z in calls) == len(calls) - 1
+    assert not any(z.flags.writeable for z in calls)
+    calls.clear()
+    second = integrate(spec, ml_integrand(x, y, p), tol=1e-6)
+    assert calls == []
+    assert second == first
+
+
+def test_tail_estimate_same_from_cached_and_fresh_ends(monkeypatch):
+    p = validate_params(0.7, 0.7, 0.5 + 0.3j)
+    x, y = 2.5 + 1j, -1.5
+    spec, f = choose_contour(x, y, p), ml_integrand(x, y, p)
+    radius = con._truncation_radius(spec, f.decay, 1e-16)
+    cached = con._tail_estimate(spec, f.decay, radius, f.f)
+    assert not con._tail_ends(spec.theta, radius).flags.writeable
+    tail_ends = con._tail_ends
+    monkeypatch.setattr(con, "_tail_ends", lambda theta, r: np.array(tail_ends(theta, r)))
+    assert con._tail_estimate(spec, f.decay, radius, f.f).hex() == cached.hex()
+
+
+# Orders and contour angles for the factor accuracy check: theta = pi, complex
+# mu, exponents that are all small integers, some of them, and none.
+FACTOR_CASES = (
+    ((1.0, 1.0, 1), math.pi),
+    ((1.2, 0.9, 1), math.pi),
+    ((1.2, 0.9, 0.4 - 0.7j), math.pi),
+    ((0.5, 0.5, 1), None),
+    ((0.5, 0.5, 0.5 + 0.3j), None),
+    ((0.7, 0.7, 0.5 + 0.3j), None),
+    ((1.53, 0.349, 1), None),
+    ((0.25, 0.6, 2), None),
+)
+
+
+@pytest.mark.parametrize("orders,theta", FACTOR_CASES)
+def test_point_free_factors_as_accurate_as_complex_powers(orders, theta):
+    p = validate_params(*orders)
+    a, b = p.alpha, p.beta
+    d = 1.0 / (a * b)
+    e = (1.0 + a + b - p.mu) * d - 1.0
+    spec = ContourSpec(1.0, angle_window(p)[2] if theta is None else theta)
+    contour = build_contour(spec, d)
+    # the initial sweep and the refinement halves of every third panel
+    left, right = contour.panels[::3].copy(), contour.panels[::3].copy()
+    left[:, 1::2] = right[:, 0::2] = 0.5 * (left[:, 0::2] + left[:, 1::2])
+    z = np.concatenate([contour.nodes.ravel(), con._nodes(np.concatenate([left, right]))[0].ravel()])
+    new = rep._point_free(z, p)
+    old = (np.exp(z**d) * z**e, z ** (1.0 / b), z ** (1.0 / a))
+    with mp.workdps(30):
+        zm = [mpmath.mpc(v.real, v.imag) for v in z]
+        ref = (
+            [mpmath.exp(u ** mpmath.mpf(d)) * u ** mpmath.mpc(e) for u in zm],
+            [u ** mpmath.mpf(1.0 / b) for u in zm],
+            [u ** mpmath.mpf(1.0 / a) for u in zm],
+        )
+        for got, was, want in zip(new, old, ref):
+            err_new = max(abs((g - w) / w) for g, w in zip(got, want))
+            err_old = max(abs((g - w) / w) for g, w in zip(was, want))
+            assert err_new <= 2 * err_old, (float(err_new), float(err_old))
