@@ -18,12 +18,17 @@ max(n - p_beta, m - p_alpha) in {1, 2}: two rings, because 1/Gamma can
 vanish on one.  A rounding allowance per part comes on top: 8 EPS |T|
 for the tail and EPS * residue_weight * |t| for each residue t, whose
 exponents are built in long double (see residue_terms_x).  Nothing is
-calibrated or cached: the estimate depends on the call's arguments alone.
+calibrated.  The 1/Gamma table of the tail and its rings depends on the
+parameters and the orders only, never on (x, y), so the last TAIL_MEMO_SIZE
+(Parameters, orders) tables are kept; a table is a pure function of its
+key, and the estimate still depends on the call's arguments alone.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -44,6 +49,9 @@ from .representations import (
 # Below this magnitude for min(|x|, |y|) the o() error model says nothing;
 # the dispatcher keeps such points on the series or contour routes.
 MAGNITUDE_FLOOR = 5.0
+
+# Distinct (Parameters, rows, cols) whose tail 1/Gamma tables are kept.
+TAIL_MEMO_SIZE = 16
 
 
 class AsymptoticCase(Enum):
@@ -71,7 +79,14 @@ class TruncationOrders:
     p_beta: int = 3
 
     def __post_init__(self) -> None:
-        if self.p_alpha < 1 or self.p_beta < 1:
+        try:
+            pa, pb = operator.index(self.p_alpha), operator.index(self.p_beta)
+        except TypeError:
+            raise DomainError(
+                f"truncation orders must be integers, got "
+                f"p_alpha={self.p_alpha!r}, p_beta={self.p_beta!r}"
+            ) from None
+        if pa < 1 or pb < 1:
             raise DomainError(
                 f"truncation orders must be >= 1, got "
                 f"p_alpha={self.p_alpha}, p_beta={self.p_beta}"
@@ -107,12 +122,22 @@ def classify_case(
     return _sectors(x, y, params, tau1)[0]
 
 
-def _tail_terms(x: complex, y: complex, params: Parameters, rows: int, cols: int) -> np.ndarray:
-    """x^(-n) y^(-m) / Gamma(mu - alpha n - beta m) for n <= rows, m <= cols."""
+@functools.lru_cache(maxsize=TAIL_MEMO_SIZE)
+def _tail_gammas(params: Parameters, rows: int, cols: int) -> np.ndarray:
+    """Read-only 1/Gamma(mu - alpha n - beta m) for n <= rows, m <= cols."""
     n = np.arange(1, rows + 1, dtype=float)
     m = np.arange(1, cols + 1, dtype=float)
     nn, mm = np.meshgrid(n, m, indexing="ij")
     rg = recip_gamma(params.mu - params.alpha * nn - params.beta * mm)
+    rg.flags.writeable = False
+    return rg
+
+
+def _tail_terms(x: complex, y: complex, params: Parameters, rows: int, cols: int) -> np.ndarray:
+    """x^(-n) y^(-m) / Gamma(mu - alpha n - beta m) for n <= rows, m <= cols."""
+    n = np.arange(1, rows + 1, dtype=float)
+    m = np.arange(1, cols + 1, dtype=float)
+    rg = _tail_gammas(params, rows, cols)
     # exp(-n log x) underflows to 0 at huge |x|, where numpy's complex power
     # overflows x^n and returns nan; the caller rejects a non-finite term
     with np.errstate(over="ignore", invalid="ignore"):

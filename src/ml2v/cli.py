@@ -357,15 +357,24 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if n_fail == 0 else EXIT_SELFTEST
 
 
+# The evaluations that read --epsilon and --theta (see _contour_for).
+_CONTOUR_READERS = "--method lemma1|lemma2|remark1|lemma3, compare"
+
+
 def _add_param_flags(sp, required: bool = True) -> None:
     sp.add_argument("--alpha", type=float, required=required, help="first order (> 0)")
     sp.add_argument("--beta", type=float, required=required, help="second order (> 0)")
     sp.add_argument("--mu", default="1", help="offset, complex literal a+bi")
-    sp.add_argument("--tol", type=float, default=None, help="target absolute tolerance")
-    sp.add_argument("--p-alpha", type=int, default=3, help="asymptotic truncation order (y sum)")
-    sp.add_argument("--p-beta", type=int, default=3, help="asymptotic truncation order (x sum)")
-    sp.add_argument("--epsilon", type=float, default=None, help="contour arc radius override")
-    sp.add_argument("--theta", type=float, default=None, help="contour ray angle override")
+    sp.add_argument("--tol", type=float, default=None,
+                    help="target absolute tolerance (not read by --method asymptotic or oracle)")
+    sp.add_argument("--p-alpha", type=int, default=3,
+                    help="asymptotic truncation order, y sum (--method asymptotic, compare)")
+    sp.add_argument("--p-beta", type=int, default=3,
+                    help="asymptotic truncation order, x sum (--method asymptotic, compare)")
+    sp.add_argument("--epsilon", type=float, default=None,
+                    help=f"contour arc radius override ({_CONTOUR_READERS})")
+    sp.add_argument("--theta", type=float, default=None,
+                    help=f"contour ray angle override ({_CONTOUR_READERS})")
 
 
 def _add_axis_flags(sp) -> None:

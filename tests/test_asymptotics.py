@@ -2,6 +2,7 @@
 
 import ast
 import cmath
+import dataclasses
 import math
 import os
 import subprocess
@@ -10,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+from ml2v import asymptotics
 from ml2v.asymptotics import (
     AsymptoticCase,
     TruncationOrders,
@@ -34,6 +36,21 @@ def test_orders_validation():
         TruncationOrders(0, 2)
     with pytest.raises(DomainError):
         TruncationOrders(2, -1)
+    TruncationOrders(np.int64(2), 3)
+    for bad in (3.0, 2.5, "3", None):
+        with pytest.raises(DomainError):
+            TruncationOrders(bad, 3)
+        with pytest.raises(DomainError):
+            TruncationOrders(3, bad)
+
+
+def test_non_integer_orders_raise_domain_error():
+    # rejected up front: a float order would otherwise fail in slicing with
+    # a TypeError, or size the table by rounding up
+    with pytest.raises(DomainError):
+        eval_asymptotic(30.0, 20.0, P_HALF, TruncationOrders(3.0, 3))
+    with pytest.raises(DomainError):
+        asympt_tail_sum(30.0, 20.0, P_HALF, TruncationOrders(2.5, 3))
 
 
 def test_default_tau1_in_window():
@@ -224,3 +241,73 @@ def test_result_independent_of_call_history():
     eval_asymptotic(-30.0, -25.0, validate_params(0.5, 0.8, 1))
     eval_asymptotic(x, y, P_HALF, TruncationOrders(4, 4))
     assert eval_asymptotic(x, y, pp) == before
+    asymptotics._tail_gammas.cache_clear()
+    assert eval_asymptotic(x, y, pp) == before
+    eval_asymptotic(x, y, P_HALF, TruncationOrders(4, 4))
+    assert eval_asymptotic(x, y, pp) == before
+
+
+def _bits(ev):
+    return (ev.value.real.hex(), ev.value.imag.hex(), ev.est_error.hex(), ev.method)
+
+
+def test_tail_table_memo_hits(monkeypatch):
+    # the 1/Gamma table is built once per (Parameters, orders), through the
+    # module global recip_gamma
+    asymptotics._tail_gammas.cache_clear()
+    calls = []
+
+    def counted(s):
+        calls.append(np.shape(s))
+        return recip_gamma(s)
+
+    monkeypatch.setattr(asymptotics, "recip_gamma", counted)
+    x, y = -40.0 + 12.0j, 25.0 - 30.0j
+    eval_asymptotic(x, y, P_HALF)
+    assert calls == [(5, 5)]
+    eval_asymptotic(-30.0, 60.0j, P_HALF)
+    assert len(calls) == 1
+    eval_asymptotic(x, y, P_HALF, TruncationOrders(2, 4))
+    assert calls[1:] == [(6, 4)]
+    eval_asymptotic(x, y, P_08, TruncationOrders(2, 4))
+    assert calls[2:] == [(6, 4)]
+    eval_asymptotic(x, y, P_08, TruncationOrders(2, 4))
+    assert len(calls) == 3
+
+
+def test_tail_table_read_only():
+    asymptotics._tail_gammas.cache_clear()
+    eval_asymptotic(30.0, 20.0, P_HALF)
+    table = asymptotics._tail_gammas(P_HALF, 5, 5)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("mu", [1.0, 0.5, -0.7, 2.0])
+def test_tail_table_cold_and_warm_bit_identical(mu):
+    # lru_cache merges equal keys: Parameters whose mu differ only in the
+    # sign of a zero imaginary part share one table, so it must not depend
+    # on that sign
+    pp = validate_params(0.7, 0.6, mu)
+    pm = dataclasses.replace(pp, mu=complex(mu, -0.0))
+    assert pp == pm
+    points = ((30.0, 20.0), (30.0, -20.0), (-40.0 + 12.0j, 25.0 - 30.0j), (-20.0, -50.0))
+
+    def fingerprint(p, x, y):
+        tail = asympt_tail_sum(x, y, p)
+        return _bits(eval_asymptotic(x, y, p)), tail.real.hex(), tail.imag.hex()
+
+    cold = {}
+    for k, p in enumerate((pp, pm)):
+        for x, y in points:
+            asymptotics._tail_gammas.cache_clear()
+            cold[k, x, y] = fingerprint(p, x, y)
+    asymptotics._tail_gammas.cache_clear()
+    for k in (0, 1, 0):
+        for x, y in points:
+            assert fingerprint((pp, pm)[k], x, y) == cold[k, x, y]
+    asymptotics._tail_gammas.cache_clear()
+    for k in (1, 0):
+        for x, y in points:
+            assert fingerprint((pp, pm)[k], x, y) == cold[k, x, y]

@@ -17,7 +17,12 @@ record which check rejects each point first.  The series group calls
 eval_double_series directly: seeded unit-disk points at orders down to 0.25
 and at complex mu with Re mu < 1/2, the log route and overflowed power
 tables at fixed points, and seeded points under term budgets that end
-part-way through a run of anti-diagonals.  A residue line's est_error is
+part-way through a run of anti-diagonals.  The asymptotic group calls
+eval_asymptotic and asympt_tail_sum directly on seeded points with
+15 <= |x|, |y| <= 400, ASYM_PER_CASE points in each of the four sector cases
+per parameter set, at truncation orders drawn from 1-5 for each variable and
+with tau1 either left to its default or drawn inside the admissible window;
+a tail-sum line's est_error is 0.  A residue line's est_error is
 the term's rounding slack EPS * residue_weight * |t| (a flat weight of 8 for
 trees without residue_weight).
 compare counts per group the bit-identical lines, the tag or exception
@@ -30,6 +35,7 @@ import math
 import random
 import sys
 import warnings
+from collections import Counter
 
 import numpy as np
 
@@ -45,6 +51,10 @@ SERIES_SETS = ((0.25, 0.25, 1), (0.25, 0.6, 1), (0.5, 0.8, 1), (1.2, 0.9, 1),
                (0.7, 0.6, 0.2 + 0.7j), (0.4, 0.9, -1.3 + 0.4j))
 SERIES_FIXED = ((-400.0, -30.0, (1.9, 0.9, 1)), (30.0, 20.0, (0.5, 0.5, 1)))
 SERIES_BUDGETS = (20, 50, 136, 137, 300, 1000, 5000)
+# asymptotic group: points per sector case and parameter set, and the draws
+# allowed to find them
+ASYM_PER_CASE = 10
+ASYM_TRIES = 5000
 
 
 def _hex(v: complex) -> str:
@@ -62,6 +72,8 @@ def _line(group: str, inputs: str, call) -> str:
 def record() -> None:
     import ml2v
     from ml2v import representations as rep
+    from ml2v.asymptotics import TruncationOrders, asympt_tail_sum, classify_case, eval_asymptotic
+    from ml2v.core import angle_window
     from ml2v.gamma import log_recip_gamma, recip_gamma
     from ml2v.series import SeriesBudget, eval_double_series
 
@@ -114,6 +126,26 @@ def record() -> None:
         budget = SeriesBudget(max_terms=max_terms)
         inputs = f"{a} {b} {mu!r} {x!r} {y!r} {max_terms}"
         print(_line("series", inputs, lambda: eval_double_series(x, y, ml2v.validate_params(a, b, mu), budget)))
+    arng = random.Random(SEED + 3)
+    for a, b, mu in PARAM_SETS:
+        p = ml2v.validate_params(a, b, mu)
+        lo, hi, _ = angle_window(p)
+        per_case: Counter = Counter()
+        for _ in range(ASYM_TRIES):
+            x, y = (cmath.rect(10 ** arng.uniform(math.log10(15), math.log10(400)),
+                               arng.uniform(-math.pi, math.pi)) for _ in "xy")
+            tau1 = arng.choice((None, hi - (hi - lo) * arng.random()))
+            orders = TruncationOrders(arng.randint(1, 5), arng.randint(1, 5))
+            case = classify_case(x, y, p, tau1)
+            if per_case[case] == ASYM_PER_CASE:
+                continue
+            per_case[case] += 1
+            inputs = f"{a} {b} {mu!r} {x!r} {y!r} {orders.p_alpha} {orders.p_beta} {tau1!r}"
+            print(_line("asymptotic", inputs, lambda: eval_asymptotic(x, y, p, orders, tau1)))
+            print(_line("asymptotic", f"{inputs} tail",
+                        lambda: ml2v.Evaluation(asympt_tail_sum(x, y, p, orders), 0.0, "-")))
+            if sum(per_case.values()) == 4 * ASYM_PER_CASE:
+                break
     g = np.random.default_rng(SEED)
     poles = -np.arange(30.0)
     s = np.concatenate([g.normal(0, 25, 400) + 1j * g.normal(0, 4, 400), g.normal(0, 25, 200) + 0j,
