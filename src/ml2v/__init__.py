@@ -14,7 +14,6 @@ from .core import (
     RegionLabel,
     admissible_theta_window,
     classify_region,
-    derived_contour_params,
     validate_params,
 )
 from .errors import (
@@ -44,7 +43,7 @@ from .representations import (
 )
 from .series import SeriesBudget, eval_double_series, eval_ml_one
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "BudgetExceeded",
@@ -70,7 +69,6 @@ __all__ = [
     "classify_case",
     "classify_pair",
     "classify_region",
-    "derived_contour_params",
     "eval_asymptotic",
     "eval_auto",
     "eval_double_series",

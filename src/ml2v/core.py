@@ -60,10 +60,11 @@ class Parameters:
 
 @dataclass(frozen=True)
 class Evaluation:
-    """A value with an honest error estimate and the method that made it.
+    """A certified value with its absolute error estimate and the method
+    that made it.
 
-    est_error is absolute; +inf signals failure to meet tolerance, NaN is
-    forbidden.
+    Both value and est_error are finite: a route that cannot certify a
+    value raises a NumericFailure instead of building an Evaluation.
     """
 
     value: complex
@@ -71,8 +72,11 @@ class Evaluation:
     method: str
 
     def __post_init__(self) -> None:
-        if math.isnan(self.est_error) or self.est_error < 0:
-            raise ValueError("est_error must be a nonnegative float or +inf")
+        if not (cmath.isfinite(self.value) and 0 <= self.est_error < math.inf):
+            raise ValueError(
+                f"an Evaluation needs a finite value and a finite nonnegative "
+                f"est_error, got {self.value!r} and {self.est_error!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -168,29 +172,6 @@ def check_angle_window(contour: ContourSpec, params: Parameters) -> None:
             f"contour angle {contour.theta:.6f} outside admissible window "
             f"({lo:.6f}, {hi:.6f}] for alpha*beta = {params.alpha * params.beta}"
         )
-
-
-def derived_contour_params(
-    contour: ContourSpec, params: Parameters
-) -> tuple[float, float, float, float]:
-    """Deprecated windows (eps_alpha, eps_beta, theta_alpha, theta_beta).
-
-    x would be classified against (eps_alpha, theta_alpha) = (eps^(1/beta),
-    theta/beta) because its pole image is x^beta; y against (eps_beta,
-    theta_beta) = (eps^(1/alpha), theta/alpha).  Nothing in ml2v reads them.
-    """
-    warnings.warn(
-        "derived_contour_params is deprecated and will be removed in ml2v 0.2.0",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    eps, th = contour.epsilon, contour.theta
-    return (
-        eps ** (1.0 / params.beta),
-        eps ** (1.0 / params.alpha),
-        th / params.beta,
-        th / params.alpha,
-    )
 
 
 def contour_distance(point: complex, contour: ContourSpec) -> float:

@@ -35,7 +35,8 @@ class MagnitudeFloor(NumericFailure, ValueError):
 
 
 class BudgetExceeded(NumericFailure, RuntimeError):
-    """A summation could not certify its tail within the given budget."""
+    """Could not certify a value: the budget ran out or the terms left the
+    double range."""
 
 
 class ThinWindowWarning(UserWarning):

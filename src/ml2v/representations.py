@@ -225,14 +225,18 @@ def residue_weight(image: complex, p_def: float, p_den: float) -> float:
 
 
 def error_bound(base: float, weights: list[float], terms: list[complex]) -> float:
-    """base + EPS * sum(w * |t|) over terms t with rounding weights w; inf
-    where a modulus overflows a double or the bound is nan (inf - inf among
-    overflowing terms)."""
+    """base + EPS * sum(w * |t|) over terms t with rounding weights w.
+
+    Raises BudgetExceeded where a modulus overflows a double or the bound
+    is not finite (inf - inf among overflowing terms makes it nan).
+    """
     try:
         est = base + EPS * sum(w * abs(t) for w, t in zip(weights, terms))
     except OverflowError:
-        return math.inf
-    return math.inf if math.isnan(est) else est
+        est = math.inf
+    if not math.isfinite(est):
+        raise BudgetExceeded("no finite error bound: a term leaves the double range")
+    return est
 
 
 def _residue_terms(
@@ -451,11 +455,10 @@ def eval_auto(x: complex, y: complex, params: Parameters, tol: float = 1e-8) -> 
     Large arguments (both beyond ASYMPTOTIC_RADIUS) try the asymptotic
     expansion first.  Everything else, and every failed attempt, funnels
     through the contour representations and finally back to the series.
-    A contour result counts only with a finite est_error.  A route that
-    raises a NumericFailure hands the point on; any other exception
-    propagates.  Raises DomainError for a non-finite argument or one whose
-    pole images overflow a double, and BudgetExceeded only when every route
-    fails to certify a result.
+    A route that raises a NumericFailure hands the point on; any other
+    exception propagates.  Raises DomainError for a non-finite argument or
+    one whose pole images overflow a double, and BudgetExceeded only when
+    every route fails to certify a result.
     """
     x, y = complex(x), complex(y)
     if not (cmath.isfinite(x) and cmath.isfinite(y)):
@@ -468,24 +471,20 @@ def eval_auto(x: complex, y: complex, params: Parameters, tol: float = 1e-8) -> 
 
         try:
             ev = eval_asymptotic(x, y, params)
-            if math.isfinite(ev.est_error) and ev.est_error <= tol * max(
-                1.0, abs(ev.value)
-            ):
+            if ev.est_error <= tol * max(1.0, abs(ev.value)):
                 return ev
         except NumericFailure:
             pass
 
     try:
-        ev = eval_with_contour(x, y, params, choose_contour(x, y, params), tol)
-        if math.isfinite(ev.est_error):
-            return ev
+        return eval_with_contour(x, y, params, choose_contour(x, y, params), tol)
     except NumericFailure:
         pass
 
-    ev = eval_double_series(x, y, params, SeriesBudget(tol=min(tol, 1e-12)))
-    if not math.isfinite(ev.est_error):
+    try:
+        return eval_double_series(x, y, params, SeriesBudget(tol=min(tol, 1e-12)))
+    except BudgetExceeded as exc:
         raise BudgetExceeded(
             f"no method certified a value at x={x:.6g}, y={y:.6g} "
             f"(alpha={params.alpha}, beta={params.beta})"
-        )
-    return ev
+        ) from exc

@@ -8,9 +8,9 @@ peak, the geometric bound tail <= 2 * (current block magnitude sum) holds
 and summation stops when that bound meets the tolerance.
 
 If the certificate never fires within the term budget, or the terms leave
-the double range, the partial sum is returned with est_error = +inf rather
-than raising: callers (the automatic dispatcher in particular) treat that
-as a soft failure they can route around.
+the double range, the sum raises BudgetExceeded: callers (the automatic
+dispatcher in particular) treat that as a route failure they can route
+around.
 """
 
 from __future__ import annotations
@@ -18,12 +18,13 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import EPS, Evaluation, Parameters
-from .errors import DomainError
+from .errors import BudgetExceeded, DomainError
 from .gamma import log_recip_gamma, recip_gamma
 
 
@@ -37,6 +38,10 @@ class SeriesBudget:
     def __post_init__(self) -> None:
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise DomainError(f"tol must be positive and finite, got {self.tol}")
+        try:
+            operator.index(self.max_terms)
+        except TypeError:
+            raise DomainError(f"max_terms must be an integer, got {self.max_terms!r}") from None
         if self.max_terms < 4:
             raise DomainError(f"max_terms must be at least 4, got {self.max_terms}")
 
@@ -170,10 +175,10 @@ def _certified_sum(
     """Sum (value, magnitude sum, peak magnitude) blocks 0, 1, ... under the
     geometric tail certificate.
 
-    Blocks before kmin are summed without ratio tracking.  Returns
-    est_error = +inf when the blocks run out (the term budget) before the
-    certificate fires, or at the first block whose magnitude sum is not
-    finite: nothing past it can be certified.
+    Blocks before kmin are summed without ratio tracking.  Raises
+    BudgetExceeded when the blocks run out (the term budget) before the
+    certificate fires, or once the sum or its rounding weight leaves the
+    double range: nothing past that block can be certified.
     """
     value = 0.0 + 0.0j
     weighted_abs = 0.0
@@ -181,9 +186,9 @@ def _certified_sum(
     run = 0
     for k, (bval, bsum, bpeak) in enumerate(blocks):
         value += bval
-        if not math.isfinite(bsum):
-            break
         weighted_abs += _term_condition(k, sigma, mu_mag) * bsum
+        if not (cmath.isfinite(value) and math.isfinite(weighted_abs)):
+            raise BudgetExceeded(f"series terms left the double range at block {k}")
         if k >= kmin:
             if prev_peak is not None and (
                 bpeak < 0.5 * prev_peak or (bpeak == 0.0 and prev_peak == 0.0)
@@ -194,7 +199,7 @@ def _certified_sum(
             prev_peak = bpeak
             if run >= 2 and 2.0 * bsum <= tol * max(1.0, abs(value)):
                 return Evaluation(value, 2.0 * bsum + EPS * weighted_abs, "series")
-    return Evaluation(value, math.inf, "series")
+    raise BudgetExceeded("series tail not certified within the term budget")
 
 
 def eval_double_series(

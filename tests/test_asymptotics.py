@@ -277,7 +277,7 @@ def test_tail_table_memo_hits(monkeypatch):
 
 def test_tail_table_read_only():
     asymptotics._tail_gammas.cache_clear()
-    eval_asymptotic(30.0, 20.0, P_HALF)
+    eval_asymptotic(-40.0 + 12.0j, 25.0 - 30.0j, P_HALF)
     table = asymptotics._tail_gammas(P_HALF, 5, 5)
     assert not table.flags.writeable
     with pytest.raises(ValueError):

@@ -167,6 +167,17 @@ def test_eval_oracle_method(capsys):
     assert abs(float(row["val_re"]) - CLOSED_21) <= 1e-12 * CLOSED_21
 
 
+def test_eval_oracle_overflow_prints_no_row(capsys):
+    # E(800, 1) ~ e^800 does not fit in a double: a numeric failure, no row
+    rc, out, err = run_cli(
+        ["eval", "--alpha", "1", "--beta", "1", "--x", "800", "--y", "1", "--method", "oracle"],
+        capsys,
+    )
+    assert rc == cli.EXIT_NUMERIC
+    assert out == ""
+    assert err.startswith("numeric failure: the oracle's value")
+
+
 def test_eval_wrong_lemma_exit_3(capsys):
     # both images inside the disk, so lemma2's precondition fails
     rc, _, err = run_cli(
@@ -304,15 +315,18 @@ def test_compare_degenerate_skipped(capsys):
 
 
 def test_compare_flags_a_pair_without_a_finite_limit(capsys):
-    # every method reports est_error = inf here: an uncertified pair is not
-    # an agreement, even where |delta| is inf too
+    # every method raises BudgetExceeded here: a point without a value is
+    # flagged, not passed as an agreement of nothing
     rc, out, _ = run_cli(
         ["compare", "--alpha", "0.5", "--beta", "0.5", "--x", "30", "--y", "-40"], capsys
     )
-    pairs = [line for line in out.splitlines() if line.startswith("  pair ")]
+    lines = out.splitlines()
+    skipped = [line for line in lines if ": skipped: " in line]
     assert rc == cli.EXIT_NUMERIC
-    assert pairs and all(line.endswith("limit inf FLAG") for line in pairs)
-    assert f"flagged: {len(pairs)}" in out
+    assert [line.split(":")[0].strip() for line in skipped] == ["series", "contour", "asymptotic"]
+    assert "  no method gave a value FLAG" in lines
+    assert not any(line.startswith("  pair ") for line in lines)
+    assert "flagged: 1" in out
 
 
 def test_compare_has_no_format_flag(capsys):

@@ -16,7 +16,6 @@ from ml2v import (
     ThinWindowWarning,
     admissible_theta_window,
     classify_region,
-    derived_contour_params,
     validate_params,
 )
 from ml2v.core import check_angle_window, contour_distance
@@ -63,32 +62,6 @@ def test_contour_spec_rejects_bad_geometry():
     with pytest.raises(DomainError):
         ContourSpec(epsilon=1.0, theta=3.5)
     ContourSpec(epsilon=1.0, theta=math.pi)  # boundary angle is legal
-
-
-def test_derived_params_half_orders():
-    p = validate_params(0.5, 0.5, 1.0)
-    spec = ContourSpec(epsilon=1.0, theta=math.pi / 2)
-    assert derived_contour_params(spec, p) == pytest.approx(
-        (1.0, 1.0, math.pi, math.pi)
-    )
-
-
-def test_derived_params_mixed_orders():
-    p = validate_params(0.5, 1.0, 1.0)
-    spec = ContourSpec(epsilon=0.25, theta=0.6)
-    eps_a, eps_b, th_a, th_b = derived_contour_params(spec, p)
-    assert eps_a == pytest.approx(0.25)
-    assert eps_b == pytest.approx(0.0625)
-    assert th_a == pytest.approx(0.6)
-    assert th_b == pytest.approx(1.2)
-
-
-def test_derived_params_deprecated():
-    p = validate_params(0.5, 1.0, 1.0)
-    spec = ContourSpec(epsilon=0.25, theta=0.6)
-    with pytest.warns(DeprecationWarning, match="removed in ml2v 0.2.0"):
-        windows = derived_contour_params(spec, p)
-    assert windows == (0.25**1.0, 0.25**2.0, 0.6 / 1.0, 0.6 / 0.5)
 
 
 def test_classify_region_examples():

@@ -1,5 +1,6 @@
-"""Typed outcomes: eval_auto returns a finite est_error or raises a type from
-errors.py, and its routes hand on only the NumericFailure family."""
+"""Typed outcomes: eval_auto and each route it calls return a finite value
+and est_error or raise a type from errors.py, and the routes hand on only
+the NumericFailure family."""
 
 import cmath
 import math
@@ -13,7 +14,8 @@ import ml2v.asymptotics as asymptotics
 from ml2v import cli, errors
 from ml2v.core import validate_params
 from ml2v.errors import BudgetExceeded, DomainError, NumericFailure
-from ml2v.representations import eval_auto
+from ml2v.representations import choose_contour, eval_auto, eval_with_contour
+from ml2v.series import SeriesBudget, eval_double_series
 
 ROUTE_FAILURES = {
     errors.RegionError: ValueError,
@@ -55,6 +57,25 @@ def test_auto_result_is_finite_or_typed(case):
     except (NumericFailure, DomainError):
         return
     assert math.isfinite(ev.est_error)
+
+
+def _direct_routes(params, x, y):
+    # the term budget keeps the series' share of the property's time bounded
+    yield lambda: eval_double_series(x, y, params, SeriesBudget(max_terms=5000))
+    yield lambda: eval_with_contour(x, y, params, choose_contour(x, y, params))
+    if min(abs(x), abs(y)) >= asymptotics.MAGNITUDE_FLOOR:
+        yield lambda: asymptotics.eval_asymptotic(x, y, params)
+
+
+@settings(derandomize=True, max_examples=100, database=None, deadline=None)
+@given(_cases())
+def test_route_result_is_finite_or_typed(case):
+    for route in _direct_routes(*case):
+        try:
+            ev = route()
+        except (NumericFailure, DomainError):
+            continue
+        assert cmath.isfinite(ev.value) and math.isfinite(ev.est_error)
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,8 @@ per parameter set, at truncation orders drawn from 1-5 for each variable and
 with tau1 either left to its default or drawn inside the admissible window;
 a tail-sum line's est_error is 0.  A residue line's est_error is
 the term's rounding slack EPS * residue_weight * |t| (a flat weight of 8 for
-trees without residue_weight).
+trees without residue_weight); residue and tail-sum lines print the term and
+its slack as they are, inf included, without building an Evaluation.
 compare counts per group the bit-identical lines, the tag or exception
 changes, the values that differ by more than est_A + est_B, and gives the
 worst |dvalue| / (est_A + est_B).
@@ -62,11 +63,13 @@ def _hex(v: complex) -> str:
 
 
 def _line(group: str, inputs: str, call) -> str:
+    """call returns an Evaluation or a (value, est_error, tag) triple."""
     try:
-        ev = call()
+        out = call()
     except Exception as exc:  # the exception type is part of the fingerprint
         return f"{group}\t{inputs}\t-\t-\t{type(exc).__name__}"
-    return f"{group}\t{inputs}\t{_hex(complex(ev.value))}\t{float(ev.est_error).hex()}\t{ev.method}"
+    value, est, tag = out if isinstance(out, tuple) else (out.value, out.est_error, out.method)
+    return f"{group}\t{inputs}\t{_hex(complex(value))}\t{float(est).hex()}\t{tag}"
 
 
 def record() -> None:
@@ -83,7 +86,7 @@ def record() -> None:
         terms = rep.residue_terms_x if side == "x" else rep.residue_terms_y
         (t,) = terms(x, y, p, (z,))
         powers = (p.beta, p.alpha) if side == "x" else (p.alpha, p.beta)
-        return ml2v.Evaluation(t, sys.float_info.epsilon * weight(z, *powers) * abs(t), "-")
+        return t, sys.float_info.epsilon * weight(z, *powers) * abs(t), "-"
 
     warnings.simplefilter("ignore")
     for rec in ml2v.load_corpus():
@@ -143,7 +146,7 @@ def record() -> None:
             inputs = f"{a} {b} {mu!r} {x!r} {y!r} {orders.p_alpha} {orders.p_beta} {tau1!r}"
             print(_line("asymptotic", inputs, lambda: eval_asymptotic(x, y, p, orders, tau1)))
             print(_line("asymptotic", f"{inputs} tail",
-                        lambda: ml2v.Evaluation(asympt_tail_sum(x, y, p, orders), 0.0, "-")))
+                        lambda: (asympt_tail_sum(x, y, p, orders), 0.0, "-")))
             if sum(per_case.values()) == 4 * ASYM_PER_CASE:
                 break
     g = np.random.default_rng(SEED)
