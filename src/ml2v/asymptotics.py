@@ -15,19 +15,34 @@ The remainder is of the order of the first omitted terms (Paris &
 Kaminski, Asymptotics and Mellin-Barnes Integrals, 2001), so est_error is
 twice the magnitude sum of the two omitted rings, the terms with
 max(n - p_beta, m - p_alpha) in {1, 2}: two rings, because 1/Gamma can
-vanish on one.  A rounding allowance per part comes on top: 8 EPS |T|
-for the tail and EPS * residue_weight * |t| for each residue t, whose
-exponents are built in long double (see residue_terms_x).  Nothing is
-calibrated.  The 1/Gamma table of the tail and its rings depends on the
-parameters and the orders only, never on (x, y), so the last TAIL_MEMO_SIZE
-(Parameters, orders) tables are kept; a table is a pure function of its
-key, and the estimate still depends on the call's arguments alone.
+vanish on one.  Left to itself (orders None), eval_asymptotic truncates at
+the first square order p = p_alpha = p_beta in 3..ORDER_MAX whose next
+two-ring estimate is not smaller than its own: the terms of a divergent
+expansion shrink to a smallest ring and then grow.  It stops at the first
+such ring, not the smallest over all p, since a later dip can understate
+the error.  Every order's rings come from one (ORDER_MAX + 2)^2 table.
+
+The formula also drops every pole image just outside the sector: on this
+sheet or the next, with tau1 < |arg zeta| and d (|arg zeta| - tau1) < pi/2,
+d = 1/(alpha beta).  A ray turned onto such an image still decays, so the
+expansion holds with its residue as well as without it: the residue is
+exponentially small as |zeta| grows, but not at a finite point (the Stokes
+phenomenon), and twice its magnitude joins est_error.
+
+A rounding allowance per part comes on top: 8 EPS |T| for the tail and
+EPS * residue_weight * |t| for each residue t, whose exponents are built in
+long double (see residue_terms_x).  Nothing is calibrated.  The 1/Gamma
+table of the tail and its rings depends on the parameters and the table's
+size only, never on (x, y), so the last TAIL_MEMO_SIZE tables are kept; a
+table is a pure function of its key, and the estimate still depends on the
+call's arguments alone.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -39,8 +54,8 @@ from .errors import DomainError, MagnitudeFloor
 from .gamma import recip_gamma
 from .oracle import oracle_eval  # noqa: F401  unused; perfbench/tracer.py wraps it here
 from .representations import (
+    branch_residues,
     error_bound,
-    pole_images,
     residue_terms_x,
     residue_terms_y,
     residue_weight,
@@ -52,6 +67,10 @@ MAGNITUDE_FLOOR = 5.0
 
 # Distinct (Parameters, rows, cols) whose tail 1/Gamma tables are kept.
 TAIL_MEMO_SIZE = 16
+
+# Highest square truncation order eval_asymptotic tries when it chooses the
+# orders itself; its table is (ORDER_MAX + 2) x (ORDER_MAX + 2).
+ORDER_MAX = 12
 
 
 class AsymptoticCase(Enum):
@@ -93,19 +112,46 @@ class TruncationOrders:
             )
 
 
+def _images(
+    w: complex, power: float, tau1: float, reach: float
+) -> tuple[tuple[complex, ...], list[int]]:
+    """One pass over the pole images of w, at angles power * (arg w + 2 pi k):
+    those inside the sector |angle| <= tau1 (see pole_images), and the
+    branches k of those the expansion drops, on this sheet or the next,
+    with tau1 < |angle| < tau1 + reach."""
+    ph = cmath.phase(w)
+    try:
+        r = abs(w) ** power
+    except OverflowError:
+        raise DomainError(f"the pole images of {w:.6g} overflow a double") from None
+    span = (tau1 + reach) / power
+    inside, dropped = [], []
+    for k in range(math.floor((-span - ph) / (2.0 * math.pi)),
+                   math.ceil((span - ph) / (2.0 * math.pi)) + 1):
+        ang = power * (ph + 2.0 * math.pi * k)
+        if -math.pi < ang and abs(ang) <= tau1:
+            inside.append(cmath.rect(r, ang))
+        elif tau1 < abs(ang) < tau1 + reach:
+            dropped.append(k)
+    return tuple(inside), dropped
+
+
 def _sectors(
     x: complex, y: complex, params: Parameters, tau1: float | None
-) -> tuple[AsymptoticCase, tuple[complex, ...], tuple[complex, ...]]:
-    """The case, and the pole preimages of x and of y whose angle lies
-    inside the sector |arg| <= tau1 (default: angle_window's default angle)."""
+) -> tuple[AsymptoticCase, tuple[complex, ...], tuple[complex, ...], list[int], list[int]]:
+    """The case, the pole preimages of x and of y whose angle lies inside the
+    sector |arg| <= tau1 (default: angle_window's default angle), and the
+    branches of the images of x and of y the expansion drops (see the module
+    docstring)."""
     lo, hi, default = angle_window(params)
     if tau1 is None:
         tau1 = default
     if not lo < tau1 <= hi:
         raise DomainError(f"tau1 = {tau1} outside the admissible window ({lo}, {hi}]")
-    xi = tuple(z for z in pole_images(x, params.beta) if abs(cmath.phase(z)) <= tau1)
-    yi = tuple(z for z in pole_images(y, params.alpha) if abs(cmath.phase(z)) <= tau1)
-    return _CASES[bool(xi), bool(yi)], xi, yi
+    # a dropped image lies within pi / (2 d) = pi alpha beta / 2 = lo of tau1
+    xi, xk = _images(x, params.beta, tau1, lo)
+    yi, yk = _images(y, params.alpha, tau1, lo)
+    return _CASES[bool(xi), bool(yi)], xi, yi, xk, yk
 
 
 def classify_case(
@@ -156,6 +202,16 @@ def asympt_tail_sum(
     return complex(np.sum(_tail_terms(x, y, params, orders.p_beta, orders.p_alpha)))
 
 
+def _smallest_ring(terms: np.ndarray) -> int:
+    """The first square order p in 3..ORDER_MAX whose next two-ring estimate
+    is not smaller than its own, from one 2-D cumulative sum of |terms|."""
+    s = np.diagonal(np.abs(terms).cumsum(axis=0).cumsum(axis=1))
+    # ring(p) sums the terms with max(n, m) in {p + 1, p + 2}
+    rings = s[3 + 1:ORDER_MAX + 2] - s[3 - 1:ORDER_MAX]
+    up = np.flatnonzero(rings[1:] >= rings[:-1])
+    return 3 + int(up[0]) if up.size else ORDER_MAX
+
+
 def eval_asymptotic(
     x: complex,
     y: complex,
@@ -165,22 +221,28 @@ def eval_asymptotic(
 ) -> Evaluation:
     """Case-dispatched expansion value with a next-ring error estimate.
 
-    Raises MagnitudeFloor when min(|x|, |y|) < MAGNITUDE_FLOOR and
-    DegenerateDenominator when a needed residue denominator collapses.
+    With orders None the tail is truncated at the first square order p in
+    3..ORDER_MAX whose next two-ring estimate is not smaller (see the module
+    docstring); explicit orders are used as given.  Raises MagnitudeFloor
+    when min(|x|, |y|) < MAGNITUDE_FLOOR and DegenerateDenominator when a
+    needed residue denominator collapses.
     """
-    if orders is None:
-        orders = TruncationOrders()
     x, y = complex(x), complex(y)
     if min(abs(x), abs(y)) < MAGNITUDE_FLOOR:
         raise MagnitudeFloor(
             f"min(|x|, |y|) = {min(abs(x), abs(y)):.3g} below the asymptotic "
             f"floor {MAGNITUDE_FLOOR}"
         )
-    case, xi, yi = _sectors(x, y, params, tau1)
-    pb, pa = orders.p_beta, orders.p_alpha
-    # one block holds the tail and the two omitted rings around it; the
-    # tail is summed from a contiguous copy, exactly as asympt_tail_sum does
-    terms = _tail_terms(x, y, params, pb + 2, pa + 2)
+    case, xi, yi, xk, yk = _sectors(x, y, params, tau1)
+    # one block holds the tail and the two omitted rings around it
+    if orders is None:
+        terms = _tail_terms(x, y, params, ORDER_MAX + 2, ORDER_MAX + 2)
+        pb = pa = _smallest_ring(terms)
+        terms = terms[:pb + 2, :pa + 2]
+    else:
+        pb, pa = orders.p_beta, orders.p_alpha
+        terms = _tail_terms(x, y, params, pb + 2, pa + 2)
+    # the tail is summed from a contiguous copy, exactly as asympt_tail_sum does
     parts = [complex(np.ascontiguousarray(terms[:pb, :pa]).sum())]
     parts += residue_terms_x(x, y, params, xi)
     parts += residue_terms_y(x, y, params, yi)
@@ -188,7 +250,9 @@ def eval_asymptotic(
     weights += [residue_weight(z, params.alpha, params.beta) for z in yi]
     rings = np.abs(terms)
     rings[:pb, :pa] = 0.0
-    est = error_bound(2.0 * float(rings.sum()), weights, parts)
+    a, b, mu = params.alpha, params.beta, params.mu
+    dropped = branch_residues(xk, b, a, mu, x, y) + branch_residues(yk, a, b, mu, y, x)
+    est = error_bound(2.0 * (float(rings.sum()) + sum(map(abs, dropped))), weights, parts)
     return Evaluation(sum(parts), est, f"asymptotic-{case.value}")
 
 

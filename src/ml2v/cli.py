@@ -368,9 +368,11 @@ def _add_param_flags(sp, required: bool = True) -> None:
     sp.add_argument("--tol", type=float, default=None,
                     help="target absolute tolerance (not read by --method asymptotic or oracle)")
     sp.add_argument("--p-alpha", type=int, default=3,
-                    help="asymptotic truncation order, y sum (--method asymptotic, compare)")
+                    help="asymptotic truncation order, y sum (--method asymptotic, compare; "
+                         "default 3; eval_auto chooses its own)")
     sp.add_argument("--p-beta", type=int, default=3,
-                    help="asymptotic truncation order, x sum (--method asymptotic, compare)")
+                    help="asymptotic truncation order, x sum (--method asymptotic, compare; "
+                         "default 3; eval_auto chooses its own)")
     sp.add_argument("--epsilon", type=float, default=None,
                     help=f"contour arc radius override ({_CONTOUR_READERS})")
     sp.add_argument("--theta", type=float, default=None,

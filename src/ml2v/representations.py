@@ -248,27 +248,42 @@ def _residue_terms(
     w_den: complex,
 ) -> list[complex]:
     """Residues (see residue_terms_x) at the preimages images of w_def under
-    zeta -> zeta^(1/p_def), with w_den in the other denominator.  Raises
-    DegenerateDenominator when zeta^(1/p_den) - w_den nearly vanishes.
+    zeta -> zeta^(1/p_def), with w_den in the other denominator."""
+    k = [round((cmath.phase(z) / p_def - cmath.phase(w_def)) / (2.0 * math.pi)) for z in images]
+    return branch_residues(k, p_def, p_den, mu, w_def, w_den)
+
+
+def branch_residues(
+    k: list[int],
+    p_def: float,
+    p_den: float,
+    mu: complex,
+    w_def: complex,
+    w_den: complex,
+) -> list[complex]:
+    """Residues at the poles zeta with log zeta = p_def (log w_def + 2 pi i k),
+    one per branch k, on the cut plane or past it (the analytic continuation
+    of the integrand across the cut), with w_den in the other denominator.
+    Raises DegenerateDenominator when zeta^(1/p_den) - w_den nearly vanishes.
 
     exp(zeta^d) amplifies rounding of its exponent by |zeta^d|, so nothing
     is rounded through the double images: with v = log(w_def on the image's
     branch) / p_den, zeta^d = exp(v), zeta^(1/p_den) = exp(p_def v) and
     zeta^(p+1) = exp((1 + p_def + p_den - mu) v), all in long double.
     """
-    if not images:
+    if not k:
         return []
-    k = [round((cmath.phase(z) / p_def - cmath.phase(w_def)) / (2.0 * math.pi)) for z in images]
     v = (np.log(_CLD(w_def)) + _TWO_PI_I * np.array(k)) / p_den
     root = np.exp(p_def * v)
     den = root - w_den
     c = _LD(1.0) + p_def + p_den - mu
     with np.errstate(over="ignore", invalid="ignore"):
-        for z, g, r in zip(images, den.astype(complex).tolist(), root.astype(complex).tolist()):
+        for kk, g, r in zip(k, den.astype(complex).tolist(), root.astype(complex).tolist()):
             if abs(g) <= DEGENERACY_FLOOR_REL * (1.0 + abs(r) + abs(w_den)):
                 raise DegenerateDenominator(
-                    f"pole at {z:.6g}: |zeta^(1/{p_den:g}) - {w_den:.6g}| = "
-                    f"{abs(g):.3g} is inside the degeneracy floor"
+                    f"pole on branch {kk} of zeta^(1/{p_def:g}) = {w_def:.6g}: "
+                    f"|zeta^(1/{p_den:g}) - {w_den:.6g}| = {abs(g):.3g} is inside "
+                    f"the degeneracy floor"
                 )
         # the denominator joins the exponent: an overflow is a signed inf, not nan
         return np.exp(np.exp(v) + c * v - np.log(den * w_def * p_den)).astype(complex).tolist()

@@ -5,6 +5,7 @@ import cmath
 import dataclasses
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -20,11 +21,17 @@ from ml2v.asymptotics import (
     classify_case,
     eval_asymptotic,
 )
-from ml2v.core import angle_window, validate_params
-from ml2v.errors import DomainError, MagnitudeFloor
+from ml2v.core import ContourSpec, angle_window, validate_params
+from ml2v.errors import DomainError, MagnitudeFloor, NumericFailure
 from ml2v.gamma import recip_gamma
 from ml2v.oracle import oracle_eval
-from ml2v.representations import choose_contour, eval_with_contour
+from ml2v.representations import (
+    choose_contour,
+    contour_clearance,
+    eval_auto,
+    eval_with_contour,
+    pole_images,
+)
 
 P_HALF = validate_params(0.5, 0.5, 1)
 P_08 = validate_params(0.8, 0.8, 1)
@@ -222,6 +229,113 @@ def test_next_ring_estimate_honest_at_wide_orders(x, y):
     assert abs(ev.value - ref.value) <= ev.est_error
 
 
+# Points where the expansion drops the residue of a pole image just outside
+# its sector; its rings alone at orders (3, 3) give est_error 7.97e-5 against
+# an error of 0.0893 (the residue of the image at -1.075 pi, past the cut),
+# and 5.03e-5 against 2.0e-3 (the image at 1.119 pi).
+DROPPED_IMAGE = (
+    ((1.4, 1.3, 0.4 - 0.8j),
+     -39.43636481753434 - 23.79495630105877j, 7.91083719899921 + 52.52690364778153j),
+    ((1.9, 0.9, 1),
+     -41.44471792877551 - 39.68815881092204j, 11.635930528439706 + 39.044700236645994j),
+)
+
+
+@pytest.mark.parametrize("orders,x,y", DROPPED_IMAGE)
+def test_auto_honest_where_the_expansion_drops_an_image(orders, x, y):
+    pp = validate_params(*orders)
+    ev = eval_auto(x, y, pp)
+    ref = oracle_eval(x, y, pp, digits=20).as_complex()
+    assert abs(ev.value - ref) <= ev.est_error
+
+
+# Parameter sets of the default-order honesty check: the two of the large
+# benchmark workload, unequal orders, low orders, and a small beta with a
+# complex mu.
+HONESTY_SETS = (
+    (0.5, 0.5, 1), (0.7, 0.7, 0.5 + 0.3j), (0.5, 0.8, 1), (0.3, 0.4, 1), (0.9, 0.25, 2 + 0.5j),
+)
+HONESTY_DRAWS = 40
+
+
+def _honesty_point(rng, pp, edge):
+    """(x, y) with 15 <= |x|, |y| <= 80 whose residue exponents inside the
+    angle window stay below 600; with edge, an image of x or of y lies
+    within 0.08 rad of the top of the window, where the sector ends."""
+    _, hi, _ = angle_window(pp)
+    d = 1.0 / (pp.alpha * pp.beta)
+    while True:
+        x, y = (cmath.rect(math.exp(rng.uniform(math.log(15), math.log(80))),
+                           rng.uniform(-math.pi, math.pi)) for _ in "xy")
+        angles = [(abs(z), abs(cmath.phase(z)))
+                  for z in pole_images(x, pp.beta) + pole_images(y, pp.alpha)]
+        if max((r**d * math.cos(d * t) for r, t in angles if t <= hi), default=0.0) > 600:
+            continue
+        if not edge or any(abs(t - hi) < 0.08 for _, t in angles):
+            return x, y
+
+
+def _second_contour(x, y, pp, tol):
+    """eval_with_contour on a contour below the dispatcher's angle that
+    clears every pole image by 5%, or None."""
+    lo, hi, _ = angle_window(pp)
+    images = pole_images(x, pp.beta) + pole_images(y, pp.alpha)
+    for frac in (0.6, 0.8, 0.4):
+        for eps in (0.8, 1.25, 0.5, 1.8):
+            spec = ContourSpec(eps, lo + frac * (hi - lo))
+            if min(contour_clearance(z, spec) for z in images) >= 0.05:
+                try:
+                    return eval_with_contour(x, y, pp, spec, tol)
+                except NumericFailure:
+                    continue
+    return None
+
+
+@pytest.mark.parametrize("orders", HONESTY_SETS)
+def test_default_orders_honest_against_a_second_contour(orders):
+    pp = validate_params(*orders)
+    rng = random.Random(f"asymptotic-honesty-{orders}")
+    checked = 0
+    for i in range(HONESTY_DRAWS):
+        x, y = _honesty_point(rng, pp, edge=i % 2 == 0)
+        try:
+            ev = eval_asymptotic(x, y, pp)
+        except NumericFailure:
+            continue
+        ref = _second_contour(x, y, pp, 1e-14 * max(1.0, abs(ev.value)))
+        if ref is None:
+            continue
+        checked += 1
+        assert abs(ev.value - ref.value) <= ev.est_error + ref.est_error, (x, y)
+    assert checked >= HONESTY_DRAWS // 2
+
+
+@pytest.mark.parametrize(
+    "x,y,p",
+    [
+        (-15.0 + 2.0j, 16.0 - 3.0j, 5),
+        (-30.0 + 12.0j, 25.0 - 30.0j, 10),
+        (-60.0 + 5.0j, -70.0 - 3.0j, 12),
+    ],
+)
+def test_default_orders_are_the_explicit_orders_they_choose(x, y, p):
+    pp = validate_params(1.2, 0.9, 1)
+    side = asymptotics.ORDER_MAX + 2
+    assert asymptotics._smallest_ring(_tail_terms(x, y, pp, side, side)) == p
+    explicit = eval_asymptotic(x, y, pp, TruncationOrders(p, p))
+    assert _bits(eval_asymptotic(x, y, pp)) == _bits(explicit)
+
+
+def test_explicit_orders_keep_their_bits():
+    # explicit orders are used as given: (3, 3) at a point without a dropped
+    # image, pinned to the bit
+    ev = eval_asymptotic(-40.0 + 12.0j, 25.0 - 30.0j, P_HALF, TruncationOrders(3, 3))
+    assert _bits(ev) == (
+        "-0x1.4cdb230265b6ep-19", "-0x1.773b8eacd91a0p-23", "0x1.10f0fcd75eb44p-26",
+        "asymptotic-case3",
+    )
+
+
 def test_tail_terms_underflow_at_huge_arguments():
     # x^4 overflows a double here: numpy's complex power gave nan terms and
     # an infinite est_error, where the terms underflow to 0
@@ -264,7 +378,8 @@ def test_tail_table_memo_hits(monkeypatch):
     monkeypatch.setattr(asymptotics, "recip_gamma", counted)
     x, y = -40.0 + 12.0j, 25.0 - 30.0j
     eval_asymptotic(x, y, P_HALF)
-    assert calls == [(5, 5)]
+    side = asymptotics.ORDER_MAX + 2
+    assert calls == [(side, side)]
     eval_asymptotic(-30.0, 60.0j, P_HALF)
     assert len(calls) == 1
     eval_asymptotic(x, y, P_HALF, TruncationOrders(2, 4))

@@ -21,8 +21,9 @@ part-way through a run of anti-diagonals.  The asymptotic group calls
 eval_asymptotic and asympt_tail_sum directly on seeded points with
 15 <= |x|, |y| <= 400, ASYM_PER_CASE points in each of the four sector cases
 per parameter set, at truncation orders drawn from 1-5 for each variable and
-with tau1 either left to its default or drawn inside the admissible window;
-a tail-sum line's est_error is 0.  A residue line's est_error is
+with tau1 either left to its default or drawn inside the admissible window,
+and again with the orders left to eval_asymptotic (a "default" line); a
+tail-sum line's est_error is 0.  A residue line's est_error is
 the term's rounding slack EPS * residue_weight * |t| (a flat weight of 8 for
 trees without residue_weight); residue and tail-sum lines print the term and
 its slack as they are, inf included, without building an Evaluation.
@@ -145,6 +146,8 @@ def record() -> None:
             per_case[case] += 1
             inputs = f"{a} {b} {mu!r} {x!r} {y!r} {orders.p_alpha} {orders.p_beta} {tau1!r}"
             print(_line("asymptotic", inputs, lambda: eval_asymptotic(x, y, p, orders, tau1)))
+            print(_line("asymptotic", f"{inputs} default",
+                        lambda: eval_asymptotic(x, y, p, None, tau1)))
             print(_line("asymptotic", f"{inputs} tail",
                         lambda: (asympt_tail_sum(x, y, p, orders), 0.0, "-")))
             if sum(per_case.values()) == 4 * ASYM_PER_CASE:
