@@ -5,6 +5,9 @@ representations, large-argument asymptotics), an automatic dispatcher, and an
 extended-precision oracle for cross-validation.
 """
 
+import functools
+import warnings
+
 from .asymptotics import TruncationOrders, classify_case, eval_asymptotic
 from .core import (
     ContourSpec,
@@ -34,16 +37,12 @@ from .representations import (
     choose_contour,
     classify_pair,
     eval_auto,
-    eval_lemma1,
-    eval_lemma2,
-    eval_lemma3,
-    eval_remark1,
     eval_with_contour,
     pole_images,
 )
 from .series import SeriesBudget, eval_double_series, eval_ml_one
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "BudgetExceeded",
@@ -72,11 +71,7 @@ __all__ = [
     "eval_asymptotic",
     "eval_auto",
     "eval_double_series",
-    "eval_lemma1",
-    "eval_lemma2",
-    "eval_lemma3",
     "eval_ml_one",
-    "eval_remark1",
     "eval_with_contour",
     "load_corpus",
     "make_record",
@@ -88,3 +83,18 @@ __all__ = [
     "write_corpus",
     "__version__",
 ]
+
+# Entry points deprecated in 0.3.0, one per route of eval_with_contour.
+_DEPRECATED_ROUTES = ("eval_lemma1", "eval_lemma2", "eval_remark1", "eval_lemma3")
+
+
+def __getattr__(name: str):
+    if name in _DEPRECATED_ROUTES:
+        route = name.removeprefix("eval_")
+        warnings.warn(
+            f"ml2v.{name} is deprecated; use eval_with_contour(..., route={route!r})",
+            DeprecationWarning,
+            stacklevel=2,
+        )
+        return functools.partial(eval_with_contour, route=route)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -40,9 +40,7 @@ call's arguments alone.
 
 from __future__ import annotations
 
-import cmath
 import functools
-import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -59,6 +57,7 @@ from .representations import (
     residue_terms_x,
     residue_terms_y,
     residue_weight,
+    sector_images,
 )
 
 # Below this magnitude for min(|x|, |y|) the o() error model says nothing;
@@ -112,30 +111,6 @@ class TruncationOrders:
             )
 
 
-def _images(
-    w: complex, power: float, tau1: float, reach: float
-) -> tuple[tuple[complex, ...], list[int]]:
-    """One pass over the pole images of w, at angles power * (arg w + 2 pi k):
-    those inside the sector |angle| <= tau1 (see pole_images), and the
-    branches k of those the expansion drops, on this sheet or the next,
-    with tau1 < |angle| < tau1 + reach."""
-    ph = cmath.phase(w)
-    try:
-        r = abs(w) ** power
-    except OverflowError:
-        raise DomainError(f"the pole images of {w:.6g} overflow a double") from None
-    span = (tau1 + reach) / power
-    inside, dropped = [], []
-    for k in range(math.floor((-span - ph) / (2.0 * math.pi)),
-                   math.ceil((span - ph) / (2.0 * math.pi)) + 1):
-        ang = power * (ph + 2.0 * math.pi * k)
-        if -math.pi < ang and abs(ang) <= tau1:
-            inside.append(cmath.rect(r, ang))
-        elif tau1 < abs(ang) < tau1 + reach:
-            dropped.append(k)
-    return tuple(inside), dropped
-
-
 def _sectors(
     x: complex, y: complex, params: Parameters, tau1: float | None
 ) -> tuple[AsymptoticCase, tuple[complex, ...], tuple[complex, ...], list[int], list[int]]:
@@ -149,8 +124,8 @@ def _sectors(
     if not lo < tau1 <= hi:
         raise DomainError(f"tau1 = {tau1} outside the admissible window ({lo}, {hi}]")
     # a dropped image lies within pi / (2 d) = pi alpha beta / 2 = lo of tau1
-    xi, xk = _images(x, params.beta, tau1, lo)
-    yi, yk = _images(y, params.alpha, tau1, lo)
+    xi, xk = sector_images(x, params.beta, tau1, lo)
+    yi, yk = sector_images(y, params.alpha, tau1, lo)
     return _CASES[bool(xi), bool(yi)], xi, yi, xk, yk
 
 

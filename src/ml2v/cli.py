@@ -32,10 +32,6 @@ from .representations import (
     ASYMPTOTIC_RADIUS,
     choose_contour,
     eval_auto,
-    eval_lemma1,
-    eval_lemma2,
-    eval_lemma3,
-    eval_remark1,
     eval_with_contour,
 )
 from .selftest import SUITES, run_suites
@@ -46,7 +42,19 @@ CSV_HEADER = (
     "val_re,val_im,est_error,method,case,ms"
 )
 
-METHODS = ("auto", "series", "lemma1", "lemma2", "remark1", "lemma3", "asymptotic", "oracle")
+CONTOUR_METHODS = ("lemma1", "lemma2", "remark1", "lemma3")
+METHODS = ("auto", "series", *CONTOUR_METHODS, "asymptotic", "oracle")
+
+# The evaluations that read each knob: an eval/grid method, "compare" (points
+# or a grid) or "compare --corpus".  The CLI rejects a knob given to any
+# other evaluation (exit 2), and --help lists the readers.
+KNOB_READERS = {
+    "tol": ("auto", "series", *CONTOUR_METHODS, "compare", "compare --corpus"),
+    "p_alpha": ("asymptotic", "compare"),
+    "p_beta": ("asymptotic", "compare"),
+    "epsilon": (*CONTOUR_METHODS, "compare"),
+    "theta": (*CONTOUR_METHODS, "compare"),
+}
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -169,6 +177,12 @@ def _contour_for(args, x: complex, y: complex, params: Parameters) -> ContourSpe
     )
 
 
+def _orders(args) -> TruncationOrders:
+    """--p-alpha and --p-beta, each TruncationOrders' default where unset."""
+    given = {"p_alpha": args.p_alpha, "p_beta": args.p_beta}
+    return TruncationOrders(**{k: v for k, v in given.items() if v is not None})
+
+
 def evaluate_point(args, x: complex, y: complex, params: Parameters,
                    method: str, tol: float) -> Evaluation:
     if method == "auto":
@@ -176,7 +190,7 @@ def evaluate_point(args, x: complex, y: complex, params: Parameters,
     if method == "series":
         return eval_double_series(x, y, params, SeriesBudget(tol=min(tol, 1e-10)))
     if method == "asymptotic":
-        return eval_asymptotic(x, y, params, TruncationOrders(args.p_alpha, args.p_beta))
+        return eval_asymptotic(x, y, params, _orders(args))
     if method == "oracle":
         ov = oracle_eval(x, y, params, digits=30)
         v = ov.as_complex()
@@ -184,14 +198,8 @@ def evaluate_point(args, x: complex, y: complex, params: Parameters,
         if not math.isfinite(est):  # also where v is not finite
             raise BudgetExceeded("the oracle's value or tail bound does not fit in a double")
         return Evaluation(v, est, "oracle")
-    lemma = {
-        "lemma1": eval_lemma1,
-        "lemma2": eval_lemma2,
-        "remark1": eval_remark1,
-        "lemma3": eval_lemma3,
-    }[method]
     spec = _contour_for(args, x, y, params)
-    return lemma(x, y, params, spec, tol)
+    return eval_with_contour(x, y, params, spec, tol, route=method)
 
 
 def _params_from(args) -> Parameters:
@@ -260,8 +268,7 @@ def _compare_methods(args, x: complex, y: complex, params: Parameters,
             x, y, params, _contour_for(args, x, y, params), tol)),
     ]
     if min(abs(x), abs(y)) >= ASYMPTOTIC_RADIUS:
-        calls.append(("asymptotic", lambda: eval_asymptotic(
-            x, y, params, TruncationOrders(args.p_alpha, args.p_beta))))
+        calls.append(("asymptotic", lambda: eval_asymptotic(x, y, params, _orders(args))))
     entries: list[tuple[str, Evaluation | None, str]] = []
     for name, call in calls:
         try:
@@ -357,8 +364,19 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if n_fail == 0 else EXIT_SELFTEST
 
 
-# The evaluations that read --epsilon and --theta (see _contour_for).
-_CONTOUR_READERS = "--method lemma1|lemma2|remark1|lemma3, compare"
+def _read_by(knob: str) -> str:
+    return "read by " + ", ".join(KNOB_READERS[knob])
+
+
+def _check_knobs(parser: argparse.ArgumentParser, args) -> None:
+    """Reject, exit 2, a knob given to an evaluation that does not read it."""
+    if args.command == "selftest":
+        return
+    reader = args.method if args.command != "compare" else (
+        "compare --corpus" if args.corpus is not None else "compare")
+    for knob, readers in KNOB_READERS.items():
+        if getattr(args, knob) is not None and reader not in readers:
+            parser.error(f"--{knob.replace('_', '-')} is not read by {reader} ({_read_by(knob)})")
 
 
 def _add_param_flags(sp, required: bool = True) -> None:
@@ -366,17 +384,17 @@ def _add_param_flags(sp, required: bool = True) -> None:
     sp.add_argument("--beta", type=float, required=required, help="second order (> 0)")
     sp.add_argument("--mu", default="1", help="offset, complex literal a+bi")
     sp.add_argument("--tol", type=float, default=None,
-                    help="target absolute tolerance (not read by --method asymptotic or oracle)")
-    sp.add_argument("--p-alpha", type=int, default=3,
-                    help="asymptotic truncation order, y sum (--method asymptotic, compare; "
+                    help=f"target absolute tolerance ({_read_by('tol')})")
+    sp.add_argument("--p-alpha", type=int, default=None,
+                    help=f"asymptotic truncation order, y sum ({_read_by('p_alpha')}; "
                          "default 3; eval_auto chooses its own)")
-    sp.add_argument("--p-beta", type=int, default=3,
-                    help="asymptotic truncation order, x sum (--method asymptotic, compare; "
+    sp.add_argument("--p-beta", type=int, default=None,
+                    help=f"asymptotic truncation order, x sum ({_read_by('p_beta')}; "
                          "default 3; eval_auto chooses its own)")
     sp.add_argument("--epsilon", type=float, default=None,
-                    help=f"contour arc radius override ({_CONTOUR_READERS})")
+                    help=f"contour arc radius override ({_read_by('epsilon')})")
     sp.add_argument("--theta", type=float, default=None,
-                    help=f"contour ray angle override ({_CONTOUR_READERS})")
+                    help=f"contour ray angle override ({_read_by('theta')})")
 
 
 def _add_axis_flags(sp) -> None:
@@ -449,7 +467,9 @@ def _attach_negative_literals(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(_attach_negative_literals(argv))
+    parser = build_parser()
+    args = parser.parse_args(_attach_negative_literals(argv))
+    _check_knobs(parser, args)
     try:
         return args.func(args)
     except DomainError as exc:

@@ -10,11 +10,12 @@ integrand evaluations (the rules share no nodes); the difference of the two
 is the panel error estimate and the 16-node value is kept.  The initial
 sweep evaluates every panel in one integrand call.  Each refinement round
 then halves the fewest worst panels whose estimates add up to the excess
-over the tolerance, as many as the node budget allows, again in one call,
-until the error sum meets the tolerance or the budget runs out.  Ray panels
-are graded geometrically outward from the arc because the integrands of
-interest decay like exp(cos(theta*d) * r^d) along the rays; arc panels are
-uniform in angle.
+over the tolerance, as many as the node budget (a constant,
+DEFAULT_NODE_BUDGET, unless integrate is given one) allows, again in one
+call, until the error sum meets the tolerance or the budget runs out.  Ray
+panels are graded geometrically outward from the arc because the integrands
+of interest decay like exp(cos(theta*d) * r^d) along the rays; arc panels
+are uniform in angle.
 
 integrate sizes the contour itself.  The truncation radius R solves
 exp(cos(theta*d) * R^d) <= trunc_tol, starting from trunc_tol =
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -51,7 +51,6 @@ from .core import ContourSpec, Evaluation
 from .errors import GeometryError, QuadratureError
 
 DEFAULT_NODE_BUDGET = 200_000
-NODE_BUDGET_ENV = "ML2V_NODE_BUDGET"
 
 # Distinct (spec, decay, trunc_tol) contours build_contour keeps.
 CONTOUR_MEMO_SIZE = 16
@@ -164,13 +163,6 @@ def build_contour(
     return DiscretizedContour(spec, radius, decay, panels, nodes, path)
 
 
-def node_budget_default() -> int:
-    try:
-        return max(1, int(os.environ[NODE_BUDGET_ENV]))
-    except (KeyError, ValueError):
-        return DEFAULT_NODE_BUDGET
-
-
 def _eval_nodes(z: np.ndarray, path: np.ndarray, f: Callable) -> tuple[np.ndarray, np.ndarray]:
     """Fine-rule values and |fine - coarse| estimates of the panels with
     these nodes and path factors, from one call of f on all the nodes."""
@@ -215,10 +207,10 @@ def integrate(
     Raises GeometryError (from build_contour) before any node is evaluated
     when the rays do not decay, and QuadratureError as soon as a sweep meets
     a non-finite integrand value, or if the tolerance is unreachable within
-    the node budget.
+    node_budget nodes (DEFAULT_NODE_BUDGET when None).
     """
     if node_budget is None:
-        node_budget = node_budget_default()
+        node_budget = DEFAULT_NODE_BUDGET
     f, decay = integrand.f, integrand.decay
     tt = min(1e-16, tol * 1e-2)
     radius = _truncation_radius(spec, decay, tt)

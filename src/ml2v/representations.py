@@ -11,11 +11,10 @@ is not injective on the cut plane when beta < 1, so the x denominator can
 vanish at several preimages |x|^beta * exp(i*beta*(arg x + 2 pi k)), one per
 integer k that keeps the angle inside (-pi, pi]; likewise for y with alpha.
 Every preimage that lies in the outer wedge Omega+ contributes its residue.
-One route function evaluates all four placements; its entry points
-eval_lemma1 (no residues), eval_lemma2 (y residues), eval_remark1 (x
-residues) and eval_lemma3 (both) each require one placement, and
-eval_with_contour accepts whichever holds.  The method tags follow the
-public naming used across the CLI.
+eval_with_contour evaluates all four placements and tags each with its
+route: lemma1 (no residues), lemma2 (y residues), remark1 (x residues) or
+lemma3 (both), the public naming used across the CLI.  Given route=, it
+requires that placement.
 
 eval_auto picks a contour and calls eval_with_contour, and falls back to
 the double series when the construction degenerates; very large
@@ -80,30 +79,40 @@ _CLEARANCE_TARGET = 0.05
 _EPSILON_LADDER = (1.0, 0.5, 2.0, 0.25, 4.0, 0.1, 8.0, 0.04)
 
 
-def pole_images(w: complex, power: float) -> tuple[complex, ...]:
-    """All cut-plane solutions zeta of zeta^(1/power) = w.
-
-    They sit at |w|^power * exp(i*power*(arg w + 2 pi k)) for every integer
-    k keeping that angle inside (-pi, pi].  For power >= 1 there is at most
-    one; for power < 1 up to ceil(1/power) preimages coexist and each is a
-    genuine pole of the integrand.
-    """
-    w = complex(w)
-    if w == 0:
-        return (0j,)
+def sector_images(
+    w: complex, power: float, tau1: float, reach: float
+) -> tuple[tuple[complex, ...], list[int]]:
+    """One pass over the pole images of w, at angles power * (arg w + 2 pi k):
+    those inside the sector -pi < angle, |angle| <= tau1, and the branches k
+    of those with tau1 < |angle| < tau1 + reach (the images the asymptotic
+    expansion drops, on this sheet or the next).  Raises DomainError where
+    the images overflow a double."""
     ph = cmath.phase(w)
     try:
         r = abs(w) ** power
     except OverflowError:
         raise DomainError(f"the pole images of {w:.6g} overflow a double") from None
-    lo = (-math.pi / power - ph) / (2.0 * math.pi)
-    hi = (math.pi / power - ph) / (2.0 * math.pi)
-    out = []
-    for k in range(math.floor(lo), math.ceil(hi) + 1):
+    span = (tau1 + reach) / power
+    inside, dropped = [], []
+    for k in range(math.floor((-span - ph) / (2.0 * math.pi)),
+                   math.ceil((span - ph) / (2.0 * math.pi)) + 1):
         ang = power * (ph + 2.0 * math.pi * k)
-        if -math.pi < ang <= math.pi:
-            out.append(cmath.rect(r, ang))
-    return tuple(out)
+        if -math.pi < ang and abs(ang) <= tau1:
+            inside.append(cmath.rect(r, ang))
+        elif tau1 < abs(ang) < tau1 + reach:
+            dropped.append(k)
+    return tuple(inside), dropped
+
+
+def pole_images(w: complex, power: float) -> tuple[complex, ...]:
+    """All cut-plane solutions zeta of zeta^(1/power) = w: the images of
+    sector_images with tau1 = pi.  For power >= 1 there is at most one; for
+    power < 1 up to ceil(1/power) coexist, each a genuine pole of the
+    integrand."""
+    w = complex(w)
+    if w == 0:
+        return (0j,)
+    return sector_images(w, power, math.pi, 0.0)[0]
 
 
 def _multiplied_out(e: complex) -> bool:
@@ -329,26 +338,31 @@ _ROUTES = {
 }
 
 
-def _contour_route(
+def eval_with_contour(
     x: complex,
     y: complex,
     params: Parameters,
     spec: ContourSpec,
-    tol: float,
-    route: str | None,
+    tol: float = 1e-8,
+    route: str | None = None,
 ) -> Evaluation:
     """The contour integral plus the residues of every Omega+ preimage.
 
     route is the method tag of the placement the caller requires, or None
-    to accept whichever holds.  Raises GeometryError when spec's angle
-    leaves the admissible window, RegionError when an image is pinned on
-    the contour or the placement is not route's, DegenerateDenominator
-    when a residue denominator collapses or an x- and a y-preimage in
-    Omega+ coincide (the two simple poles then merge into a double pole
-    the residue terms cannot represent), and PoleProximityError, before
-    any integrand call, when a preimage lies within POLE_FLOOR_REL * eps of
-    the contour (the distance _placement measured for the label).
+    to accept whichever holds.  Raises DomainError for a route that is no
+    method tag, GeometryError when spec's angle leaves the admissible
+    window, RegionError when an image is pinned on the contour or the
+    placement is not route's, DegenerateDenominator when a residue
+    denominator collapses or an x- and a y-preimage in Omega+ coincide (the
+    two simple poles then merge into a double pole the residue terms cannot
+    represent), and PoleProximityError, before any integrand call, when a
+    preimage lies within POLE_FLOOR_REL * eps of the contour (the distance
+    _placement measured for the label).
     """
+    if route is not None and route not in _ROUTES.values():
+        raise DomainError(
+            f"route must be one of {', '.join(_ROUTES.values())} or None, got {route!r}"
+        )
     lx, x_in, x_dist = _placement(x, params.beta, spec)
     ly, y_in, y_dist = _placement(y, params.alpha, spec)
     pinned = RegionLabel.ON_CONTOUR in (lx, ly)
@@ -389,46 +403,6 @@ def _contour_route(
     weights += [residue_weight(z, params.alpha, params.beta) for z in y_in]
     total = sum(terms) + val
     return Evaluation(total, error_bound(est, weights + [16.0], terms + [total]), found)
-
-
-def eval_lemma1(
-    x: complex, y: complex, params: Parameters, spec: ContourSpec, tol: float = 1e-8
-) -> Evaluation:
-    """Pure contour integral: every preimage in Omega-, no residue terms."""
-    return _contour_route(x, y, params, spec, tol, "lemma1")
-
-
-def eval_lemma2(
-    x: complex, y: complex, params: Parameters, spec: ContourSpec, tol: float = 1e-8
-) -> Evaluation:
-    """Contour integral plus y residues: x in Omega-, y in Omega+."""
-    return _contour_route(x, y, params, spec, tol, "lemma2")
-
-
-def eval_remark1(
-    x: complex, y: complex, params: Parameters, spec: ContourSpec, tol: float = 1e-8
-) -> Evaluation:
-    """Contour integral plus x residues: x in Omega+, y in Omega-."""
-    return _contour_route(x, y, params, spec, tol, "remark1")
-
-
-def eval_lemma3(
-    x: complex, y: complex, params: Parameters, spec: ContourSpec, tol: float = 1e-8
-) -> Evaluation:
-    """Contour integral plus both residue families: both in Omega+."""
-    return _contour_route(x, y, params, spec, tol, "lemma3")
-
-
-def eval_with_contour(
-    x: complex, y: complex, params: Parameters, spec: ContourSpec, tol: float = 1e-8
-) -> Evaluation:
-    """The representation matching where the pole images fall.
-
-    Classifies every preimage of x and y against spec and applies the
-    route for that placement; raises RegionError when any image is pinned
-    on the contour itself.
-    """
-    return _contour_route(x, y, params, spec, tol, None)
 
 
 def choose_contour(x: complex, y: complex, params: Parameters) -> ContourSpec:

@@ -18,10 +18,6 @@ from ml2v.representations import (
     _contour_piece,
     choose_contour,
     eval_auto,
-    eval_lemma1,
-    eval_lemma2,
-    eval_lemma3,
-    eval_remark1,
     eval_with_contour,
     pole_images,
     residue_terms_y,
@@ -82,7 +78,7 @@ def test_closed_form_anchor_representations():
     # contour must reproduce the closed form
     lo, hi = admissible_theta_window(P111, warn=False)
     theta = hi * (1.0 - 1e-3)
-    routes = (eval_lemma1, eval_lemma2, eval_remark1, eval_lemma3)
+    routes = ("lemma1", "lemma2", "remark1", "lemma3")
     seen = set()
     for x, y in anchor_points():
         ref = closed_form(x, y)
@@ -90,9 +86,9 @@ def test_closed_form_anchor_representations():
         specs += [ContourSpec(eps, theta) for eps in (0.6, 2.0, 7.0)]
         applied = 0
         for spec in specs:
-            for fn in routes:
+            for route in routes:
                 try:
-                    ev = fn(x, y, P111, spec, tol=1e-9)
+                    ev = eval_with_contour(x, y, P111, spec, tol=1e-9, route=route)
                 except (RegionError, DegenerateDenominator, PoleProximityError):
                     continue
                 assert abs(ev.value - ref) <= 1e-7 * abs(ref)
@@ -129,12 +125,7 @@ def test_cross_method_agreement_grid():
 def test_named_routes_match_dispatch():
     # on the acceptance grid, the route eval_with_contour reports gives the
     # identical Evaluation and the other three named routes refuse the point
-    routes = {
-        "lemma1": eval_lemma1,
-        "lemma2": eval_lemma2,
-        "remark1": eval_remark1,
-        "lemma3": eval_lemma3,
-    }
+    routes = ("lemma1", "lemma2", "remark1", "lemma3")
     seen = set()
     for pp in GRID_SETS:
         for x, y in grid_points():
@@ -144,12 +135,12 @@ def test_named_routes_match_dispatch():
             except (RegionError, DegenerateDenominator):
                 continue
             seen.add(ev.method)
-            for name, route in routes.items():
-                if name == ev.method:
-                    assert route(x, y, pp, spec) == ev
+            for route in routes:
+                if route == ev.method:
+                    assert eval_with_contour(x, y, pp, spec, route=route) == ev
                 else:
                     with pytest.raises(RegionError):
-                        route(x, y, pp, spec)
+                        eval_with_contour(x, y, pp, spec, route=route)
     assert seen == set(routes)
 
 
@@ -212,8 +203,8 @@ def test_pole_crossing_jump_matches_residue():
     assert abs(residue) > 1e-3
     assert abs((outer - inner) - residue) <= 1e-6
     # and the two route totals agree
-    t_in = eval_lemma1(x, y, params, spec_in, tol=1e-9).value
-    t_out = eval_lemma2(x, y, params, spec_out, tol=1e-9).value
+    t_in = eval_with_contour(x, y, params, spec_in, tol=1e-9, route="lemma1").value
+    t_out = eval_with_contour(x, y, params, spec_out, tol=1e-9, route="lemma2").value
     assert abs(t_in - t_out) <= 2e-7
 
 

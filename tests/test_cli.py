@@ -2,14 +2,13 @@
 
 import json
 import math
-import os
 import subprocess
 import sys
 from types import SimpleNamespace
 
 import pytest
 
-from ml2v import cli, selftest
+from ml2v import cli, contour, selftest
 from ml2v.errors import DomainError
 
 E = math.e
@@ -114,6 +113,33 @@ def test_non_finite_input_exit_2(argv, capsys):
     assert rc == 2
     assert "domain error" in err
     assert out == ""
+
+
+POINT_11 = ["--alpha", "1", "--beta", "1", "--x", "2", "--y", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["eval", *POINT_11, "--method", "asymptotic", "--tol", "1e-6"], "--tol"),
+        (["grid", *POINT_11, "--method", "oracle", "--tol", "1e-6"], "--tol"),
+        (["eval", *POINT_11, "--epsilon", "2"], "--epsilon"),
+        (["eval", *POINT_11, "--method", "series", "--theta", "1"], "--theta"),
+        (["grid", *POINT_11, "--method", "asymptotic", "--theta", "1"], "--theta"),
+        (["eval", *POINT_11, "--method", "lemma1", "--p-alpha", "4"], "--p-alpha"),
+        (["eval", *POINT_11, "--p-beta", "4"], "--p-beta"),
+        (["compare", "--corpus", "--epsilon", "2"], "--epsilon"),
+        (["compare", "--corpus", "--p-beta", "4"], "--p-beta"),
+    ],
+    ids=["asymptotic-tol", "oracle-tol", "auto-epsilon", "series-theta", "asymptotic-theta",
+         "lemma1-p-alpha", "auto-p-beta", "corpus-epsilon", "corpus-p-beta"],
+)
+def test_unread_knob_exit_2(argv, flag, capsys):
+    # a knob the chosen evaluation does not read is a usage error, not ignored
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_DOMAIN
+    assert f"{flag} is not read by" in capsys.readouterr().err
 
 
 def test_eval_origin_is_one(capsys):
@@ -364,18 +390,12 @@ def test_selftest_suite_filter(capsys, monkeypatch, cached_run_suite):
     assert "deformation" not in out
 
 
-def test_selftest_budget_negative_control():
+def test_selftest_budget_negative_control(capsys, monkeypatch):
     # starving the quadrature must surface as a deformation failure, exit 1
-    env = dict(os.environ, ML2V_NODE_BUDGET="40")
-    proc = subprocess.run(
-        [sys.executable, "-m", "ml2v.cli", "selftest", "--suite", "deformation"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
-    assert proc.returncode == 1
-    assert "FAIL" in proc.stdout
+    monkeypatch.setattr(contour, "DEFAULT_NODE_BUDGET", 40)
+    rc, out, _ = run_cli(["selftest", "--suite", "deformation"], capsys)
+    assert rc == 1
+    assert "FAIL" in out
 
 
 NAN = complex(math.nan, math.nan)

@@ -11,11 +11,9 @@ from mpmath import mp
 
 from ml2v.contour import (
     CONTOUR_MEMO_SIZE,
-    DEFAULT_NODE_BUDGET,
     IntegrandSpec,
     build_contour,
     integrate,
-    node_budget_default,
 )
 from ml2v.core import ContourSpec, validate_params
 from ml2v.errors import GeometryError, PoleProximityError, QuadratureError
@@ -152,15 +150,6 @@ def test_node_budget_exhaustion():
     ig = IntegrandSpec(f=lambda u: np.exp(u) * u ** (-2.5), decay=1.0)
     with pytest.raises(QuadratureError):
         integrate(spec, ig, tol=1e-12, node_budget=10)
-
-
-def test_node_budget_env(monkeypatch):
-    monkeypatch.delenv("ML2V_NODE_BUDGET", raising=False)
-    assert node_budget_default() == DEFAULT_NODE_BUDGET
-    monkeypatch.setenv("ML2V_NODE_BUDGET", "5000")
-    assert node_budget_default() == 5000
-    monkeypatch.setenv("ML2V_NODE_BUDGET", "not-a-number")
-    assert node_budget_default() == DEFAULT_NODE_BUDGET
 
 
 def _counted(f):

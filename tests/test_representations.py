@@ -31,10 +31,6 @@ from ml2v.representations import (
     classify_pair,
     contour_clearance,
     eval_auto,
-    eval_lemma1,
-    eval_lemma2,
-    eval_lemma3,
-    eval_remark1,
     eval_with_contour,
     ml_integrand,
     pole_images,
@@ -92,10 +88,10 @@ def test_conjugate_pole_pair_regression():
     assert abs(ev.value - ref.value) <= ev.est_error + ref.est_error
 
     spec = choose_contour(-2.0, -2.0, pp)
-    direct = eval_remark1(-2.0, -2.0, pp, spec)
+    direct = eval_with_contour(-2.0, -2.0, pp, spec, route="remark1")
     assert abs(direct.value - ref.value) <= direct.est_error + ref.est_error
     # swallowing both poles into the disk must give the same value
-    big = eval_lemma1(-2.0, -2.0, pp, ContourSpec(2.5, spec.theta))
+    big = eval_with_contour(-2.0, -2.0, pp, ContourSpec(2.5, spec.theta), route="lemma1")
     assert abs(big.value - direct.value) <= big.est_error + direct.est_error
 
 
@@ -110,7 +106,7 @@ def test_classify_pair_labels():
 
 
 def test_lemma1_closed_form():
-    ev = eval_lemma1(-2.0, -3.0, P111, BASE)
+    ev = eval_with_contour(-2.0, -3.0, P111, BASE, route="lemma1")
     ref = closed_form(-2.0, -3.0)
     assert ev.method == "lemma1"
     assert abs(ev.value - ref) <= max(ev.est_error, 1e-12)
@@ -118,21 +114,21 @@ def test_lemma1_closed_form():
 
 
 def test_lemma2_closed_form():
-    ev = eval_lemma2(-1.0, 2.0, P111, BASE)
+    ev = eval_with_contour(-1.0, 2.0, P111, BASE, route="lemma2")
     ref = closed_form(-1.0, 2.0)
     assert ev.method == "lemma2"
     assert abs(ev.value - ref) <= max(ev.est_error, 1e-12)
 
 
 def test_remark1_closed_form():
-    ev = eval_remark1(2.0, -1.0, P111, BASE)
+    ev = eval_with_contour(2.0, -1.0, P111, BASE, route="remark1")
     ref = closed_form(2.0, -1.0)
     assert ev.method == "remark1"
     assert abs(ev.value - ref) <= max(ev.est_error, 1e-12)
 
 
 def test_lemma3_closed_form():
-    ev = eval_lemma3(2.0, 3.0, P111, BASE)
+    ev = eval_with_contour(2.0, 3.0, P111, BASE, route="lemma3")
     ref = 3 * math.e**3 - 2 * math.e**2
     assert ev.method == "lemma3"
     assert abs(ev.value - ref) / ref <= 1e-10
@@ -141,7 +137,7 @@ def test_lemma3_closed_form():
 def test_general_orders_match_series():
     pp = validate_params(0.8, 0.6, 1.1)
     spec = choose_contour(-1.0, -1.0, pp)
-    ev = eval_lemma1(-1.0, -1.0, pp, spec)
+    ev = eval_with_contour(-1.0, -1.0, pp, spec, route="lemma1")
     ref = eval_double_series(-1.0, -1.0, pp)
     assert abs(ev.value - ref.value) <= ev.est_error + ref.est_error
 
@@ -149,29 +145,53 @@ def test_general_orders_match_series():
 def test_zero_argument_inside_arc():
     pp = validate_params(0.9, 0.7, 0.8)
     spec = choose_contour(0.0, 2.0, pp)
-    ev = eval_lemma2(0.0, 2.0, pp, spec)
+    ev = eval_with_contour(0.0, 2.0, pp, spec, route="lemma2")
     ref = eval_double_series(0.0, 2.0, pp)
     assert abs(ev.value - ref.value) <= ev.est_error + ref.est_error
 
 
 def test_route_mismatch_raises():
     with pytest.raises(RegionError):
-        eval_lemma1(2.0, 3.0, P111, BASE)
+        eval_with_contour(2.0, 3.0, P111, BASE, route="lemma1")
     with pytest.raises(RegionError):
-        eval_lemma3(-2.0, -3.0, P111, BASE)
+        eval_with_contour(-2.0, -3.0, P111, BASE, route="lemma3")
     with pytest.raises(RegionError):
-        eval_lemma2(2.0, -1.0, P111, BASE)
+        eval_with_contour(2.0, -1.0, P111, BASE, route="lemma2")
+
+
+@pytest.mark.parametrize("route", ["lemma9", "", "Lemma1", "auto", "series"])
+def test_unknown_route_is_a_domain_error(route, monkeypatch):
+    # a bad route is the caller's error, raised before any geometry
+    monkeypatch.setattr(rep, "_placement", lambda *a: pytest.fail("placed a point"))
+    with pytest.raises(DomainError, match="route"):
+        eval_with_contour(-2.0, -3.0, P111, BASE, route=route)
+
+
+def test_deprecated_route_aliases():
+    # each old entry point warns and is eval_with_contour with its route;
+    # none is in __all__, so a star import warns nothing
+    import ml2v
+
+    points = {"lemma1": (-2.0, -3.0), "lemma2": (-1.0, 2.0),
+              "remark1": (2.0, -1.0), "lemma3": (2.0, 3.0)}
+    for route, (x, y) in points.items():
+        with pytest.warns(DeprecationWarning, match=f"route='{route}'"):
+            fn = getattr(ml2v, f"eval_{route}")
+        assert fn(x, y, P111, BASE, 1e-9) == eval_with_contour(x, y, P111, BASE, 1e-9, route=route)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exec("from ml2v import *", {})
 
 
 def test_image_on_contour_raises():
     x = 1.0 * cmath.exp(0.3j)  # image sits exactly on the arc
     with pytest.raises(RegionError):
-        eval_lemma3(x, 3.0, P111, BASE)
+        eval_with_contour(x, 3.0, P111, BASE, route="lemma3")
 
 
 def test_degenerate_images_raise():
     with pytest.raises(DegenerateDenominator):
-        eval_lemma3(3.0, 3.0, P111, BASE)
+        eval_with_contour(3.0, 3.0, P111, BASE, route="lemma3")
     pp = validate_params(0.5, 1, 1)
     with pytest.raises(DegenerateDenominator):
         residue_terms_y(2.0 ** 0.5, 2.0, pp, pole_images(2.0, pp.alpha))
@@ -184,22 +204,22 @@ def test_residue_only_path(monkeypatch):
         return IntegrandSpec(lambda z: np.zeros_like(z), real.decay)
 
     monkeypatch.setattr("ml2v.representations.ml_integrand", silent)
-    ev = eval_lemma2(-1.0, 2.0, P111, BASE)
+    ev = eval_with_contour(-1.0, 2.0, P111, BASE, route="lemma2")
     res = sum(residue_terms_y(-1.0, 2.0, P111, pole_images(2.0, P111.alpha)))
     assert ev.value == pytest.approx(res, rel=1e-15)
 
 
 def test_contour_parameter_independence():
-    a = eval_lemma1(-2.0, -3.0, P111, ContourSpec(1.0, 3 * math.pi / 4))
-    b = eval_lemma1(-2.0, -3.0, P111, ContourSpec(0.4, 2.2))
+    a = eval_with_contour(-2.0, -3.0, P111, ContourSpec(1.0, 3 * math.pi / 4), route="lemma1")
+    b = eval_with_contour(-2.0, -3.0, P111, ContourSpec(0.4, 2.2), route="lemma1")
     assert abs(a.value - b.value) <= 2e-7
     assert abs(a.value - b.value) <= a.est_error + b.est_error
 
 
 def test_continuation_across_arc():
     # growing eps swallows y's image; the route changes, the value must not
-    small = eval_lemma2(-1.0, 2.0, P111, ContourSpec(1.0, 3 * math.pi / 4))
-    big = eval_lemma1(-1.0, 2.0, P111, ContourSpec(2.5, 3 * math.pi / 4))
+    small = eval_with_contour(-1.0, 2.0, P111, ContourSpec(1.0, 3 * math.pi / 4), route="lemma2")
+    big = eval_with_contour(-1.0, 2.0, P111, ContourSpec(2.5, 3 * math.pi / 4), route="lemma1")
     assert abs(small.value - big.value) <= small.est_error + big.est_error
 
 
