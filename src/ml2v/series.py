@@ -11,11 +11,24 @@ If the certificate never fires within the term budget, or the terms leave
 the double range, the sum raises BudgetExceeded: callers (the automatic
 dispatcher in particular) treat that as a route failure they can route
 around.
+
+The terms come in runs of 16 blocks, each from one table of
+1/Gamma(alpha n + beta m + mu) that depends on the parameters and the run
+alone, never on (x, y), and each run is reduced to its block sums,
+magnitude sums and peaks in one pass.  Runs that start below
+SERIES_MEMO_BLOCKS keep their index layout, and the last SERIES_MEMO_SIZE
+(Parameters, run) tables are kept; a run past the cap, such as those of an
+order-0.1 point that needs about 2000 blocks, keeps nothing.  A kept table
+holds at most 16 * 112 + 136 = 1928 complex entries, about 31 kB, so the
+tables take at most about 2.0 MB and the layouts 0.13 MB.  A table is a
+pure function of its key: the value is the same to the bit with or without
+the memo.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import operator
@@ -54,6 +67,49 @@ def _log_abs(w: complex) -> float:
 # element work, dominates a low-order block.
 _RUN = 16
 
+# Runs of blocks that start below SERIES_MEMO_BLOCKS keep their index layout
+# and, for the last SERIES_MEMO_SIZE (Parameters, run) pairs, their 1/Gamma
+# table; see the module docstring.
+SERIES_MEMO_BLOCKS = 128
+SERIES_MEMO_SIZE = 64
+
+
+@functools.lru_cache(maxsize=SERIES_MEMO_BLOCKS // _RUN)
+def _run_layout(k0: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (n, m, starts) of the run of blocks k0 .. k0 + _RUN - 1:
+    block k = k0 + j holds n = 0 .. k, m = k - n at starts[j] .. starts[j] + k."""
+    ks = np.arange(k0, k0 + _RUN)
+    starts = np.cumsum(ks + 1) - ks - 1
+    n = np.arange(starts[-1] + ks[-1] + 1) - np.repeat(starts, ks + 1)
+    m = np.repeat(ks, ks + 1) - n
+    for a in (n, m, starts):
+        a.flags.writeable = False
+    return n, m, starts
+
+
+def _gamma_args(params: Parameters, n, m):
+    """alpha n + beta m + mu: one formula, so that the log route's arguments
+    have the bits of the table's."""
+    return params.alpha * n + params.beta * m + params.mu
+
+
+def _gammas(args, starts) -> tuple[np.ndarray, np.ndarray]:
+    """1/Gamma(args) over a run of blocks, and per block whether it
+    underflowed to 0 right of the poles: that is not a true zero, and such a
+    block needs the log route."""
+    rg = recip_gamma(args)
+    return rg, np.logical_or.reduceat((rg == 0) & (args.real > 0.5), starts)
+
+
+@functools.lru_cache(maxsize=SERIES_MEMO_SIZE)
+def _run_gammas(params: Parameters, k0: int) -> tuple[np.ndarray, np.ndarray]:
+    """_gammas, read-only, of the run of blocks from k0 < SERIES_MEMO_BLOCKS."""
+    n, m, starts = _run_layout(k0)
+    tables = _gammas(_gamma_args(params, n, m), starts)
+    for a in tables:
+        a.flags.writeable = False
+    return tables
+
 
 def _extend(powers, z, size):
     """The power table z^0 .. z^(len - 1) grown to z^(size - 1).  Each new
@@ -82,54 +138,55 @@ def _log_terms(x, y, n, m, args):
     return terms
 
 
-def _blocks(x, y, alpha, beta, mu, max_terms):
+def _blocks(x, y, params, max_terms):
     """Anti-diagonal blocks k = 0, 1, ... as (sum, magnitude sum, peak
     magnitude), for as long as the total term count stays within max_terms.
 
-    The terms of _RUN consecutive blocks come from one recip_gamma call.
-    A block falls back to log-space evaluation when the power tables
-    overflow or the reciprocal gamma underflows while the true terms are
-    still sizable.
+    The terms of _RUN consecutive blocks come from one 1/Gamma table and are
+    reduced in one pass.  A block falls back to log-space evaluation when the
+    power tables overflow or the reciprocal gamma underflows while the true
+    terms are still sizable.
     """
     xp = np.array([1.0 + 0.0j])
     yp = np.array([1.0 + 0.0j])
     used = 0
     for k0 in itertools.count(step=_RUN):
-        ks = np.arange(k0, k0 + _RUN)
-        # block k = k0 + j holds n = 0 .. k, m = k - n at [starts[j], ends[j])
-        ends = np.cumsum(ks + 1)
-        starts = ends - ks - 1
-        ni = np.arange(ends[-1]) - np.repeat(starts, ks + 1)
-        mi = np.repeat(ks, ks + 1) - ni
-        n, m = ni.astype(float), mi.astype(float)
-        args = alpha * n + beta * m + mu
+        kept = k0 < SERIES_MEMO_BLOCKS
+        n, m, starts = _run_layout(k0) if kept else _run_layout.__wrapped__(k0)
+        # gamma arguments for a table past the cap, or for the log route
+        args = None if kept else _gamma_args(params, n, m)
         xp, yp = _extend(xp, x, k0 + _RUN), _extend(yp, y, k0 + _RUN)
         # A non-finite power makes its direct term non-finite, and the
         # powers stay non-finite past it: once the tables overflow only the
         # log route is left.
         direct = np.isfinite(xp[k0:]) & np.isfinite(yp[k0:])
         if direct[0]:
-            rg = recip_gamma(args)
+            rg, underflow = _run_gammas(params, k0) if kept else _gammas(args, starts)
+            direct &= ~underflow
+        if direct.any():
+            # sums past the double range are inf or nan: the certificate stops there
             with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-                terms = xp[ni] * yp[mi] * rg
+                terms = xp[n] * yp[m] * rg
                 mags = np.abs(terms)
-            # rg == 0 with a gamma argument right of the poles means
-            # underflow, not a true zero; those terms need the log route too.
-            bad = ~np.isfinite(terms) | ((rg == 0) & (args.real > 0.5))
-            direct &= ~np.logical_or.reduceat(bad, starts)
-        for k, start, end, ok in zip(ks.tolist(), starts.tolist(), ends.tolist(), direct.tolist()):
+                sums = np.add.reduceat(terms, starts).tolist()
+                abs_sums = np.add.reduceat(mags, starts).tolist()
+                peaks = np.maximum.reduceat(mags, starts).tolist()
+            direct &= ~np.logical_or.reduceat(~np.isfinite(terms), starts)
+        for j, ok in enumerate(direct.tolist()):
+            k = k0 + j
             if used + k + 1 > max_terms:
                 return
             if ok:
-                t, a = terms[start:end], mags[start:end]
+                yield sums[j], abs_sums[j], peaks[j]
             else:
-                t = _log_terms(x, y, n[start:end], m[start:end], args[start:end])
-                with np.errstate(over="ignore"):
+                if args is None:
+                    args = _gamma_args(params, n, m)
+                b = slice(starts[j], starts[j] + k + 1)
+                t = _log_terms(x, y, n[b], m[b], args[b])
+                with np.errstate(over="ignore", invalid="ignore"):
                     a = np.abs(t)
-            # sums past the double range are inf or nan: the certificate stops there
-            with np.errstate(over="ignore", invalid="ignore"):
-                block = complex(t.sum()), float(a.sum()), float(a.max(initial=0.0))
-            yield block
+                    block = complex(t.sum()), float(a.sum()), float(a.max(initial=0.0))
+                yield block
             used += k + 1
 
 
@@ -223,7 +280,7 @@ def eval_double_series(
     # real part >= 1: below that, reciprocal-gamma zeros and sign changes
     # can fake a decay run.
     kmin = max(0, math.ceil((1.0 - mu.real) / min(a, b)))
-    blocks = _blocks(x, y, a, b, mu, budget.max_terms)
+    blocks = _blocks(x, y, params, budget.max_terms)
     return _certified_sum(blocks, kmin, max(a, b), abs(mu), budget.tol)
 
 

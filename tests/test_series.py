@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ml2v import series
-from ml2v.core import validate_params
+from ml2v.core import EPS, validate_params
 from ml2v.errors import BudgetExceeded, DomainError
 from ml2v.oracle import oracle_eval
 from ml2v.series import SeriesBudget, eval_double_series, eval_ml_one
@@ -143,13 +143,15 @@ def test_overflow_stops_at_first_infinite_block():
         (30.0, 20.0, (0.5, 0.5, 1), 14, ()),
         # a certified value whose last blocks need the log route
         (-400.0, -30.0, (1.9, 0.9, 1), 8,
-         ("0x1.d40230db994a2p+12", "-0x1.63bdb53e1a9eep-14", "0x1.50c43b781583fp+20")),
+         ("0x1.e039fb5b994a2p+12", "-0x1.63bdb53e1a9eep-14", "0x1.50c43b781583fp+20")),
     ],
 )
 def test_overflowed_powers_skip_recip_gamma(monkeypatch, x, y, orders, calls, bits):
     # a non-finite power makes its direct term non-finite, so a run of blocks
     # that starts with the power tables overflowed goes straight to the log
-    # route; skipping the direct attempt there changes no bit
+    # route; skipping the direct attempt there changes no bit.  The counts are
+    # those of a cold memo.
+    series._run_gammas.cache_clear()
     seen = []
     real = series.recip_gamma
     monkeypatch.setattr(series, "recip_gamma", lambda a: seen.append(1) or real(a))
@@ -166,7 +168,7 @@ def test_overflowed_powers_skip_recip_gamma(monkeypatch, x, y, orders, calls, bi
 def test_term_budget_stops_at_the_last_whole_block(max_terms, blocks):
     # K blocks hold K(K+1)/2 terms: the budget keeps the largest such K, whether
     # it ends part-way through a run of blocks (5, 31) or on its boundary (16)
-    args = (0.9 + 0.2j, -0.7 + 0.4j, 0.25, 0.25, 1 + 0j)
+    args = (0.9 + 0.2j, -0.7 + 0.4j, validate_params(0.25, 0.25, 1))
     got = list(series._blocks(*args, max_terms))
     assert len(got) == blocks
     assert got == list(itertools.islice(series._blocks(*args, 10**6), blocks))
@@ -177,7 +179,7 @@ def test_term_budget_stops_at_the_last_whole_block(max_terms, blocks):
     [
         # a low-order unit-disk point, certified after about 60 blocks
         (-0.3 + 0.9j, -0.8 + 0.1j, (0.25, 0.25, 1),
-         ("0x1.c2b948714d3a9p-3", "0x1.ade8c090594a6p-3", "0x1.0d3eba4721350p-40")),
+         ("0x1.c2b948714d3b5p-3", "0x1.ade8c090594aap-3", "0x1.0d3eba4721350p-40")),
         # Re mu < 1/2: recip_gamma reflects the first blocks' arguments only,
         # inside one run
         (0.6 - 0.3j, -0.5 + 0.7j, (0.7, 0.6, -1.3 + 0.4j),
@@ -188,6 +190,89 @@ def test_pinned_bits(x, y, orders, bits):
     ev = eval_double_series(x, y, validate_params(*orders))
     assert (ev.value.real.hex(), ev.value.imag.hex(), ev.est_error.hex()) == bits
     assert ev.method == "series"
+
+
+def _bits(ev):
+    return (ev.value.real.hex(), ev.value.imag.hex(), ev.est_error.hex(), ev.method)
+
+
+@pytest.mark.parametrize(
+    "x, y, orders",
+    [
+        (-0.3 + 0.9j, -0.8 + 0.1j, (0.25, 0.25, 1)),
+        (0.6 - 0.3j, -0.5 + 0.7j, (0.7, 0.6, -1.3 + 0.4j)),
+        # blocks past the first runs take the log route
+        (-400.0, -30.0, (1.9, 0.9, 1)),
+    ],
+)
+def test_result_independent_of_call_history(x, y, orders):
+    # the 1/Gamma run tables are a pure function of (Parameters, run), so a
+    # cold memo, a warm one and one that another Parameters went through
+    # give the same bits
+    pp = validate_params(*orders)
+    other = validate_params(0.3, 0.9, 0.5 + 0.2j)
+    series._run_gammas.cache_clear()
+    cold = _bits(eval_double_series(x, y, pp))
+    misses = series._run_gammas.cache_info().misses
+    assert _bits(eval_double_series(x, y, pp)) == cold
+    assert series._run_gammas.cache_info().misses == misses
+    eval_double_series(0.7 - 0.2j, -0.4 + 0.6j, other)
+    assert _bits(eval_double_series(x, y, pp)) == cold
+    series._run_gammas.cache_clear()
+    eval_double_series(0.7 - 0.2j, -0.4 + 0.6j, other)
+    assert _bits(eval_double_series(x, y, pp)) == cold
+
+
+def test_memo_keeps_no_run_past_the_cap(monkeypatch):
+    # E(30, 20) runs 14 runs of blocks before its terms leave the double
+    # range; only those below the cap are kept, so a second call builds the
+    # rest again
+    pp = validate_params(0.5, 0.5, 1)
+    kept = series.SERIES_MEMO_BLOCKS // 16
+    series._run_gammas.cache_clear()
+    series._run_layout.cache_clear()
+    seen = []
+    real = series.recip_gamma
+    monkeypatch.setattr(series, "recip_gamma", lambda a: seen.append(1) or real(a))
+    for calls in (14, 14 + 14 - kept):
+        with pytest.raises(BudgetExceeded):
+            eval_double_series(30.0, 20.0, pp)
+        assert len(seen) == calls
+    assert series._run_gammas.cache_info().currsize == kept
+    assert series._run_layout.cache_info().currsize == kept
+    # the kept entries are exactly the runs below the cap
+    info = series._run_gammas.cache_info()
+    for k0 in range(0, series.SERIES_MEMO_BLOCKS, 16):
+        rg, underflow = series._run_gammas(pp, k0)
+        assert not rg.flags.writeable and not underflow.flags.writeable
+        series._run_layout(k0)
+    assert series._run_gammas.cache_info().hits == info.hits + kept
+    assert series._run_gammas.cache_info().misses == info.misses
+    assert series._run_layout.cache_info().currsize == kept
+
+
+@pytest.mark.parametrize(
+    "x, y, orders",
+    [
+        (-0.3 + 0.9j, -0.8 + 0.1j, (0.25, 0.25, 1)),
+        (0.9 - 0.4j, 0.95j, (0.4, 0.9, -1.3 + 0.4j)),
+    ],
+)
+def test_block_reductions_match_a_term_loop(x, y, orders):
+    # each run is reduced in one pass, in another order than a sum per
+    # block: against terms built one by one, sums agree within the
+    # (4 + k) EPS weight per term that est_error carries, peaks within the
+    # powers' rounding
+    from ml2v.gamma import recip_gamma
+
+    pp = validate_params(*orders)
+    for k, (bsum, asum, peak) in enumerate(series._blocks(x, y, pp, 60 * 61 // 2)):
+        t = [x**n * y ** (k - n) * complex(recip_gamma(pp.alpha * n + pp.beta * (k - n) + pp.mu))
+             for n in range(k + 1)]
+        slack = (4 + k) * EPS * sum(map(abs, t))
+        assert abs(bsum - sum(t)) <= slack
+        assert abs(asum - sum(map(abs, t))) <= slack
+        assert abs(peak - max(map(abs, t))) <= slack
 
 
 def test_cancellation_error_estimate_honest():
