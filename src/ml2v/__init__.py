@@ -5,9 +5,6 @@ representations, large-argument asymptotics), an automatic dispatcher, and an
 extended-precision oracle for cross-validation.
 """
 
-import functools
-import warnings
-
 from .asymptotics import TruncationOrders, classify_case, eval_asymptotic
 from .core import (
     ContourSpec,
@@ -42,7 +39,7 @@ from .representations import (
 )
 from .series import SeriesBudget, eval_double_series, eval_ml_one
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "BudgetExceeded",
@@ -83,18 +80,3 @@ __all__ = [
     "write_corpus",
     "__version__",
 ]
-
-# Entry points deprecated in 0.3.0, one per route of eval_with_contour.
-_DEPRECATED_ROUTES = ("eval_lemma1", "eval_lemma2", "eval_remark1", "eval_lemma3")
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED_ROUTES:
-        route = name.removeprefix("eval_")
-        warnings.warn(
-            f"ml2v.{name} is deprecated; use eval_with_contour(..., route={route!r})",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return functools.partial(eval_with_contour, route=route)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -23,6 +23,13 @@ holds at most 16 * 112 + 136 = 1928 complex entries, about 31 kB, so the
 tables take at most about 2.0 MB and the layouts 0.13 MB.  A table is a
 pure function of its key: the value is the same to the bit with or without
 the memo.
+
+From the first run whose powers of x or y overflow, whose 1/Gamma
+underflows right of the poles or which holds a non-finite term, that run
+and every later one are built in log space, one log_recip_gamma call per
+run and no 1/Gamma table.  The switch stays on because past that point the
+powers only grow and 1/Gamma only shrinks: every gamma argument has
+imaginary part Im mu.
 """
 
 from __future__ import annotations
@@ -93,22 +100,22 @@ def _gamma_args(params: Parameters, n, m):
     return params.alpha * n + params.beta * m + params.mu
 
 
-def _gammas(args, starts) -> tuple[np.ndarray, np.ndarray]:
-    """1/Gamma(args) over a run of blocks, and per block whether it
-    underflowed to 0 right of the poles: that is not a true zero, and such a
-    block needs the log route."""
+def _gammas(args) -> tuple[np.ndarray, bool]:
+    """1/Gamma(args) over a run of blocks, and whether any of it underflowed
+    to 0 right of the poles: that is not a true zero, and such a run needs
+    the log route."""
     rg = recip_gamma(args)
-    return rg, np.logical_or.reduceat((rg == 0) & (args.real > 0.5), starts)
+    return rg, bool(np.any((rg == 0) & (args.real > 0.5)))
 
 
 @functools.lru_cache(maxsize=SERIES_MEMO_SIZE)
-def _run_gammas(params: Parameters, k0: int) -> tuple[np.ndarray, np.ndarray]:
-    """_gammas, read-only, of the run of blocks from k0 < SERIES_MEMO_BLOCKS."""
-    n, m, starts = _run_layout(k0)
-    tables = _gammas(_gamma_args(params, n, m), starts)
-    for a in tables:
-        a.flags.writeable = False
-    return tables
+def _run_gammas(params: Parameters, k0: int) -> tuple[np.ndarray, bool]:
+    """_gammas, the table read-only, of the run of blocks from
+    k0 < SERIES_MEMO_BLOCKS."""
+    n, m, _ = _run_layout(k0)
+    rg, underflow = _gammas(_gamma_args(params, n, m))
+    rg.flags.writeable = False
+    return rg, underflow
 
 
 def _extend(powers, z, size):
@@ -117,12 +124,12 @@ def _extend(powers, z, size):
     product taken one step at a time."""
     factors = np.full(size - len(powers) + 1, z)
     factors[0] = powers[-1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.concatenate((powers[:-1], np.cumprod(factors)))
+    return np.concatenate((powers[:-1], np.cumprod(factors)))
 
 
 def _log_terms(x, y, n, m, args):
-    """Terms x^n y^m / Gamma(args) built in log space."""
+    """Terms x^n y^m / Gamma(args) built in log space; n = 0 and m = 0 add
+    nothing to the log magnitude, also where x or y is 0."""
     lx, ly = _log_abs(x), _log_abs(y)
     px, py = cmath.phase(x), cmath.phase(y)
     lrg = log_recip_gamma(args)
@@ -132,8 +139,7 @@ def _log_terms(x, y, n, m, args):
         + lrg.real
     )
     phase = n * px + m * py + lrg.imag
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        terms = np.exp(logmag + 1j * phase)
+    terms = np.exp(logmag + 1j * phase)
     terms[logmag == -np.inf] = 0.0
     return terms
 
@@ -142,51 +148,43 @@ def _blocks(x, y, params, max_terms):
     """Anti-diagonal blocks k = 0, 1, ... as (sum, magnitude sum, peak
     magnitude), for as long as the total term count stays within max_terms.
 
-    The terms of _RUN consecutive blocks come from one 1/Gamma table and are
-    reduced in one pass.  A block falls back to log-space evaluation when the
-    power tables overflow or the reciprocal gamma underflows while the true
-    terms are still sizable.
+    The terms of _RUN consecutive blocks are built in one go, directly or,
+    from the first run that needs it on, in log space (see the module
+    docstring), and reduced in one pass.
     """
     xp = np.array([1.0 + 0.0j])
     yp = np.array([1.0 + 0.0j])
+    log_route = False
     used = 0
     for k0 in itertools.count(step=_RUN):
         kept = k0 < SERIES_MEMO_BLOCKS
         n, m, starts = _run_layout(k0) if kept else _run_layout.__wrapped__(k0)
-        # gamma arguments for a table past the cap, or for the log route
-        args = None if kept else _gamma_args(params, n, m)
-        xp, yp = _extend(xp, x, k0 + _RUN), _extend(yp, y, k0 + _RUN)
-        # A non-finite power makes its direct term non-finite, and the
-        # powers stay non-finite past it: once the tables overflow only the
-        # log route is left.
-        direct = np.isfinite(xp[k0:]) & np.isfinite(yp[k0:])
-        if direct[0]:
-            rg, underflow = _run_gammas(params, k0) if kept else _gammas(args, starts)
-            direct &= ~underflow
-        if direct.any():
-            # sums past the double range are inf or nan: the certificate stops there
-            with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        # overflowed powers and sums past the double range are inf or nan,
+        # and the certificate stops at them; _log_terms forms 0 * log 0 in
+        # the branches np.where drops
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            if not log_route:
+                xp, yp = _extend(xp, x, k0 + _RUN), _extend(yp, y, k0 + _RUN)
+                # a power that overflows later in the run makes a term non-finite
+                log_route = not (np.isfinite(xp[k0]) and np.isfinite(yp[k0]))
+            if not log_route:
+                if kept:
+                    rg, log_route = _run_gammas(params, k0)
+                else:
+                    rg, log_route = _gammas(_gamma_args(params, n, m))
+            if not log_route:
                 terms = xp[n] * yp[m] * rg
-                mags = np.abs(terms)
-                sums = np.add.reduceat(terms, starts).tolist()
-                abs_sums = np.add.reduceat(mags, starts).tolist()
-                peaks = np.maximum.reduceat(mags, starts).tolist()
-            direct &= ~np.logical_or.reduceat(~np.isfinite(terms), starts)
-        for j, ok in enumerate(direct.tolist()):
-            k = k0 + j
+                log_route = not np.isfinite(terms).all()
+            if log_route:
+                terms = _log_terms(x, y, n, m, _gamma_args(params, n, m))
+            mags = np.abs(terms)
+            sums = np.add.reduceat(terms, starts).tolist()
+            abs_sums = np.add.reduceat(mags, starts).tolist()
+            peaks = np.maximum.reduceat(mags, starts).tolist()
+        for k, block in enumerate(zip(sums, abs_sums, peaks), start=k0):
             if used + k + 1 > max_terms:
                 return
-            if ok:
-                yield sums[j], abs_sums[j], peaks[j]
-            else:
-                if args is None:
-                    args = _gamma_args(params, n, m)
-                b = slice(starts[j], starts[j] + k + 1)
-                t = _log_terms(x, y, n[b], m[b], args[b])
-                with np.errstate(over="ignore", invalid="ignore"):
-                    a = np.abs(t)
-                    block = complex(t.sum()), float(a.sum()), float(a.max(initial=0.0))
-                yield block
+            yield block
             used += k + 1
 
 
@@ -204,7 +202,7 @@ def _single_terms(z, rho, kappa, max_terms):
         try:
             if not cmath.isfinite(term) or (rg == 0 and arg.real > 0.5):
                 lrg = log_recip_gamma(arg)
-                lt = n * _log_abs(z) + lrg.real
+                lt = (n * _log_abs(z) if n else 0.0) + lrg.real
                 term = 0.0 if lt == -math.inf else cmath.exp(
                     lt + 1j * (n * cmath.phase(z) + lrg.imag)
                 )

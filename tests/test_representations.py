@@ -168,19 +168,13 @@ def test_unknown_route_is_a_domain_error(route, monkeypatch):
 
 
 def test_deprecated_route_aliases():
-    # each old entry point warns and is eval_with_contour with its route;
-    # none is in __all__, so a star import warns nothing
+    # the entry points deprecated in 0.3.0 are gone in 0.4.0: each route is
+    # eval_with_contour(..., route=...)
     import ml2v
 
-    points = {"lemma1": (-2.0, -3.0), "lemma2": (-1.0, 2.0),
-              "remark1": (2.0, -1.0), "lemma3": (2.0, 3.0)}
-    for route, (x, y) in points.items():
-        with pytest.warns(DeprecationWarning, match=f"route='{route}'"):
-            fn = getattr(ml2v, f"eval_{route}")
-        assert fn(x, y, P111, BASE, 1e-9) == eval_with_contour(x, y, P111, BASE, 1e-9, route=route)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        exec("from ml2v import *", {})
+    for route in ("lemma1", "lemma2", "remark1", "lemma3"):
+        with pytest.raises(AttributeError):
+            getattr(ml2v, f"eval_{route}")
 
 
 def test_image_on_contour_raises():

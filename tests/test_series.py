@@ -141,16 +141,17 @@ def test_overflow_stops_at_first_infinite_block():
         # the 14 runs of 16 blocks that start at k <= 208 call recip_gamma,
         # and no bits, since the sum raises BudgetExceeded
         (30.0, 20.0, (0.5, 0.5, 1), 14, ()),
-        # a certified value whose last blocks need the log route
-        (-400.0, -30.0, (1.9, 0.9, 1), 8,
-         ("0x1.e039fb5b994a2p+12", "-0x1.63bdb53e1a9eep-14", "0x1.50c43b781583fp+20")),
+        # a certified value whose last runs take the log route: what is left
+        # after terms near 1e20 cancel, well within est_error
+        (-400.0, -30.0, (1.9, 0.9, 1), 6,
+         ("0x1.e05056d738f5fp+12", "-0x1.8b5872561d57ep+1", "0x1.50c43b781583fp+20")),
     ],
 )
 def test_overflowed_powers_skip_recip_gamma(monkeypatch, x, y, orders, calls, bits):
-    # a non-finite power makes its direct term non-finite, so a run of blocks
-    # that starts with the power tables overflowed goes straight to the log
-    # route; skipping the direct attempt there changes no bit.  The counts are
-    # those of a cold memo.
+    # a non-finite power makes its direct term non-finite, so from the first
+    # run that holds one every run takes the log route, and a run that starts
+    # with the power tables overflowed builds no 1/Gamma table.  The counts
+    # are those of a cold memo.
     series._run_gammas.cache_clear()
     seen = []
     real = series.recip_gamma
@@ -162,6 +163,32 @@ def test_overflowed_powers_skip_recip_gamma(monkeypatch, x, y, orders, calls, bi
         got = ()
     assert len(seen) == calls
     assert got == bits
+
+
+def test_log_route_holds_from_its_first_run(monkeypatch):
+    # at order 0.1 on the unit circle 1/Gamma(0.5 n + 0.1 m + 1) underflows
+    # from block 352 on: from the first run that takes the log route, every
+    # run is built by one log_recip_gamma call and no 1/Gamma table
+    calls, blocks = [], []
+    for name in ("recip_gamma", "log_recip_gamma"):
+        real = getattr(series, name)
+        monkeypatch.setattr(series, name, lambda a, name=name, real=real: calls.append(name) or real(a))
+    real_blocks = series._blocks
+    monkeypatch.setattr(series, "_blocks", lambda *a: (blocks.append(b) or b for b in real_blocks(*a)))
+    eval_double_series(1, -1, validate_params(0.5, 0.1, 1))
+    first = calls.index("log_recip_gamma")
+    assert "recip_gamma" not in calls[first:]
+    assert calls.count("log_recip_gamma") <= math.ceil(len(blocks) / 16)
+
+
+@pytest.mark.parametrize("y", [0.0, 0.5])
+def test_zero_arguments_raise_no_warning(y):
+    # 1/Gamma(200) underflows, so the first run already takes the log route,
+    # where log|0| = -inf meets n = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ev = eval_double_series(0.0, y, validate_params(0.5, 0.5, 200))
+    assert ev.value == 0 and ev.est_error == 0
 
 
 @pytest.mark.parametrize("max_terms, blocks", [(20, 5), (136, 16), (137, 16), (500, 31)])
@@ -244,7 +271,7 @@ def test_memo_keeps_no_run_past_the_cap(monkeypatch):
     info = series._run_gammas.cache_info()
     for k0 in range(0, series.SERIES_MEMO_BLOCKS, 16):
         rg, underflow = series._run_gammas(pp, k0)
-        assert not rg.flags.writeable and not underflow.flags.writeable
+        assert not rg.flags.writeable
         series._run_layout(k0)
     assert series._run_gammas.cache_info().hits == info.hits + kept
     assert series._run_gammas.cache_info().misses == info.misses
@@ -311,6 +338,11 @@ def test_one_variable_shifted_kappa():
     ev = eval_ml_one(z, 1.0, -3.0)
     ref = z**4 * cmath.exp(z)
     assert abs(ev.value - ref) <= max(ev.est_error, 1e-12)
+    # kappa = 200: 1/Gamma(200) underflows, and at z = 0 the log route must
+    # not form 0 * log 0 = nan
+    for z in (0.0, 0.5):
+        ev = eval_ml_one(z, 1.0, 200.0)
+        assert ev.value == 0 and ev.est_error == 0
 
 
 def test_one_variable_overflow_is_soft():

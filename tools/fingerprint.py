@@ -15,9 +15,10 @@ at 1e-11 to 2e-3 times eps.  Those offsets straddle the on-contour band
 (1e-9 * max(1, |image|)) and the pole floor (1e-3 * eps), so the near lines
 record which check rejects each point first.  The series group calls
 eval_double_series directly: seeded unit-disk points at orders down to 0.25
-and at complex mu with Re mu < 1/2, the log route and overflowed power
-tables at fixed points, and seeded points under term budgets that end
-part-way through a run of anti-diagonals.  The asymptotic group calls
+and at complex mu with Re mu < 1/2, the log route (from part-way through
+the sum or from its first run) and overflowed power tables at fixed points,
+and seeded points under term budgets that end part-way through a run of
+anti-diagonals.  The asymptotic group calls
 eval_asymptotic and asympt_tail_sum directly on seeded points with
 15 <= |x|, |y| <= 400, ASYM_PER_CASE points in each of the four sector cases
 per parameter set, at truncation orders drawn from 1-5 for each variable and
@@ -47,11 +48,15 @@ POINTS_PER_SET = 40
 # log10 of a near point's offset from the arc, relative to eps: around the
 # on-contour band, inside the pole floor, and just outside it
 NEAR_STRATA = ((-11.0, -8.0), (-6.0, -3.0), (-3.0, math.log10(2e-3)))
-# series group: unit-disk orders, fixed points whose blocks take the log route
-# ((-400, -30)) or whose power tables overflow ((30, 20)), and term budgets
+# series group: unit-disk orders, fixed points whose last runs take the log
+# route ((-400, -30), and (1, -1) and (-12, -12) once 1/Gamma underflows),
+# whose first run already does ((0, 0) at mu = 200) or whose power tables
+# overflow ((30, 20)), and term budgets
 SERIES_SETS = ((0.25, 0.25, 1), (0.25, 0.6, 1), (0.5, 0.8, 1), (1.2, 0.9, 1),
                (0.7, 0.6, 0.2 + 0.7j), (0.4, 0.9, -1.3 + 0.4j))
-SERIES_FIXED = ((-400.0, -30.0, (1.9, 0.9, 1)), (30.0, 20.0, (0.5, 0.5, 1)))
+SERIES_FIXED = ((-400.0, -30.0, (1.9, 0.9, 1)), (30.0, 20.0, (0.5, 0.5, 1)),
+                (1.0, -1.0, (0.5, 0.1, 1)), (-12.0, -12.0, (0.5, 0.5, 1)),
+                (0.0, 0.0, (0.5, 0.5, 200)))
 SERIES_BUDGETS = (20, 50, 136, 137, 300, 1000, 5000)
 # asymptotic group: points per sector case and parameter set, and the draws
 # allowed to find them
