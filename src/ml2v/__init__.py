@@ -10,7 +10,6 @@ from .core import (
     ContourSpec,
     Evaluation,
     Parameters,
-    Regime,
     RegionLabel,
     admissible_theta_window,
     classify_region,
@@ -39,7 +38,7 @@ from .representations import (
 )
 from .series import SeriesBudget, eval_double_series, eval_ml_one
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "BudgetExceeded",
@@ -54,7 +53,6 @@ __all__ = [
     "Parameters",
     "PoleProximityError",
     "QuadratureError",
-    "Regime",
     "RegionError",
     "RegionLabel",
     "SeriesBudget",

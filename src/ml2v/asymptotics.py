@@ -47,7 +47,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Evaluation, Parameters, angle_window
+from .core import Evaluation, Parameters, angle_window, finite
 from .errors import DomainError, MagnitudeFloor
 from .gamma import recip_gamma
 from .oracle import oracle_eval  # noqa: F401  unused; perfbench/tracer.py wraps it here
@@ -137,9 +137,10 @@ def classify_case(
     An argument is inside when any of its pole preimages has angle within
     tau1; for the principal preimage this is the familiar test of arg x
     against tau1/beta (arg y against tau1/alpha).  Raises DomainError for
-    a tau1 outside the admissible window, GeometryError when that window
-    is empty.
+    a non-finite x or y or a tau1 outside the admissible window,
+    GeometryError when that window is empty.
     """
+    x, y = finite(x=x, y=y)
     return _sectors(x, y, params, tau1)[0]
 
 
@@ -198,11 +199,12 @@ def eval_asymptotic(
 
     With orders None the tail is truncated at the first square order p in
     3..ORDER_MAX whose next two-ring estimate is not smaller (see the module
-    docstring); explicit orders are used as given.  Raises MagnitudeFloor
-    when min(|x|, |y|) < MAGNITUDE_FLOOR and DegenerateDenominator when a
-    needed residue denominator collapses.
+    docstring); explicit orders are used as given.  Raises DomainError for
+    a non-finite x or y, MagnitudeFloor when min(|x|, |y|) <
+    MAGNITUDE_FLOOR and DegenerateDenominator when a needed residue
+    denominator collapses.
     """
-    x, y = complex(x), complex(y)
+    x, y = finite(x=x, y=y)
     if min(abs(x), abs(y)) < MAGNITUDE_FLOOR:
         raise MagnitudeFloor(
             f"min(|x|, |y|) = {min(abs(x), abs(y)):.3g} below the asymptotic "

@@ -5,8 +5,9 @@ Output contract: CSV rows under the fixed header
 
     alpha,beta,mu_re,mu_im,x_re,x_im,y_re,y_im,val_re,val_im,est_error,method,case,ms
 
-or JSON carrying the same fields; numbers are printed at 17 significant
-digits in both formats so they parse to identical doubles.  Exit codes:
+or JSON carrying the same fields; CSV prints numbers at 17 significant
+digits and JSON as Python's shortest repr, so both parse to identical
+doubles.  Exit codes:
 0 success, 1 selftest failure, 2 domain error, 3 numeric failure.
 Complex literals on the command line are finite "a+bi" / "a-bi" / "a" with
 no spaces (a trailing j is accepted too); one that starts with a minus may
@@ -92,11 +93,6 @@ def fmt17(v: float) -> str:
     return f"{float(v):.17g}"
 
 
-def num17(v: float) -> float:
-    # round-trip through the printed form so CSV and JSON parse identically
-    return float(fmt17(v))
-
-
 def _c_str(z: complex) -> str:
     if z.imag == 0:
         return f"{z.real:.10g}"
@@ -147,14 +143,9 @@ def _json_obj(row: dict) -> dict:
     out = {}
     for key in CSV_HEADER.split(","):
         v = row[key]
-        if isinstance(v, str):
-            out[key] = v
-        elif isinstance(v, float) and math.isnan(v):
-            out[key] = None
-        elif isinstance(v, float) and math.isinf(v):
-            out[key] = "inf"
-        else:
-            out[key] = num17(v)
+        if isinstance(v, float) and not math.isfinite(v):
+            v = None if math.isnan(v) else "inf"
+        out[key] = v
     return out
 
 

@@ -10,12 +10,11 @@ integrand evaluations (the rules share no nodes); the difference of the two
 is the panel error estimate and the 16-node value is kept.  The initial
 sweep evaluates every panel in one integrand call.  Each refinement round
 then halves the fewest worst panels whose estimates add up to the excess
-over the tolerance, as many as the node budget (a constant,
-DEFAULT_NODE_BUDGET, unless integrate is given one) allows, again in one
-call, until the error sum meets the tolerance or the budget runs out.  Ray
-panels are graded geometrically outward from the arc because the integrands
-of interest decay like exp(cos(theta*d) * r^d) along the rays; arc panels
-are uniform in angle.
+over the tolerance, as many as the node budget DEFAULT_NODE_BUDGET allows,
+again in one call, until the error sum meets the tolerance or the budget
+runs out.  Ray panels are graded geometrically outward from the arc
+because the integrands of interest decay like exp(cos(theta*d) * r^d)
+along the rays; arc panels are uniform in angle.
 
 integrate sizes the contour itself.  The truncation radius R solves
 exp(cos(theta*d) * R^d) <= trunc_tol, starting from trunc_tol =
@@ -87,9 +86,7 @@ class DiscretizedContour:
     _nodes), one row per panel.  All three arrays are read-only.
     """
 
-    spec: ContourSpec
     radius: float          # truncation radius R
-    decay: float
     panels: np.ndarray
     nodes: np.ndarray
     path: np.ndarray
@@ -160,7 +157,7 @@ def build_contour(
     nodes, path = _nodes(panels)
     for a in (panels, nodes, path):
         a.flags.writeable = False
-    return DiscretizedContour(spec, radius, decay, panels, nodes, path)
+    return DiscretizedContour(radius, panels, nodes, path)
 
 
 def _eval_nodes(z: np.ndarray, path: np.ndarray, f: Callable) -> tuple[np.ndarray, np.ndarray]:
@@ -194,12 +191,7 @@ def _tail_estimate(spec: ContourSpec, decay: float, radius: float, f: Callable) 
     return float(np.sum(mags) * scale)
 
 
-def integrate(
-    spec: ContourSpec,
-    integrand: IntegrandSpec,
-    tol: float,
-    node_budget: int | None = None,
-) -> Evaluation:
+def integrate(spec: ContourSpec, integrand: IntegrandSpec, tol: float) -> Evaluation:
     """Adaptive quadrature of integrand.f over gamma(eps; theta), sized for tol.
 
     Returns the raw contour integral (no 1/(2 pi i) normalization) with an
@@ -207,10 +199,8 @@ def integrate(
     Raises GeometryError (from build_contour) before any node is evaluated
     when the rays do not decay, and QuadratureError as soon as a sweep meets
     a non-finite integrand value, or if the tolerance is unreachable within
-    node_budget nodes (DEFAULT_NODE_BUDGET when None).
+    DEFAULT_NODE_BUDGET nodes.
     """
-    if node_budget is None:
-        node_budget = DEFAULT_NODE_BUDGET
     f, decay = integrand.f, integrand.decay
     tt = min(1e-16, tol * 1e-2)
     radius = _truncation_radius(spec, decay, tt)
@@ -226,9 +216,9 @@ def integrate(
     contour = build_contour(spec, decay, tt)
     rows = contour.panels
     nodes_used = 2 + _EVALS_PER_PANEL * len(rows)
-    if nodes_used > node_budget:
+    if nodes_used > DEFAULT_NODE_BUDGET:
         raise QuadratureError(
-            f"node budget {node_budget} exhausted during initial panel sweep"
+            f"node budget {DEFAULT_NODE_BUDGET} exhausted during initial panel sweep"
         )
     vals, ests = _eval_nodes(contour.nodes, contour.path, f)
     while not (total_est := tail + float(np.sum(ests))) <= tol:
@@ -237,11 +227,11 @@ def integrate(
             raise QuadratureError(
                 f"integrand is not finite on the contour (error estimate {total_est:.3g})"
             )
-        affordable = (node_budget - nodes_used) // (2 * _EVALS_PER_PANEL)
+        affordable = (DEFAULT_NODE_BUDGET - nodes_used) // (2 * _EVALS_PER_PANEL)
         if affordable < 1:
             raise QuadratureError(
                 f"estimated error {total_est:.3g} > tol {tol:.3g} with node "
-                f"budget {node_budget} exhausted ({nodes_used} nodes used)"
+                f"budget {DEFAULT_NODE_BUDGET} exhausted ({nodes_used} nodes used)"
             )
         # the fewest worst panels whose estimates cover the excess over tol
         worst = np.argsort(-ests)

@@ -35,13 +35,6 @@ THIN_WINDOW_FRACTION = 0.05
 DELTA_B_REL = 1e-9
 
 
-class Regime(Enum):
-    """Which validity regime the parameters fall in."""
-
-    STANDARD = "standard"       # 0 < alpha, beta < 2 and alpha*beta < 2
-    LEMMA4 = "boundary"         # alpha = 2 or beta = 2, needs Re(mu) > 0
-
-
 class RegionLabel(Enum):
     OMEGA_PLUS = "omega+"
     OMEGA_MINUS = "omega-"
@@ -55,7 +48,6 @@ class Parameters:
     alpha: float
     beta: float
     mu: complex
-    regime: Regime
 
 
 @dataclass(frozen=True)
@@ -98,7 +90,7 @@ class ContourSpec:
 
 
 def validate_params(alpha: float, beta: float, mu: complex) -> Parameters:
-    """Validate orders and offset, returning Parameters with the regime set.
+    """Validate orders and offset, returning Parameters.
 
     Raises DomainError for alpha or beta outside (0, 2], for alpha*beta >= 2
     with both orders below 2, and for a boundary order (alpha = 2 or
@@ -116,14 +108,27 @@ def validate_params(alpha: float, beta: float, mu: complex) -> Parameters:
     if alpha == 2.0 or beta == 2.0:
         if mu.real <= 0:
             raise DomainError("boundary order (alpha or beta = 2) requires Re(mu) > 0")
-        regime = Regime.LEMMA4
-    else:
-        if alpha * beta >= 2:
-            raise DomainError(
-                f"alpha*beta = {alpha * beta} >= 2 leaves no admissible contour angle"
-            )
-        regime = Regime.STANDARD
-    return Parameters(alpha, beta, mu, regime)
+    elif alpha * beta >= 2:
+        raise DomainError(
+            f"alpha*beta = {alpha * beta} >= 2 leaves no admissible contour angle"
+        )
+    return Parameters(alpha, beta, mu)
+
+
+def finite(**args: complex) -> tuple[complex, ...]:
+    """The named arguments as complex numbers, in order; raises DomainError
+    unless every one is finite."""
+    zs = tuple(map(complex, args.values()))
+    if all(map(cmath.isfinite, zs)):
+        return zs
+    got = ", ".join(f"{name}={z}" for name, z in zip(args, zs))
+    raise DomainError(f"{' and '.join(args)} must be finite, got {got}")
+
+
+def check_tol(tol: float) -> None:
+    """Raise DomainError unless tol is positive and finite."""
+    if not (tol > 0 and math.isfinite(tol)):
+        raise DomainError(f"tol must be positive and finite, got {tol}")
 
 
 def admissible_theta_window(params: Parameters, warn: bool = True) -> tuple[float, float]:

@@ -33,7 +33,7 @@ from typing import Iterator
 
 import mpmath as mp
 
-from .core import Parameters, validate_params
+from .core import Parameters, finite, validate_params
 from .errors import BudgetExceeded, DomainError
 
 # Requested output digits must sit in this window.
@@ -261,14 +261,15 @@ def _peak_log10_estimate(x: complex, y: complex, alpha: float, beta: float, mu: 
 def oracle_eval(x: complex, y: complex, params: Parameters, digits: int = 30) -> OracleValue:
     """Evaluate E(x, y) to `digits` certified decimal digits.
 
-    Raises DomainError for digits outside [20, 100] and BudgetExceeded when
-    arguments are so large that cancellation would consume the working-
-    precision ceiling (reported, never silently degraded).
+    Raises DomainError for a non-finite x or y or digits outside [20, 100],
+    and BudgetExceeded when arguments are so large that cancellation would
+    consume the working-precision ceiling (reported, never silently
+    degraded).
     """
+    xc, yc = finite(x=x, y=y)
     if not MIN_DIGITS <= int(digits) <= MAX_DIGITS:
         raise DomainError(f"digits must lie in [{MIN_DIGITS}, {MAX_DIGITS}], got {digits}")
     digits = int(digits)
-    xc, yc = complex(x), complex(y)
     alpha, beta, mu = params.alpha, params.beta, params.mu
 
     est = _peak_log10_estimate(xc, yc, alpha, beta, mu)

@@ -38,7 +38,9 @@ from .core import (
     RegionLabel,
     angle_window,
     check_angle_window,
+    check_tol,
     contour_distance,
+    finite,
     place_point,
 )
 from .errors import (
@@ -108,8 +110,8 @@ def pole_images(w: complex, power: float) -> tuple[complex, ...]:
     """All cut-plane solutions zeta of zeta^(1/power) = w: the images of
     sector_images with tau1 = pi.  For power >= 1 there is at most one; for
     power < 1 up to ceil(1/power) coexist, each a genuine pole of the
-    integrand."""
-    w = complex(w)
+    integrand.  Raises DomainError for a non-finite w."""
+    (w,) = finite(w=w)
     if w == 0:
         return (0j,)
     return sector_images(w, power, math.pi, 0.0)[0]
@@ -213,8 +215,10 @@ def classify_pair(
     An argument is Omega+ when any of its preimages lies in the outer
     wedge, on-contour when any preimage is pinned on the contour within
     tolerance, and Omega- otherwise (including arguments whose phase keeps
-    every preimage off the cut plane).
+    every preimage off the cut plane).  Raises DomainError for a non-finite
+    x or y.
     """
+    x, y = finite(x=x, y=y)
     return _placement(x, params.beta, spec)[0], _placement(y, params.alpha, spec)[0]
 
 
@@ -349,8 +353,9 @@ def eval_with_contour(
     """The contour integral plus the residues of every Omega+ preimage.
 
     route is the method tag of the placement the caller requires, or None
-    to accept whichever holds.  Raises DomainError for a route that is no
-    method tag, GeometryError when spec's angle leaves the admissible
+    to accept whichever holds.  Raises DomainError for a non-finite x or y,
+    a tol that is not positive and finite or a route that is no method
+    tag, GeometryError when spec's angle leaves the admissible
     window, RegionError when an image is pinned on the contour or the
     placement is not route's, DegenerateDenominator when a residue
     denominator collapses or an x- and a y-preimage in Omega+ coincide (the
@@ -359,6 +364,8 @@ def eval_with_contour(
     preimage lies within POLE_FLOOR_REL * eps of the contour (the distance
     _placement measured for the label).
     """
+    x, y = finite(x=x, y=y)
+    check_tol(tol)
     if route is not None and route not in _ROUTES.values():
         raise DomainError(
             f"route must be one of {', '.join(_ROUTES.values())} or None, got {route!r}"
@@ -411,8 +418,9 @@ def choose_contour(x: complex, y: complex, params: Parameters) -> ContourSpec:
     theta sits just inside the top of the admissible window (maximal ray
     decay); eps starts at 1 and walks a ladder until both pole images clear
     the contour by a relative margin, keeping the quadrature well away from
-    the integrand's poles.
+    the integrand's poles.  Raises DomainError for a non-finite x or y.
     """
+    x, y = finite(x=x, y=y)
     theta = angle_window(params)[2]
     images = [
         img
@@ -429,7 +437,8 @@ def choose_contour(x: complex, y: complex, params: Parameters) -> ContourSpec:
             return spec
         if clear > best_clear:
             best, best_clear = spec, clear
-    return best if best is not None else ContourSpec(1.0, theta)
+    # the first rung sets best: its clearance is at least 0
+    return best
 
 
 def contour_clearance(point: complex, spec: ContourSpec) -> float:
@@ -445,13 +454,13 @@ def eval_auto(x: complex, y: complex, params: Parameters, tol: float = 1e-8) -> 
     expansion first.  Everything else, and every failed attempt, funnels
     through the contour representations and finally back to the series.
     A route that raises a NumericFailure hands the point on; any other
-    exception propagates.  Raises DomainError for a non-finite argument or
-    one whose pole images overflow a double, and BudgetExceeded only when
-    every route fails to certify a result.
+    exception propagates.  Raises DomainError for a non-finite argument, one
+    whose pole images overflow a double or a tol that is not positive and
+    finite, and BudgetExceeded only when every route fails to certify a
+    result.
     """
-    x, y = complex(x), complex(y)
-    if not (cmath.isfinite(x) and cmath.isfinite(y)):
-        raise DomainError(f"x and y must be finite, got x={x}, y={y}")
+    x, y = finite(x=x, y=y)
+    check_tol(tol)
     if max(abs(x), abs(y)) <= SERIES_RADIUS:
         return eval_double_series(x, y, params, SeriesBudget(tol=min(tol, 1e-12)))
 

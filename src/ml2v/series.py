@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS, Evaluation, Parameters
+from .core import EPS, Evaluation, Parameters, check_tol, finite
 from .errors import BudgetExceeded, DomainError
 from .gamma import log_recip_gamma, recip_gamma
 
@@ -56,8 +56,7 @@ class SeriesBudget:
     max_terms: int = 2_000_000
 
     def __post_init__(self) -> None:
-        if not (self.tol > 0 and math.isfinite(self.tol)):
-            raise DomainError(f"tol must be positive and finite, got {self.tol}")
+        check_tol(self.tol)
         try:
             operator.index(self.max_terms)
         except TypeError:
@@ -268,11 +267,11 @@ def eval_double_series(
     est_error combines the certified tail bound with a weighted rounding
     term eps * sum w_k |t_{n,m}| accounting for cancellation between terms;
     the weights track how ill-conditioned each term's construction is.
+    Raises DomainError for a non-finite x or y.
     """
+    x, y = finite(x=x, y=y)
     if budget is None:
         budget = SeriesBudget()
-    x = complex(x)
-    y = complex(y)
     a, b, mu = params.alpha, params.beta, params.mu
     # Ratio tracking only starts once every gamma argument in the block has
     # real part >= 1: below that, reciprocal-gamma zeros and sign changes
@@ -291,13 +290,13 @@ def eval_ml_one(
     """One-variable relative sum_{n>=0} z^n / Gamma(rho*n + kappa).
 
     Same certificate as the double series with blocks of a single term.
+    Raises DomainError for a non-finite z or kappa.
     """
+    z, kappa = finite(z=z, kappa=kappa)
     if budget is None:
         budget = SeriesBudget()
     if not rho > 0:
         raise DomainError(f"rho must be positive, got {rho}")
-    z = complex(z)
-    kappa = complex(kappa)
     kmin = max(0, math.ceil((1.0 - kappa.real) / rho))
     blocks = _single_terms(z, rho, kappa, budget.max_terms)
     return _certified_sum(blocks, kmin, rho, abs(kappa), budget.tol)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
+from ml2v import contour
 from ml2v.contour import (
     CONTOUR_MEMO_SIZE,
     IntegrandSpec,
@@ -145,11 +146,12 @@ def test_pole_proximity_raised_before_any_evaluation(monkeypatch):
     assert calls == []
 
 
-def test_node_budget_exhaustion():
+def test_node_budget_exhaustion(monkeypatch):
     spec = ContourSpec(1.0, 3 * math.pi / 4)
     ig = IntegrandSpec(f=lambda u: np.exp(u) * u ** (-2.5), decay=1.0)
+    monkeypatch.setattr(contour, "DEFAULT_NODE_BUDGET", 10)
     with pytest.raises(QuadratureError):
-        integrate(spec, ig, tol=1e-12, node_budget=10)
+        integrate(spec, ig, tol=1e-12)
 
 
 def _counted(f):
@@ -177,7 +179,7 @@ def test_one_integrand_call_per_round():
         assert all(n % 48 == 0 for n in calls[2:])
 
 
-def test_budget_exhausted_during_refinement():
+def test_budget_exhausted_during_refinement(monkeypatch):
     spec = ContourSpec(1.0, 3 * math.pi / 4)
     f, calls = _counted(lambda u: np.exp(u) * u ** (-2.5))
     integrate(spec, IntegrandSpec(f=f, decay=1.0), tol=1e-13)
@@ -185,8 +187,9 @@ def test_budget_exhausted_during_refinement():
     budget = (sweep + converged) // 2
     assert sweep + 48 <= budget < converged
     f, calls = _counted(lambda u: np.exp(u) * u ** (-2.5))
+    monkeypatch.setattr(contour, "DEFAULT_NODE_BUDGET", budget)
     with pytest.raises(QuadratureError, match=r"exhausted \(\d+ nodes used\)") as info:
-        integrate(spec, IntegrandSpec(f=f, decay=1.0), tol=1e-13, node_budget=budget)
+        integrate(spec, IntegrandSpec(f=f, decay=1.0), tol=1e-13)
     assert sweep < sum(calls) <= budget
     assert f"({sum(calls)} nodes used)" in str(info.value)
 

@@ -11,7 +11,6 @@ from ml2v import (
     ContourSpec,
     DomainError,
     GeometryError,
-    Regime,
     RegionLabel,
     ThinWindowWarning,
     admissible_theta_window,
@@ -23,13 +22,12 @@ from ml2v.core import check_angle_window, contour_distance
 
 def test_validate_standard_regime():
     p = validate_params(0.5, 0.8, 1 + 0j)
-    assert p.regime is Regime.STANDARD
     assert p.alpha == 0.5 and p.beta == 0.8 and p.mu == 1 + 0j
 
 
 def test_validate_boundary_regime():
     p = validate_params(2.0, 0.5, 1 + 0j)
-    assert p.regime is Regime.LEMMA4
+    assert (p.alpha, p.beta, p.mu) == (2.0, 0.5, 1 + 0j)
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ and est_error or raise a type from errors.py, and the routes hand on only
 the NumericFailure family."""
 
 import cmath
+import dataclasses
 import math
 import warnings
 
@@ -11,11 +12,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ml2v.asymptotics as asymptotics
+import ml2v.representations as representations
 from ml2v import cli, errors
 from ml2v.core import validate_params
 from ml2v.errors import BudgetExceeded, DomainError, NumericFailure
-from ml2v.representations import choose_contour, eval_auto, eval_with_contour
-from ml2v.series import SeriesBudget, eval_double_series
+from ml2v.oracle import oracle_eval
+from ml2v.representations import (
+    choose_contour,
+    classify_pair,
+    eval_auto,
+    eval_with_contour,
+    pole_images,
+)
+from ml2v.series import SeriesBudget, eval_double_series, eval_ml_one
 
 ROUTE_FAILURES = {
     errors.RegionError: ValueError,
@@ -128,3 +137,58 @@ def test_cli_overflow_exits_numeric(capsys):
     err = capsys.readouterr().err
     assert rc == cli.EXIT_NUMERIC
     assert err.startswith("numeric failure: no method certified a value")
+
+
+P058 = validate_params(0.5, 0.8, 1)
+SPEC = choose_contour(2.0, 3.0, P058)
+
+# Each public evaluator as a function of (x, y); a one-variable one is
+# called on both.
+EVALUATORS = {
+    "eval_with_contour": lambda x, y: eval_with_contour(x, y, P058, SPEC),
+    "eval_asymptotic": lambda x, y: asymptotics.eval_asymptotic(x, y, P058),
+    "choose_contour": lambda x, y: choose_contour(x, y, P058),
+    "classify_pair": lambda x, y: classify_pair(x, y, P058, SPEC),
+    "classify_case": lambda x, y: asymptotics.classify_case(x, y, P058),
+    "pole_images": lambda x, y: (pole_images(x, 0.5), pole_images(y, 0.5)),
+    "eval_double_series": lambda x, y: eval_double_series(x, y, P058),
+    "eval_ml_one": lambda x, y: (eval_ml_one(x, 0.5, 1), eval_ml_one(y, 0.5, 1)),
+    "oracle_eval": lambda x, y: oracle_eval(x, y, P058),
+    "eval_auto": lambda x, y: eval_auto(x, y, P058),
+}
+
+
+@pytest.mark.parametrize("other", [1.0, 20.0])
+@pytest.mark.parametrize("slot", ["x", "y"])
+@pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, complex(-math.inf, 1.0), complex(0.0, math.nan)],
+    ids=["nan", "inf", "-inf+1j", "nan*1j"],
+)
+@pytest.mark.parametrize("name", EVALUATORS)
+def test_bad_input_is_a_domain_error(name, bad, slot, other):
+    # a non-finite argument is bad input, rejected before any work and
+    # without a warning, not a route failure that "another method may" mend
+    args = (bad, other) if slot == "x" else (other, bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            EVALUATORS[name](*args)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("evaluate", [
+    lambda tol: eval_with_contour(2.0, 3.0, P058, SPEC, tol),
+    lambda tol: eval_auto(2.0, 3.0, P058, tol),
+], ids=["eval_with_contour", "eval_auto"])
+def test_bad_tol_is_a_domain_error_before_any_node(evaluate, tol, monkeypatch):
+    calls = []
+    make = representations.ml_integrand
+
+    def counted(x, y, params):
+        real = make(x, y, params)
+        return dataclasses.replace(real, f=lambda z: calls.append(z) or real.f(z))
+
+    monkeypatch.setattr(representations, "ml_integrand", counted)
+    with pytest.raises(DomainError):
+        evaluate(tol)
+    assert calls == []

@@ -30,7 +30,8 @@ trees without residue_weight); residue and tail-sum lines print the term and
 its slack as they are, inf included, without building an Evaluation.
 compare counts per group the bit-identical lines, the tag or exception
 changes, the values that differ by more than est_A + est_B, and gives the
-worst |dvalue| / (est_A + est_B).
+worst |dvalue| / (est_A + est_B).  It exits 1 when any line changes its tag
+or exception or moves by more than est_A + est_B, and 0 otherwise.
 """
 
 import cmath
@@ -166,7 +167,7 @@ def record() -> None:
             print(f"{name}\t{complex(si)!r}\t{_hex(complex(v))}\t{0.0.hex()}\t-")
 
 
-def compare(path_a: str, path_b: str) -> None:
+def compare(path_a: str, path_b: str) -> int:
     with open(path_a) as fa, open(path_b) as fb:
         pairs = list(zip(fa.read().splitlines(), fb.read().splitlines(), strict=True))
     stats: dict[str, list] = {}
@@ -183,12 +184,13 @@ def compare(path_a: str, path_b: str) -> None:
     print(f"{'group':<16} {'lines':>6} {'identical':>9} {'tag_changes':>11} {'over_est':>8} {'worst_d/est':>11}")
     for group, (n, same, tags, over, worst) in stats.items():
         print(f"{group:<16} {n:>6} {same:>9} {tags:>11} {over:>8} {worst:>11.3g}")
+    return int(any(tags or over for _, _, tags, over, _ in stats.values()))
 
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["record"]:
         record()
     elif sys.argv[1:2] == ["compare"] and len(sys.argv) == 4:
-        compare(sys.argv[2], sys.argv[3])
+        sys.exit(compare(sys.argv[2], sys.argv[3]))
     else:
         sys.exit(__doc__)
