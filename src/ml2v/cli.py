@@ -210,6 +210,8 @@ def _axis_values(args, name: str) -> list[complex]:
     if count < 1:
         raise DomainError(f"--{name}-count must be >= 1, got {count}")
     zlo, zhi = parse_complex(lo), parse_complex(hi)
+    if not cmath.isfinite(zhi - zlo):
+        raise DomainError(f"the width from --{name}-min {lo} to --{name}-max {hi} is not finite")
     if count == 1:
         return [zlo]
     return [zlo + (zhi - zlo) * (k / (count - 1)) for k in range(count)]

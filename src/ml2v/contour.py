@@ -8,13 +8,16 @@ r = eps.  Points, dz and splits are then the same formula for both kinds.
 Each panel is evaluated with the 8- and 16-node Gauss-Legendre rules, 24
 integrand evaluations (the rules share no nodes); the difference of the two
 is the panel error estimate and the 16-node value is kept.  The initial
-sweep evaluates every panel in one integrand call.  Each refinement round
-then halves the fewest worst panels whose estimates add up to the excess
-over the tolerance, as many as the node budget DEFAULT_NODE_BUDGET allows,
-again in one call, until the error sum meets the tolerance or the budget
-runs out.  Ray panels are graded geometrically outward from the arc
-because the integrands of interest decay like exp(cos(theta*d) * r^d)
-along the rays; arc panels are uniform in angle.
+sweep evaluates every panel in one integrand call.  A sweep whose rounding
+floor, EPS times the sum of the fine-rule terms' moduli, exceeds the
+tolerance is rejected at once: no refinement can reach below it.  Each
+refinement round then splits the fewest worst panels whose estimates add up
+to the excess over the tolerance into four equal parts each, as many as the
+node budget DEFAULT_NODE_BUDGET allows, again in one call, until the error
+sum meets the tolerance or the budget runs out.  The integrands of interest
+decay like exp(cos(theta*d) * r^d) along the rays, so ray panels are graded
+by that law (see _ray_radii): each spans at most a factor 2 in r and at
+most PANEL_NATS of the decay exponent.  Arc panels are uniform in angle.
 
 integrate sizes the contour itself.  The truncation radius R solves
 exp(cos(theta*d) * R^d) <= trunc_tol, starting from trunc_tol =
@@ -46,7 +49,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ContourSpec, Evaluation
+from .core import EPS, ContourSpec, Evaluation
 from .errors import GeometryError, QuadratureError
 
 DEFAULT_NODE_BUDGET = 200_000
@@ -56,6 +59,13 @@ CONTOUR_MEMO_SIZE = 16
 
 # Angular width per initial arc panel, before the decay-rate scaling.
 _ARC_PANEL_ANGLE = math.pi / 8
+
+# The most the decay exponent |cos(theta*d)| r^d may grow across one ray
+# panel, and the least factor by which each ray panel grows r (which also
+# floors R over eps).
+PANEL_NATS = 8.0
+_RAY_GROWTH_MIN = 1.05
+_LN2 = math.log(2.0)
 
 _GL_COARSE = np.polynomial.legendre.leggauss(8)
 _GL_FINE = np.polynomial.legendre.leggauss(16)
@@ -92,18 +102,36 @@ class DiscretizedContour:
     path: np.ndarray
 
 
-def _ray_radii(eps: float, radius: float) -> list[float]:
-    """Geometric panel breakpoints eps, 2 eps, 4 eps, ..., R."""
+def _ray_radii(eps: float, radius: float, c: float, decay: float) -> list[float]:
+    """Ray panel breakpoints from eps to R for the decay law exp(-c r^decay).
+
+    Each panel ends at the smaller of 2 r and the radius where c r^decay has
+    grown by PANEL_NATS, but at least at _RAY_GROWTH_MIN r; the last one ends
+    at R.  So a panel either doubles r or adds at least PANEL_NATS to
+    c r^decay, and every panel grows r by _RAY_GROWTH_MIN: a ray has at most
+    1 + min(log(R/eps) / log(_RAY_GROWTH_MIN),
+    log2(R/eps) + c (R^decay - eps^decay) / PANEL_NATS) panels, and
+    c R^decay is ln(1/trunc_tol) unless R is floored over eps.
+    """
+    log_nats = math.log(PANEL_NATS / c)
+
+    def step(r: float) -> float:
+        # c r'^decay = c r^decay + PANEL_NATS, solved in logs so that no power
+        # of r overflows: log(r'/r) = log(1 + e^u) / decay
+        u = log_nats - decay * math.log(r)
+        grow = (max(u, 0.0) + math.log1p(math.exp(-abs(u)))) / decay
+        return r * max(_RAY_GROWTH_MIN, math.exp(min(grow, _LN2)))
+
     rs = [eps]
-    while rs[-1] * 2.0 < radius:
-        rs.append(rs[-1] * 2.0)
-    if rs[-1] < radius:
-        rs.append(radius)
+    while (r := step(rs[-1])) < radius:
+        rs.append(r)
+    rs.append(radius)
     return rs
 
 
 def _truncation_radius(spec: ContourSpec, decay: float, trunc_tol: float) -> float:
-    """R with exp(cos(theta*decay) * R^decay) = trunc_tol, at least 2 eps.
+    """R with exp(cos(theta*decay) * R^decay) = trunc_tol, at least
+    _RAY_GROWTH_MIN eps (one ray panel).
 
     Raises GeometryError when cos(theta*decay) >= 0 (no ray decay, the
     truncation radius would not exist).
@@ -118,7 +146,7 @@ def _truncation_radius(spec: ContourSpec, decay: float, trunc_tol: float) -> flo
     if not (0 < trunc_tol < 1):
         raise GeometryError(f"trunc_tol must lie in (0, 1), got {trunc_tol}")
     radius = (math.log(1.0 / trunc_tol) / -c) ** (1.0 / decay)
-    return max(radius, 2.0 * spec.epsilon)
+    return max(radius, _RAY_GROWTH_MIN * spec.epsilon)
 
 
 def _nodes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -142,7 +170,7 @@ def build_contour(
     """
     eps, theta = spec.epsilon, spec.theta
     radius = _truncation_radius(spec, decay, trunc_tol)
-    rs = _ray_radii(eps, radius)
+    rs = _ray_radii(eps, radius, -math.cos(theta * decay), decay)
     n_arc = max(4, math.ceil(theta * (1.0 + abs(decay)) / _ARC_PANEL_ANGLE))
     phis = np.linspace(-theta, theta, n_arc + 1)
     rows = (
@@ -160,15 +188,19 @@ def build_contour(
     return DiscretizedContour(radius, panels, nodes, path)
 
 
-def _eval_nodes(z: np.ndarray, path: np.ndarray, f: Callable) -> tuple[np.ndarray, np.ndarray]:
+def _eval_nodes(
+    z: np.ndarray, path: np.ndarray, f: Callable
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Fine-rule values and |fine - coarse| estimates of the panels with
-    these nodes and path factors, from one call of f on all the nodes."""
+    these nodes and path factors, and the sum of the fine-rule terms'
+    moduli, from one call of f on all the nodes."""
     # integrate rejects an overflowing integrand by its non-finite estimate
     with np.errstate(over="ignore", invalid="ignore"):
         g = f(z) * path
         coarse = np.sum(g[:, :_N_COARSE] * _GL_COARSE[1], axis=1)
-        fine = np.sum(g[:, _N_COARSE:] * _GL_FINE[1], axis=1)
-        return fine, np.abs(fine - coarse)
+        terms = g[:, _N_COARSE:] * _GL_FINE[1]
+        fine = np.sum(terms, axis=1)
+        return fine, np.abs(fine - coarse), float(np.abs(terms).sum())
 
 
 @functools.lru_cache(maxsize=CONTOUR_MEMO_SIZE)
@@ -198,7 +230,8 @@ def integrate(spec: ContourSpec, integrand: IntegrandSpec, tol: float) -> Evalua
     error estimate combining panel estimates and the truncation tail.
     Raises GeometryError (from build_contour) before any node is evaluated
     when the rays do not decay, and QuadratureError as soon as a sweep meets
-    a non-finite integrand value, or if the tolerance is unreachable within
+    a non-finite integrand value, when the initial sweep's rounding floor
+    exceeds tol, or if the tolerance is unreachable within
     DEFAULT_NODE_BUDGET nodes.
     """
     f, decay = integrand.f, integrand.decay
@@ -220,14 +253,21 @@ def integrate(spec: ContourSpec, integrand: IntegrandSpec, tol: float) -> Evalua
         raise QuadratureError(
             f"node budget {DEFAULT_NODE_BUDGET} exhausted during initial panel sweep"
         )
-    vals, ests = _eval_nodes(contour.nodes, contour.path, f)
+    vals, ests, moduli = _eval_nodes(contour.nodes, contour.path, f)
+    # the sum's rounding error is about EPS * moduli; refinement cannot go
+    # below it (a non-finite sum is left to the check below)
+    if tol < EPS * moduli < math.inf:
+        raise QuadratureError(
+            f"rounding floor {EPS * moduli:.3g} of the integrand's cancelling sum "
+            f"exceeds tol {tol:.3g}"
+        )
     while not (total_est := tail + float(np.sum(ests))) <= tol:
         # "not <=" lets in the inf or nan estimate of a non-finite node value
         if not math.isfinite(total_est):
             raise QuadratureError(
                 f"integrand is not finite on the contour (error estimate {total_est:.3g})"
             )
-        affordable = (DEFAULT_NODE_BUDGET - nodes_used) // (2 * _EVALS_PER_PANEL)
+        affordable = (DEFAULT_NODE_BUDGET - nodes_used) // (4 * _EVALS_PER_PANEL)
         if affordable < 1:
             raise QuadratureError(
                 f"estimated error {total_est:.3g} > tol {tol:.3g} with node "
@@ -237,14 +277,17 @@ def integrate(spec: ContourSpec, integrand: IntegrandSpec, tol: float) -> Evalua
         worst = np.argsort(-ests)
         need = np.searchsorted(np.cumsum(ests[worst]), total_est - tol) + 1
         split = worst[: min(need, affordable)]
-        # columns 0::2 are the starts (r0, phi0), 1::2 the ends (r1, phi1)
-        left, right = rows[split], rows[split]
-        left[:, 1::2] = right[:, 0::2] = 0.5 * (left[:, 0::2] + left[:, 1::2])
-        halves = np.concatenate([left, right])
-        half_vals, half_ests = _eval_nodes(*_nodes(halves), f)
-        nodes_used += _EVALS_PER_PANEL * len(halves)
-        rows = np.concatenate([np.delete(rows, split, axis=0), halves])
-        vals = np.concatenate([np.delete(vals, split), half_vals])
-        ests = np.concatenate([np.delete(ests, split), half_ests])
+        # each split row becomes four: columns 0::2 are the starts (r0, phi0),
+        # 1::2 the ends (r1, phi1), and the cuts keep both ends to the bit
+        start, end = rows[split, 0::2], rows[split, 1::2]
+        cuts = [(1.0 - t) * start + t * end for t in (0.0, 0.25, 0.5, 0.75, 1.0)]
+        quarters = np.empty((4, len(split), 4))
+        quarters[:, :, 0::2], quarters[:, :, 1::2] = cuts[:-1], cuts[1:]
+        quarters = quarters.reshape(-1, 4)
+        q_vals, q_ests, _ = _eval_nodes(*_nodes(quarters), f)
+        nodes_used += _EVALS_PER_PANEL * len(quarters)
+        rows = np.concatenate([np.delete(rows, split, axis=0), quarters])
+        vals = np.concatenate([np.delete(vals, split), q_vals])
+        ests = np.concatenate([np.delete(ests, split), q_ests])
 
     return Evaluation(value=complex(np.sum(vals)), est_error=total_est, method="quadrature")

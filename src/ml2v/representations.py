@@ -127,7 +127,9 @@ def _point_free(z: np.ndarray, params: Parameters) -> tuple[np.ndarray, np.ndarr
     """exp(z^d) z^p, z^(1/beta) and z^(1/alpha): the integrand's factors that
     do not depend on (x, y).
 
-    Each power z^e is exp(e log z) from one principal log per node, whose
+    Each power z^e is exp(e log z) from one principal log per node,
+    log z = log(x^2 + y^2)/2 + i arctan2(y, x).  The half log rounds closer
+    than log(hypot(x, y)) near |z| = 1, where the arc of eps = 1 runs, and
     arctan2 keeps the sign of a theta = pi node's imaginary part and so the
     side of the cut each passage belongs to.  A small integer power is left
     to numpy, which multiplies it out, cheaper and exact-er.
@@ -138,7 +140,7 @@ def _point_free(z: np.ndarray, params: Parameters) -> tuple[np.ndarray, np.ndarr
     log_z = (
         None
         if all(map(_multiplied_out, (d, p, 1.0 / b, 1.0 / a)))
-        else np.log(np.abs(z)) + 1j * np.arctan2(z.imag, z.real)
+        else 0.5 * np.log(z.real * z.real + z.imag * z.imag) + 1j * np.arctan2(z.imag, z.real)
     )
 
     def power(e: complex) -> np.ndarray:
@@ -180,7 +182,7 @@ def ml_integrand(x: complex, y: complex, params: Parameters) -> IntegrandSpec:
     read-only node array that owns its data (a contour's initial sweep or
     its two tail end points, see the contour module) come from a memo of
     the last INTEGRAND_MEMO_SIZE (Parameters, array) pairs; other arrays
-    (refinement halves) are computed directly, with the same operations.
+    (refinement quarters) are computed directly, with the same operations.
     """
 
     def f(z: np.ndarray) -> np.ndarray:

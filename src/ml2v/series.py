@@ -290,13 +290,14 @@ def eval_ml_one(
     """One-variable relative sum_{n>=0} z^n / Gamma(rho*n + kappa).
 
     Same certificate as the double series with blocks of a single term.
-    Raises DomainError for a non-finite z or kappa.
+    Raises DomainError for a non-finite z or kappa, or a rho that is not
+    positive and finite.
     """
     z, kappa = finite(z=z, kappa=kappa)
     if budget is None:
         budget = SeriesBudget()
-    if not rho > 0:
-        raise DomainError(f"rho must be positive, got {rho}")
+    if not (rho > 0 and math.isfinite(rho)):
+        raise DomainError(f"rho must be positive and finite, got {rho}")
     kmin = max(0, math.ceil((1.0 - kappa.real) / rho))
     blocks = _single_terms(z, rho, kappa, budget.max_terms)
     return _certified_sum(blocks, kmin, rho, abs(kappa), budget.tol)

@@ -104,9 +104,13 @@ EVAL_05 = ["eval", "--alpha", "0.5", "--beta", "0.8"]
         EVAL_05 + ["--x", "1", "--y", "2", "--tol", "-1e-8"],
         ["grid", "--alpha", "0.5", "--beta", "0.8", "--x-min", "nan", "--x-max", "1",
          "--y", "1"],
+        # each bound is finite, but not the width between them
+        ["grid", "--alpha", "0.5", "--beta", "0.8", "--x-min", "-1e308", "--x-max", "1e308",
+         "--x-count", "3", "--y", "1", "--method", "series"],
     ],
     ids=["x-nan", "x-overflow", "x-neg-overflow", "y-imag-overflow", "x-inf", "mu-nan",
-         "tol-nan", "tol-inf", "tol-zero", "tol-negative", "grid-bound-nan"],
+         "tol-nan", "tol-inf", "tol-zero", "tol-negative", "grid-bound-nan",
+         "grid-width-overflow"],
 )
 def test_non_finite_input_exit_2(argv, capsys):
     rc, out, err = run_cli(argv, capsys)

@@ -3,13 +3,14 @@
 import cmath
 import dataclasses
 import math
+import random
 import re
 
 import numpy as np
 import pytest
 from mpmath import mp
 
-from ml2v import contour
+from ml2v import contour, representations
 from ml2v.contour import (
     CONTOUR_MEMO_SIZE,
     IntegrandSpec,
@@ -18,7 +19,13 @@ from ml2v.contour import (
 )
 from ml2v.core import ContourSpec, validate_params
 from ml2v.errors import GeometryError, PoleProximityError, QuadratureError
-from ml2v.representations import eval_with_contour, ml_integrand
+from ml2v.representations import (
+    choose_contour,
+    contour_clearance,
+    eval_with_contour,
+    ml_integrand,
+    pole_images,
+)
 
 mp.dps = 40
 P111 = validate_params(1, 1, 1)
@@ -173,10 +180,11 @@ def test_one_integrand_call_per_round():
         ev = integrate(spec, IntegrandSpec(f=f, decay=1.0), tol=tol)
         assert ev.est_error <= tol
         # one tail estimate, the initial sweep of all panels, then one call
-        # per refinement round holding both halves of every panel it splits
+        # per refinement round holding all four quarters of every panel it
+        # splits
         assert calls[:2] == [2, sweep]
         assert len(calls) == 2 + rounds
-        assert all(n % 48 == 0 for n in calls[2:])
+        assert all(n % 96 == 0 for n in calls[2:])
 
 
 def test_budget_exhausted_during_refinement(monkeypatch):
@@ -202,3 +210,84 @@ def test_non_finite_sweep_raises_at_once():
     with pytest.raises(QuadratureError, match="not finite on the contour"):
         integrate(spec, IntegrandSpec(f=f, decay=1.0), tol=1e-10)
     assert calls == [2, 24 * len(build_contour(spec, decay=1.0).panels)]
+
+
+def test_rounding_floor_raises_after_the_sweep():
+    # exp(u) integrates to 2 pi i / Gamma(0) = 0 over the Hankel contour, here
+    # from terms up to e^20: no refinement gets the sum below EPS * e^20
+    spec = ContourSpec(20.0, 3 * math.pi / 4)
+    f, calls = _counted(np.exp)
+    with pytest.raises(QuadratureError, match="rounding floor"):
+        integrate(spec, IntegrandSpec(f=f, decay=1.0), tol=1e-8)
+    assert calls == [2, 24 * len(build_contour(spec, decay=1.0).panels)]
+
+
+def _check_ray_radii(rs, eps, radius, c, decay):
+    """rs runs from eps to radius, and its panels keep _ray_radii's bound."""
+    rs = np.array(rs)
+    assert rs[0] == eps and rs[-1] == radius
+    ratio, nats = rs[1:] / rs[:-1], c * np.diff(rs**decay)
+    assert np.all(ratio[:-1] >= contour._RAY_GROWTH_MIN * (1 - 1e-15)) and np.all(ratio > 1)
+    assert np.all(ratio <= 2 * (1 + 1e-15))
+    # a panel past PANEL_NATS is one the least growth forced
+    long = nats > contour.PANEL_NATS * (1 + 1e-9)
+    assert np.all(ratio[long] <= contour._RAY_GROWTH_MIN * (1 + 1e-15))
+    bound = 1 + min(math.log(radius / eps) / math.log(contour._RAY_GROWTH_MIN),
+                    math.log2(radius / eps) + c * (radius**decay - eps**decay) / contour.PANEL_NATS)
+    assert len(rs) - 1 <= bound
+
+
+@pytest.mark.parametrize("eps,trunc_tol", [(8.0, 1e-16), (1.0, 1e-300), (0.04, 1e-300)])
+def test_ray_panels_keep_their_bound_at_steep_decay(eps, trunc_tol):
+    # theta * decay = pi: the rays decay like exp(-r^16); at eps = 8 that is
+    # e^(-2.8e14) at the arc, and R is eps's floor
+    spec = ContourSpec(eps, math.pi / 16)
+    dc = build_contour(spec, 16.0, trunc_tol)
+    out = dc.panels[(dc.panels[:, 2] == spec.theta) & (dc.panels[:, 3] == spec.theta)]
+    assert np.all(out[1:, 0] == out[:-1, 1])
+    _check_ray_radii(np.append(out[:, 0], out[-1, 1]), eps, dc.radius, 1.0, 16.0)
+    if eps == 8.0:
+        assert dc.radius == contour._RAY_GROWTH_MIN * eps and len(out) == 1
+
+
+def test_ray_panels_keep_their_bound_at_slow_decay():
+    # decay 0.3 has no ray decay at theta <= pi, so the law is given directly:
+    # R is about 2.9e9, and the panels mostly double
+    c, decay = 0.7, 0.3
+    radius = (math.log(1e300) / c) ** (1 / decay)
+    _check_ray_radii(contour._ray_radii(1.0, radius, c, decay), 1.0, radius, c, decay)
+
+
+def test_low_order_annulus_points_converge_in_one_sweep(monkeypatch):
+    # at (0.25, 0.25, 1) the integrand falls like exp(-r^16) within 0.3 eps of
+    # the arc; panels graded by that law need no refinement where every pole
+    # image clears the contour by twice choose_contour's target (an image
+    # closer to the arc asks for refinement near it)
+    p = validate_params(0.25, 0.25, 1)
+    rng = random.Random(5)
+    sizes = []
+
+    def counted(x, y, params):
+        real = ml_integrand(x, y, params)
+
+        def f(z):
+            sizes.append(int(np.size(z)))
+            return real.f(z)
+
+        return dataclasses.replace(real, f=f)
+
+    monkeypatch.setattr("ml2v.representations.ml_integrand", counted)
+    done = 0
+    while done < 12:
+        x, y = (cmath.rect(math.sqrt(rng.uniform(1, 16)), rng.uniform(-math.pi, math.pi)) for _ in "xy")
+        spec = choose_contour(x, y, p)
+        images = pole_images(x, p.beta) + pole_images(y, p.alpha)
+        clear = min(contour_clearance(z, spec) for z in images)
+        if spec.epsilon != 1.0 or clear < 2 * representations._CLEARANCE_TARGET:
+            continue
+        sizes.clear()
+        ev = eval_with_contour(x, y, p, spec)
+        assert ev.est_error <= 1e-8 * max(1.0, abs(ev.value))
+        # tail estimates of two nodes each, then the one sweep
+        assert all(n == 2 for n in sizes[:-1]) and sizes[-1] > 2
+        done += 1

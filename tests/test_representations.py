@@ -535,10 +535,12 @@ def test_point_free_factors_as_accurate_as_complex_powers(orders, theta):
     e = (1.0 + a + b - p.mu) * d - 1.0
     spec = ContourSpec(1.0, angle_window(p)[2] if theta is None else theta)
     contour = build_contour(spec, d)
-    # the initial sweep and the refinement halves of every third panel
-    left, right = contour.panels[::3].copy(), contour.panels[::3].copy()
-    left[:, 1::2] = right[:, 0::2] = 0.5 * (left[:, 0::2] + left[:, 1::2])
-    z = np.concatenate([contour.nodes.ravel(), con._nodes(np.concatenate([left, right]))[0].ravel()])
+    # the initial sweep and the refinement quarters of every third panel
+    start, end = contour.panels[::3, 0::2], contour.panels[::3, 1::2]
+    cuts = [(1.0 - t) * start + t * end for t in (0.0, 0.25, 0.5, 0.75, 1.0)]
+    quarters = np.empty((4, len(start), 4))
+    quarters[:, :, 0::2], quarters[:, :, 1::2] = cuts[:-1], cuts[1:]
+    z = np.concatenate([contour.nodes.ravel(), con._nodes(quarters.reshape(-1, 4))[0].ravel()])
     new = rep._point_free(z, p)
     old = (np.exp(z**d) * z**e, z ** (1.0 / b), z ** (1.0 / a))
     with mp.workdps(30):

@@ -354,7 +354,6 @@ def test_one_variable_overflow_is_soft():
 
 
 def test_one_variable_validation():
-    with pytest.raises(DomainError):
-        eval_ml_one(1.0, 0.0, 1.0)
-    with pytest.raises(DomainError):
-        eval_ml_one(1.0, -0.5, 1.0)
+    for rho in (0.0, -0.5, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError, match="rho"):
+            eval_ml_one(1.0, rho, 1.0)

@@ -44,7 +44,8 @@ from collections import Counter
 import numpy as np
 
 SEED = 4242
-PARAM_SETS = ((0.5, 0.8, 1), (1.2, 0.9, 1), (0.7, 0.7, 0.5 + 0.3j), (1, 1, 1), (0.5, 0.5, 1))
+PARAM_SETS = ((0.5, 0.8, 1), (1.2, 0.9, 1), (0.7, 0.7, 0.5 + 0.3j), (1, 1, 1), (0.5, 0.5, 1),
+              (0.25, 0.25, 1))
 POINTS_PER_SET = 40
 # log10 of a near point's offset from the arc, relative to eps: around the
 # on-contour band, inside the pole floor, and just outside it
