@@ -5,8 +5,8 @@ Automatic regime dispatch and the command line
 eval_auto picks the evaluation method from the argument magnitudes:
 the double series near the origin, the asymptotic expansion far out
 when its certified error meets the tolerance, and the contour
-representations in the broad middle, with fallbacks when a route
-degenerates.  The same dispatcher backs the ml2v command line.
+representation, summed on a fixed hyperbola, in the broad middle, with
+the series as the fallback when a route degenerates.  The same dispatcher backs the ml2v command line.
 """
 
 import subprocess
@@ -15,7 +15,7 @@ import sys
 from ml2v import eval_auto, validate_params
 
 # sweep along the negative diagonal at fractional orders: the method
-# hands over from series to contour to asymptotics as |x| grows
+# hands over from series to hyperbola to asymptotics as |x| grows
 params = validate_params(0.5, 0.5, 1.0)
 print(f"{'x = y':>8} {'method':>18} {'value':>15} {'est error':>11}")
 for t in (0.5, 3.0, 10.0, 25.0, 60.0):

@@ -33,6 +33,7 @@ from .representations import (
     choose_contour,
     classify_pair,
     eval_auto,
+    eval_hyperbola,
     eval_with_contour,
     pole_images,
 )
@@ -66,6 +67,7 @@ __all__ = [
     "eval_asymptotic",
     "eval_auto",
     "eval_double_series",
+    "eval_hyperbola",
     "eval_ml_one",
     "eval_with_contour",
     "load_corpus",

@@ -33,6 +33,7 @@ from .representations import (
     ASYMPTOTIC_RADIUS,
     choose_contour,
     eval_auto,
+    eval_hyperbola,
     eval_with_contour,
 )
 from .selftest import SUITES, run_suites
@@ -44,13 +45,13 @@ CSV_HEADER = (
 )
 
 CONTOUR_METHODS = ("lemma1", "lemma2", "remark1", "lemma3")
-METHODS = ("auto", "series", *CONTOUR_METHODS, "asymptotic", "oracle")
+METHODS = ("auto", "series", *CONTOUR_METHODS, "hyperbola", "asymptotic", "oracle")
 
 # The evaluations that read each knob: an eval/grid method, "compare" (points
 # or a grid) or "compare --corpus".  The CLI rejects a knob given to any
 # other evaluation (exit 2), and --help lists the readers.
 KNOB_READERS = {
-    "tol": ("auto", "series", *CONTOUR_METHODS, "compare", "compare --corpus"),
+    "tol": ("auto", "series", *CONTOUR_METHODS, "hyperbola", "compare", "compare --corpus"),
     "p_alpha": ("asymptotic", "compare"),
     "p_beta": ("asymptotic", "compare"),
     "epsilon": (*CONTOUR_METHODS, "compare"),
@@ -180,6 +181,8 @@ def evaluate_point(args, x: complex, y: complex, params: Parameters,
         return eval_auto(x, y, params, tol)
     if method == "series":
         return eval_double_series(x, y, params, SeriesBudget(tol=min(tol, 1e-10)))
+    if method == "hyperbola":
+        return eval_hyperbola(x, y, params, tol)
     if method == "asymptotic":
         return eval_asymptotic(x, y, params, _orders(args))
     if method == "oracle":
@@ -259,6 +262,7 @@ def _compare_methods(args, x: complex, y: complex, params: Parameters,
         ("series", lambda: eval_double_series(x, y, params, SeriesBudget(tol=min(tol, 1e-10)))),
         ("contour", lambda: eval_with_contour(
             x, y, params, _contour_for(args, x, y, params), tol)),
+        ("hyperbola", lambda: eval_hyperbola(x, y, params, tol)),
     ]
     if min(abs(x), abs(y)) >= ASYMPTOTIC_RADIUS:
         calls.append(("asymptotic", lambda: eval_asymptotic(x, y, params, _orders(args))))

@@ -41,7 +41,7 @@ class RegionLabel(Enum):
     ON_CONTOUR = "on-contour"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Parameters:
     """Validated (alpha, beta, mu) triple; build via validate_params."""
 

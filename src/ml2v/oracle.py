@@ -4,7 +4,9 @@ The oracle recomputes the defining double series in arbitrary-precision
 arithmetic (mpmath), summing anti-diagonal blocks n + m = k with a certified
 geometric tail bound.  It is deliberately independent of the double-precision
 evaluators: no contour, no asymptotics, just the series with enough guard
-digits to survive cancellation.
+digits to survive cancellation.  mpmath is imported inside the functions
+that use it, so importing ml2v for the double-precision routes does not
+load it.
 
 Three performance devices keep large arguments tractable:
 
@@ -30,8 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from typing import Iterator
-
-import mpmath as mp
 
 from .core import Parameters, finite, validate_params
 from .errors import BudgetExceeded, DomainError
@@ -102,11 +102,15 @@ class _RgammaLadder:
         self._hist: deque = deque(maxlen=frac.denominator if frac else 1)
 
     def _arg(self, n: int):
+        import mpmath as mp
+
         if self._frac is not None:
             return mp.mpf(self._frac.numerator * n) / self._frac.denominator + self._offset
         return mp.mpf(self._step) * n + self._offset
 
     def __next__(self):
+        import mpmath as mp
+
         n = self._n
         self._n += 1
         if self._frac is None:
@@ -128,6 +132,8 @@ class _RgammaLadder:
 
 def _blocks_pow1d(z, frac, step: float, offset) -> Iterator[tuple]:
     """Blocks of sum_k z^k / Gamma(step*k + offset); block k is one term."""
+    import mpmath as mp
+
     ladder = _RgammaLadder(frac, step, offset)
     zp = mp.mpc(1)
     while True:
@@ -144,6 +150,8 @@ def _blocks_diag1d(x, y, frac, step: float, offset) -> Iterator[tuple]:
     sum uses the same closed form on |x|, |y| so the certificate sees the
     true term mass, not the cancelled inner sum.
     """
+    import mpmath as mp
+
     ladder = _RgammaLadder(frac, step, offset)
     ax, ay = abs(x), abs(y)
     same = x == y
@@ -177,6 +185,8 @@ def _blocks_2d(x, y, afrac, alpha: float, beta: float, mu) -> Iterator[tuple]:
     One gamma ladder per row m (offset beta*m + mu, step alpha); each ladder
     advances exactly once per diagonal, in order.
     """
+    import mpmath as mp
+
     bfrac = _as_fraction(beta)
     ladders: dict[int, _RgammaLadder] = {}
     xpow = [mp.mpc(1)]
@@ -215,6 +225,8 @@ def _certify(blocks: Iterator[tuple], digits: int, cap: int):
     digits of the result even when the result is small.
     Returns (value, tail_bound, peak_block_magnitude, n_blocks).
     """
+    import mpmath as mp
+
     target_scale = mp.mpf(10) ** (2 - digits)
     floor = mp.mpf(10) ** (-digits)
     value = mp.mpc(0)
@@ -266,6 +278,8 @@ def oracle_eval(x: complex, y: complex, params: Parameters, digits: int = 30) ->
     consume the working-precision ceiling (reported, never silently
     degraded).
     """
+    import mpmath as mp
+
     xc, yc = finite(x=x, y=y)
     if not MIN_DIGITS <= int(digits) <= MAX_DIGITS:
         raise DomainError(f"digits must lie in [{MIN_DIGITS}, {MAX_DIGITS}], got {digits}")
@@ -346,6 +360,8 @@ class CorpusRecord:
     tail_bound: float
 
     def value(self) -> complex:
+        import mpmath as mp
+
         return complex(float(mp.mpf(self.value_re)), float(mp.mpf(self.value_im)))
 
     def params(self) -> Parameters:
@@ -383,6 +399,8 @@ class CorpusRecord:
 
 def make_record(x: complex, y: complex, params: Parameters, digits: int = 30) -> CorpusRecord:
     """Run the oracle and freeze the result as a corpus record."""
+    import mpmath as mp
+
     ov = oracle_eval(x, y, params, digits)
     with mp.workdps(digits + 5):
         re_s = mp.nstr(mp.re(ov.value), digits)

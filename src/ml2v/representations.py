@@ -1,6 +1,6 @@
 """Contour-integral evaluation of E(x, y) with residue corrections.
 
-Every route here evaluates the same keyhole-contour integral
+The keyhole routes evaluate one contour integral
 
     I = (1/(2 pi i alpha beta)) * integral over gamma(eps; theta) of
         exp(zeta^(1/(alpha beta))) * zeta^((1+alpha+beta-mu)/(alpha beta) - 1)
@@ -16,9 +16,17 @@ route: lemma1 (no residues), lemma2 (y residues), remark1 (x residues) or
 lemma3 (both), the public naming used across the CLI.  Given route=, it
 requires that placement.
 
-eval_auto picks a contour and calls eval_with_contour, and falls back to
-the double series when the construction degenerates; very large
-arguments are routed to the asymptotic expansions first.
+eval_hyperbola evaluates the same integral in s = zeta^(1/(alpha beta)),
+where it is a Bromwich integral, by the trapezoidal rule on one fixed
+hyperbola shared by every point, plus a closed-form correction per pole
+of the cut plane that weighs its residue by the pole's place against the
+contour; no region is classified and no contour is chosen per point.
+
+eval_auto sends both arguments in the unit disk to the double series,
+tries the asymptotic expansions first where both are large, and sends
+every other point, and every asymptotic result that misses tol, to
+eval_hyperbola and then back to the series.  It does not use the keyhole:
+choose_contour and eval_with_contour stay as an independent check of it.
 """
 
 from __future__ import annotations
@@ -81,6 +89,15 @@ _CLEARANCE_TARGET = 0.05
 _EPSILON_LADDER = (1.0, 0.5, 2.0, 0.25, 4.0, 0.1, 8.0, 0.04)
 
 
+def _image_radius(w: complex, power: float) -> float:
+    """|w|^power, the modulus of w's pole images; DomainError where it
+    overflows a double."""
+    try:
+        return abs(w) ** power
+    except OverflowError:
+        raise DomainError(f"the pole images of {w:.6g} overflow a double") from None
+
+
 def sector_images(
     w: complex, power: float, tau1: float, reach: float
 ) -> tuple[tuple[complex, ...], list[int]]:
@@ -90,10 +107,7 @@ def sector_images(
     expansion drops, on this sheet or the next).  Raises DomainError where
     the images overflow a double."""
     ph = cmath.phase(w)
-    try:
-        r = abs(w) ** power
-    except OverflowError:
-        raise DomainError(f"the pole images of {w:.6g} overflow a double") from None
+    r = _image_radius(w, power)
     span = (tau1 + reach) / power
     inside, dropped = [], []
     for k in range(math.floor((-span - ph) / (2.0 * math.pi)),
@@ -448,18 +462,138 @@ def contour_clearance(point: complex, spec: ContourSpec) -> float:
     return contour_distance(point, spec) / max(1.0, abs(point))
 
 
+# The Bromwich contour of eval_hyperbola: s(u) = m (1 + sin(i u - phi)) at
+# u = k h, k = -n..n, with Weideman & Trefethen's hyperbola parameters for
+# t = 1 (Math. Comp. 76, 2007): h = 1.0818/n, m = 4.4921 n, phi = 1.1721.
+# The sum at HYPERBOLA_N is the value and the one at HYPERBOLA_CHECK_N its
+# error check.  n is fixed rather than raised with tol: the quadrature error
+# falls like 3.2^-n, but rounding grows like exp(m (1 - sin phi)).
+HYPERBOLA_N = 16
+HYPERBOLA_CHECK_N = 12
+_PHI = 1.1721
+
+
+def _hyperbola(n: int) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
+    """Nodes s_k and weights h m cos(i u_k - phi) / (2 pi) of the n-rule,
+    and its (2 pi / h, m) for _pole_weight."""
+    h, m = 1.0818 / n, 4.4921 * n
+    w = 1j * h * np.arange(-n, n + 1) - _PHI
+    return m * (1.0 + np.sin(w)), h * m * np.cos(w) / (2.0 * math.pi), (2.0 * math.pi / h, m)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+# Both rules' nodes in one array, the value rule's first, fixed at import and
+# shared read-only by every point and every Parameters.
+(_S_VAL, _W_VAL, _VALUE_RULE), (_S_CHK, _W_CHK, _CHECK_RULE) = (
+    _hyperbola(n) for n in (HYPERBOLA_N, HYPERBOLA_CHECK_N)
+)
+_SPLIT = 2 * HYPERBOLA_N + 1
+_HS = _read_only(np.concatenate([_S_VAL, _S_CHK]))
+_HL = _read_only(np.log(_HS))
+_HW = _read_only(np.concatenate([_W_VAL, _W_CHK]))
+# 8 + |s_k| and |log s_k| over the value rule: its terms' rounding weights
+_HS_WEIGHT = _read_only(8.0 + np.abs(_S_VAL))
+_HL_ABS = _read_only(np.abs(_HL[:_SPLIT]))
+
+
+def _pole_weight(s: complex, rule: tuple[float, float]) -> complex:
+    """1/(1 - exp(-2 pi i u/h)) at the u with s(u) = s on the rule's hyperbola.
+
+    The exponent is -(2 pi / h) (asin(s/m - 1) + phi), whose real part lies
+    below (2 pi / h)(pi/2 - phi), about 37 at n = 16, for every s on the cut
+    plane: the weight neither overflows nor loses a far-right residue.
+    """
+    k, m = rule
+    return 1.0 / (1.0 - cmath.exp(-k * (cmath.asin(s / m - 1.0) + _PHI)))
+
+
+def _branches(w: complex, power: float) -> list[int]:
+    """The branches k of the poles s^power = w on the cut plane, those with
+    |Im log s| = |arg w + 2 pi k| / power < pi (none for w = 0)."""
+    if w == 0:
+        return []
+    ph, span = cmath.phase(w), power * math.pi
+    return [
+        k
+        for k in range(math.ceil((-span - ph) / (2.0 * math.pi)),
+                       math.floor((span - ph) / (2.0 * math.pi)) + 1)
+        if abs(ph + 2.0 * math.pi * k) < span
+    ]
+
+
+def eval_hyperbola(x: complex, y: complex, params: Parameters, tol: float = 1e-8) -> Evaluation:
+    """E(x, y) as the Bromwich integral of the paper's representations.
+
+    With s = zeta^(1/(alpha beta)) the keyhole integral becomes
+    E = (1/2 pi i) * integral of e^s s^(alpha+beta-mu) / ((s^alpha - x)(s^beta - y)) ds
+    along any contour that leaves every pole on its left.  On the fixed
+    hyperbola s(u) (see HYPERBOLA_N) the trapezoidal sum T misses each
+    pole s_j of the cut plane (s_j^alpha = x or s_j^beta = y) by its residue
+    R_j (branch_residues) times 1/(1 - exp(-2 pi i u_j / h)), u_j = s^-1(s_j):
+    the full residue far right of the contour, none far left, and a
+    continuous weight across it (Trefethen & Weideman, SIAM Rev. 56, 2014).
+    The value is that corrected sum at HYPERBOLA_N; est_error adds twice its
+    distance to the sum at HYPERBOLA_CHECK_N, the rounding EPS * |t_k| *
+    (8 + |s_k| + |alpha+beta-mu| |log s_k|) of each term t_k, and
+    residue_weight's rounding of each correction term.
+
+    Raises DomainError for a non-finite x or y or a tol that is not positive
+    and finite, DegenerateDenominator where an x-pole and a y-pole nearly
+    coincide (a double pole), and BudgetExceeded where a sum leaves the
+    double range or est_error exceeds tol * max(1, |value|).
+    """
+    x, y = finite(x=x, y=y)
+    check_tol(tol)
+    a, b, mu = params.alpha, params.beta, params.mu
+    c = a + b - mu
+    kx, ky = _branches(x, a), _branches(y, b)
+    residues = branch_residues(kx, b, a, mu, x, y) + branch_residues(ky, a, b, mu, y, x)
+    logs = [(cmath.log(x) + 2j * math.pi * k) / a for k in kx]
+    logs += [(cmath.log(y) + 2j * math.pi * k) / b for k in ky]
+    with np.errstate(all="ignore"):
+        t = _HW * np.exp(_HS + c * _HL) / ((np.exp(a * _HL) - x) * (np.exp(b * _HL) - y))
+        rounding = EPS * float(np.abs(t[:_SPLIT]) @ (_HS_WEIGHT + abs(c) * _HL_ABS))
+    value, check = complex(t[:_SPLIT].sum()), complex(t[_SPLIT:].sum())
+    terms, weights = [], []
+    try:
+        for r, v in zip(residues, logs):
+            if r == 0:  # underflowed: it corrects nothing, whatever its weight
+                continue
+            s = cmath.exp(v)
+            term = r * _pole_weight(s, _VALUE_RULE)
+            check += r * _pole_weight(s, _CHECK_RULE)
+            value += term
+            terms.append(term)
+            # in s the exponent is exp(v) itself: residue_weight at unit orders
+            weights.append(residue_weight(s, 1.0, 1.0))
+    except (OverflowError, ZeroDivisionError):
+        raise BudgetExceeded("a pole of the hyperbola's sum leaves the double range") from None
+    if not (cmath.isfinite(value) and cmath.isfinite(check) and math.isfinite(rounding)):
+        raise BudgetExceeded("the hyperbola's sum leaves the double range")
+    est = error_bound(2.0 * abs(value - check) + rounding, weights, terms)
+    if est > tol * max(1.0, abs(value)):
+        raise BudgetExceeded(
+            f"hyperbola: est_error {est:.3g} misses tol {tol:.3g} at x={x:.6g}, y={y:.6g}"
+        )
+    return Evaluation(value, est, "hyperbola")
+
+
 def eval_auto(x: complex, y: complex, params: Parameters, tol: float = 1e-8) -> Evaluation:
-    """Dispatch between series, contour representations, and asymptotics.
+    """Dispatch between the series, the hyperbola route and the asymptotics.
 
     Small arguments (both within the unit disk) go straight to the series.
     Large arguments (both beyond ASYMPTOTIC_RADIUS) try the asymptotic
-    expansion first.  Everything else, and every failed attempt, funnels
-    through the contour representations and finally back to the series.
-    A route that raises a NumericFailure hands the point on; any other
-    exception propagates.  Raises DomainError for a non-finite argument, one
-    whose pole images overflow a double or a tol that is not positive and
-    finite, and BudgetExceeded only when every route fails to certify a
-    result.
+    expansion first.  Everything else, and every failed attempt, goes to
+    eval_hyperbola and finally back to the series.  A route that raises a
+    NumericFailure hands the point on; any other exception propagates.
+    Raises DomainError for a non-finite argument, one whose pole images
+    zeta (zeta^(1/beta) = x, zeta^(1/alpha) = y) overflow a double, or a tol
+    that is not positive and finite, and BudgetExceeded only when every
+    route fails to certify a result.
     """
     x, y = finite(x=x, y=y)
     check_tol(tol)
@@ -476,8 +610,11 @@ def eval_auto(x: complex, y: complex, params: Parameters, tol: float = 1e-8) -> 
         except NumericFailure:
             pass
 
+    # a pole image zeta that overflows a double is outside the domain (see sector_images)
+    _image_radius(x, params.beta)
+    _image_radius(y, params.alpha)
     try:
-        return eval_with_contour(x, y, params, choose_contour(x, y, params), tol)
+        return eval_hyperbola(x, y, params, tol)
     except NumericFailure:
         pass
 

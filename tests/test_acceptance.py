@@ -6,13 +6,14 @@ have their only bodies in ``ml2v.selftest``; the tests here run those suites.
 """
 
 import cmath
+from collections import Counter
 
 import mpmath as mp
 import pytest
 
 from ml2v import cli
 from ml2v.core import ContourSpec, admissible_theta_window, validate_params
-from ml2v.errors import DegenerateDenominator, PoleProximityError, RegionError
+from ml2v.errors import DegenerateDenominator, NumericFailure, PoleProximityError, RegionError
 from ml2v.oracle import load_corpus, oracle_eval
 from ml2v.representations import (
     _contour_piece,
@@ -99,15 +100,23 @@ def test_closed_form_anchor_representations():
 
 
 def test_cross_method_agreement_grid():
+    # eval_auto's hyperbola and the keyhole routes on choose_contour's
+    # contour, each against the series
     budget = SeriesBudget(tol=1e-12)
     lemma_tags = {"lemma1", "lemma2", "remark1", "lemma3"}
-    seen = set()
-    checked = 0
+    checked = Counter()
     for params in GRID_SETS:
         for x, y in grid_points():
-            ev = eval_auto(x, y, params, tol=1e-8)
-            if ev.method not in lemma_tags:
-                continue    # series/asymptotic dispatch or degenerate fallback
+            if max(abs(x), abs(y)) <= 1.0:
+                continue    # eval_auto's series disk
+            evs = [eval_auto(x, y, params, tol=1e-8)]
+            try:
+                evs.append(eval_with_contour(x, y, params, choose_contour(x, y, params), tol=1e-8))
+            except NumericFailure:
+                pass
+            evs = [ev for ev in evs if ev.method in lemma_tags | {"hyperbola"}]
+            if not evs:
+                continue    # degenerate: both went to the series
             ref = eval_double_series(x, y, params, budget)
             ref_value = ref.value
             if ref.est_error > 5e-8:
@@ -115,11 +124,12 @@ def test_cross_method_agreement_grid():
                 # magnitudes dwarf the sum), so take the same series from
                 # the extended-precision summation instead
                 ref_value = oracle_eval(x, y, params, digits=30).as_complex()
-            assert abs(ev.value - ref_value) <= 1e-7
-            seen.add(ev.method)
-            checked += 1
-    assert checked >= 50
-    assert seen == lemma_tags
+            for ev in evs:
+                assert abs(ev.value - ref_value) <= 1e-7
+                checked[ev.method] += 1
+    assert checked["hyperbola"] >= 50
+    assert sum(checked[tag] for tag in lemma_tags) >= 50
+    assert set(checked) == lemma_tags | {"hyperbola"}
 
 
 def test_named_routes_match_dispatch():

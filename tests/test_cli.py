@@ -77,6 +77,18 @@ def test_eval_series_closed_form(capsys):
     assert float(row["est_error"]) < 1e-8
 
 
+def test_eval_hyperbola_closed_form(capsys):
+    rc, out, _ = run_cli(
+        ["eval", "--alpha", "1", "--beta", "1", "--mu", "1",
+         "--x", "2", "--y", "1", "--method", "hyperbola", "--tol", "1e-10"],
+        capsys,
+    )
+    assert rc == 0
+    (row,) = csv_rows(out)
+    assert row["method"] == "hyperbola"
+    assert abs(float(row["val_re"]) - CLOSED_21) <= float(row["est_error"]) <= 1e-10 * CLOSED_21
+
+
 def test_eval_inadmissible_orders_exit_2(capsys):
     rc, _, err = run_cli(
         ["eval", "--alpha", "1.5", "--beta", "1.5", "--mu", "1", "--x", "1", "--y", "1"],
@@ -134,9 +146,10 @@ POINT_11 = ["--alpha", "1", "--beta", "1", "--x", "2", "--y", "1"]
         (["eval", *POINT_11, "--p-beta", "4"], "--p-beta"),
         (["compare", "--corpus", "--epsilon", "2"], "--epsilon"),
         (["compare", "--corpus", "--p-beta", "4"], "--p-beta"),
+        (["grid", *POINT_11, "--method", "hyperbola", "--epsilon", "2"], "--epsilon"),
     ],
     ids=["asymptotic-tol", "oracle-tol", "auto-epsilon", "series-theta", "asymptotic-theta",
-         "lemma1-p-alpha", "auto-p-beta", "corpus-epsilon", "corpus-p-beta"],
+         "lemma1-p-alpha", "auto-p-beta", "corpus-epsilon", "corpus-p-beta", "hyperbola-epsilon"],
 )
 def test_unread_knob_exit_2(argv, flag, capsys):
     # a knob the chosen evaluation does not read is a usage error, not ignored
@@ -291,16 +304,15 @@ def test_grid_method_switch_with_magnitude(capsys):
     assert rc == 0
     rows = csv_rows(out)
     methods = {float(r["x_re"]): r["method"] for r in rows}
-    assert methods[-10.0] == "lemma1"
+    assert methods[-10.0] == "hyperbola"
     assert methods[-40.0] == "asymptotic"
     assert any(r["case"] == "case4" for r in rows)
-    # asymptotic rows cross-checked against the pure contour route
+    # asymptotic and hyperbola rows cross-checked against the pure contour route
     rc2, out2, _ = run_cli(["grid"] + base + ["--method", "lemma1"], capsys)
     assert rc2 == 0
     ref = {float(r["x_re"]): float(r["val_re"]) for r in csv_rows(out2)}
     for r in rows:
-        if r["method"] == "asymptotic":
-            assert abs(float(r["val_re"]) - ref[float(r["x_re"])]) <= 1e-6
+        assert abs(float(r["val_re"]) - ref[float(r["x_re"])]) <= 1e-6
 
 
 def test_grid_failed_row_continues(capsys):
@@ -330,6 +342,7 @@ def test_compare_series_vs_lemma1(capsys):
     )
     assert rc == 0
     assert "series" in out and "lemma1" in out
+    assert "  pair lemma1/hyperbola: " in out
     assert "flagged: 0" in out
     delta = float(out.split("max |delta| = ")[1].splitlines()[0])
     assert delta <= 1e-8
@@ -353,7 +366,8 @@ def test_compare_flags_a_pair_without_a_finite_limit(capsys):
     lines = out.splitlines()
     skipped = [line for line in lines if ": skipped: " in line]
     assert rc == cli.EXIT_NUMERIC
-    assert [line.split(":")[0].strip() for line in skipped] == ["series", "contour", "asymptotic"]
+    assert [line.split(":")[0].strip() for line in skipped] == [
+        "series", "contour", "hyperbola", "asymptotic"]
     assert "  no method gave a value FLAG" in lines
     assert not any(line.startswith("  pair ") for line in lines)
     assert "flagged: 1" in out

@@ -21,6 +21,7 @@ from ml2v.representations import (
     choose_contour,
     classify_pair,
     eval_auto,
+    eval_hyperbola,
     eval_with_contour,
     pole_images,
 )
@@ -72,6 +73,7 @@ def _direct_routes(params, x, y):
     # the term budget keeps the series' share of the property's time bounded
     yield lambda: eval_double_series(x, y, params, SeriesBudget(max_terms=5000))
     yield lambda: eval_with_contour(x, y, params, choose_contour(x, y, params))
+    yield lambda: eval_hyperbola(x, y, params)
     if min(abs(x), abs(y)) >= asymptotics.MAGNITUDE_FLOOR:
         yield lambda: asymptotics.eval_asymptotic(x, y, params)
 
@@ -146,6 +148,7 @@ SPEC = choose_contour(2.0, 3.0, P058)
 # called on both.
 EVALUATORS = {
     "eval_with_contour": lambda x, y: eval_with_contour(x, y, P058, SPEC),
+    "eval_hyperbola": lambda x, y: eval_hyperbola(x, y, P058),
     "eval_asymptotic": lambda x, y: asymptotics.eval_asymptotic(x, y, P058),
     "choose_contour": lambda x, y: choose_contour(x, y, P058),
     "classify_pair": lambda x, y: classify_pair(x, y, P058, SPEC),
@@ -179,7 +182,8 @@ def test_bad_input_is_a_domain_error(name, bad, slot, other):
 @pytest.mark.parametrize("evaluate", [
     lambda tol: eval_with_contour(2.0, 3.0, P058, SPEC, tol),
     lambda tol: eval_auto(2.0, 3.0, P058, tol),
-], ids=["eval_with_contour", "eval_auto"])
+    lambda tol: eval_hyperbola(2.0, 3.0, P058, tol),
+], ids=["eval_with_contour", "eval_auto", "eval_hyperbola"])
 def test_bad_tol_is_a_domain_error_before_any_node(evaluate, tol, monkeypatch):
     calls = []
     make = representations.ml_integrand

@@ -22,6 +22,7 @@ from ml2v.errors import (
     BudgetExceeded,
     DegenerateDenominator,
     DomainError,
+    NumericFailure,
     QuadratureError,
     RegionError,
 )
@@ -31,6 +32,7 @@ from ml2v.representations import (
     classify_pair,
     contour_clearance,
     eval_auto,
+    eval_hyperbola,
     eval_with_contour,
     ml_integrand,
     pole_images,
@@ -237,38 +239,43 @@ def test_auto_small_uses_series():
     assert abs(ev.value - closed_form(0.3, -0.2)) <= 1e-12
 
 
+def _keyhole_and_auto(x, y, pp, route):
+    """eval_with_contour on choose_contour's contour, which must take route,
+    and eval_auto, which must take the hyperbola; the two agree within
+    their estimates."""
+    ev = eval_with_contour(x, y, pp, choose_contour(x, y, pp))
+    assert ev.method == route
+    auto = eval_auto(x, y, pp)
+    assert auto.method == "hyperbola"
+    assert abs(auto.value - ev.value) <= auto.est_error + ev.est_error
+    return ev, auto
+
+
 def test_auto_routes_and_accuracy():
     pp = validate_params(0.8, 0.8, 1)
-    ev = eval_auto(-5.0, -5.0, pp)
-    assert ev.method == "lemma1"
     ref = eval_double_series(-5.0, -5.0, pp)
-    assert abs(ev.value - ref.value) <= ev.est_error + ref.est_error
+    for ev in _keyhole_and_auto(-5.0, -5.0, pp, "lemma1"):
+        assert abs(ev.value - ref.value) <= ev.est_error + ref.est_error
 
-    ev = eval_auto(6.0, 7.0, pp)
-    assert ev.method == "lemma3"
     ref = eval_double_series(6.0, 7.0, pp)
-    assert abs(ev.value - ref.value) / abs(ref.value) <= 1e-10
+    for ev in _keyhole_and_auto(6.0, 7.0, pp, "lemma3"):
+        assert abs(ev.value - ref.value) / abs(ref.value) <= 1e-10
 
 
 def test_auto_mixed_routes():
-    # narrow admissible window: the signs of x and y pick the route
+    # narrow admissible window: the signs of x and y pick the keyhole route
     pp = validate_params(0.5, 0.8, 1)
-    ev = eval_auto(-4.0, 2.0, pp)
-    assert ev.method == "lemma2"
-    ref = eval_double_series(-4.0, 2.0, pp)
-    assert abs(ev.value - ref.value) <= ev.est_error + ref.est_error
-    ev = eval_auto(2.0, -4.0, pp)
-    assert ev.method == "remark1"
-    ref = eval_double_series(2.0, -4.0, pp)
-    assert abs(ev.value - ref.value) <= ev.est_error + ref.est_error
+    for x, y, route in ((-4.0, 2.0, "lemma2"), (2.0, -4.0, "remark1")):
+        ref = eval_double_series(x, y, pp)
+        for ev in _keyhole_and_auto(x, y, pp, route):
+            assert abs(ev.value - ref.value) <= ev.est_error + ref.est_error
 
 
 def test_auto_wide_window_absorbs_mixed_signs():
     # alpha*beta = 1 pushes theta to pi; the chosen disk swallows both
     # images and the pure integral route applies at mixed signs too
-    ev = eval_auto(-1.0, 2.0, P111)
-    assert ev.method == "lemma1"
-    assert abs(ev.value - closed_form(-1.0, 2.0)) <= max(ev.est_error, 1e-12)
+    for ev in _keyhole_and_auto(-1.0, 2.0, P111, "lemma1"):
+        assert abs(ev.value - closed_form(-1.0, 2.0)) <= max(ev.est_error, 1e-12)
 
 
 def test_auto_degenerate_falls_back_to_series():
@@ -373,8 +380,10 @@ def test_residue_terms_honest_where_long_double_is_double(monkeypatch):
     _assert_residues_honest()
 
 
-# eval_auto points whose route adds residue terms: contour routes on the
-# grid parameters, and asymptotic cases 1-3 at large arguments.
+# Points whose route adds residue terms: keyhole routes on the grid
+# parameters (through eval_with_contour on choose_contour's contour; eval_auto
+# takes the hyperbola there), and eval_auto's asymptotic cases 1-3 at large
+# arguments.
 RESIDUE_POINTS = [
     ((0.5, 0.8, 1), -4.0, 2.0, "lemma2"),
     ((0.5, 0.8, 1), 2.0, -4.0, "remark1"),
@@ -386,24 +395,38 @@ RESIDUE_POINTS = [
 ]
 
 
+def _residue_point_evaluations(orders, x, y, method):
+    """The row's route, which must take method, then eval_auto's result and
+    eval_hyperbola's (None where it raises a NumericFailure)."""
+    p = validate_params(*orders)
+    keyhole = not method.startswith("asymptotic")
+    ev = eval_with_contour(x, y, p, choose_contour(x, y, p)) if keyhole else eval_auto(x, y, p)
+    assert ev.method == method
+    auto = eval_auto(x, y, p)
+    assert auto.method == ("hyperbola" if keyhole else method)
+    try:
+        hyp = eval_hyperbola(x, y, p)
+    except NumericFailure:
+        hyp = None
+    return ev, auto, hyp
+
+
 @pytest.mark.parametrize("orders,x,y,method", RESIDUE_POINTS)
 def test_residue_routes_use_no_mpmath(monkeypatch, orders, x, y, method):
     def refuse(*args, **kwargs):
         raise AssertionError("mpmath reached on a double-precision path")
 
     monkeypatch.setattr(mpmath.mp, "mpc", refuse)
-    ev = eval_auto(x, y, validate_params(*orders))
-    assert ev.method == method
-    assert math.isfinite(ev.est_error)
+    for ev in _residue_point_evaluations(orders, x, y, method):
+        assert ev is None or math.isfinite(ev.est_error)
 
 
 @pytest.mark.parametrize("orders,x,y,method", RESIDUE_POINTS)
 def test_residue_routes_ignore_mpmath_precision(orders, x, y, method):
-    p = validate_params(*orders)
-    plain = eval_auto(x, y, p)
+    plain = _residue_point_evaluations(orders, x, y, method)
     for dps in (5, 50):
         with mp.workdps(dps):
-            assert eval_auto(x, y, p) == plain
+            assert _residue_point_evaluations(orders, x, y, method) == plain
 
 
 def test_overflowing_integrand_raises_quietly():

@@ -7,8 +7,11 @@
 record prints one line per call: group, inputs, float.hex of the value and of
 est_error, and the method tag or exception type.  The calls: the corpus and
 seeded points through eval_auto, the same points through eval_with_contour on
-choose_contour's contour, residue_terms_x/_y at every pole image of those
-points, recip_gamma/log_recip_gamma on a seeded array, and the near group:
+choose_contour's contour and through eval_hyperbola (the hyperbola group, which
+adds seeded points at boundary orders, alpha or beta = 2; a tree without
+eval_hyperbola records AttributeError there), residue_terms_x/_y at every
+pole image of those points, recip_gamma/log_recip_gamma on a seeded array,
+and the near group:
 seeded points through eval_with_contour on choose_contour's contour after y
 is moved so that one of its pole images sits just inside or outside the arc,
 at 1e-11 to 2e-3 times eps.  Those offsets straddle the on-contour band
@@ -50,6 +53,8 @@ POINTS_PER_SET = 40
 # log10 of a near point's offset from the arc, relative to eps: around the
 # on-contour band, inside the pole floor, and just outside it
 NEAR_STRATA = ((-11.0, -8.0), (-6.0, -3.0), (-3.0, math.log10(2e-3)))
+# hyperbola group: boundary orders, alpha*beta >= 2 among them
+HYPERBOLA_SETS = ((2, 1, 1), (2, 0.5, 0.5 + 0.3j), (1.5, 2, 1), (2, 2, 1))
 # series group: unit-disk orders, fixed points whose last runs take the log
 # route ((-400, -30), and (1, -1) and (-12, -12) once 1/Gamma underflows),
 # whose first run already does ((0, 0) at mu = 200) or whose power tables
@@ -108,9 +113,16 @@ def record() -> None:
             inputs = f"{a} {b} {mu!r} {x!r} {y!r}"
             print(_line("auto", inputs, lambda: ml2v.eval_auto(x, y, p)))
             print(_line("contour", inputs, lambda: ml2v.eval_with_contour(x, y, p, ml2v.choose_contour(x, y, p))))
+            print(_line("hyperbola", inputs, lambda: rep.eval_hyperbola(x, y, p)))
             for side, w, power in (("x", x, b), ("y", y, a)):
                 for z in rep.pole_images(w, power):
                     print(_line("residues", f"{inputs} {side} {z!r}", lambda: residue(side, x, y, p, z)))
+    hrng = random.Random(SEED + 4)
+    for a, b, mu in HYPERBOLA_SETS:
+        p = ml2v.validate_params(a, b, mu)
+        for _ in range(POINTS_PER_SET):
+            x, y = (cmath.rect(10 ** hrng.uniform(-1, 1.6), hrng.uniform(-math.pi, math.pi)) for _ in "xy")
+            print(_line("hyperbola", f"{a} {b} {mu!r} {x!r} {y!r}", lambda: rep.eval_hyperbola(x, y, p)))
     near = random.Random(SEED + 1)
     for a, b, mu in PARAM_SETS:
         p = ml2v.validate_params(a, b, mu)
