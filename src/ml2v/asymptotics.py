@@ -228,7 +228,7 @@ def eval_asymptotic(
     rings = np.abs(terms)
     rings[:pb, :pa] = 0.0
     a, b, mu = params.alpha, params.beta, params.mu
-    dropped = branch_residues(xk, b, a, mu, x, y) + branch_residues(yk, a, b, mu, y, x)
+    dropped = branch_residues([(k, b, a, x, y) for k in xk] + [(k, a, b, y, x) for k in yk], mu)
     est = error_bound(2.0 * (float(rings.sum()) + sum(map(abs, dropped))), weights, parts)
     return Evaluation(sum(parts), est, f"asymptotic-{case.value}")
 

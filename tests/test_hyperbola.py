@@ -12,13 +12,15 @@ from pathlib import Path
 
 import pytest
 
-from ml2v.core import validate_params
+from ml2v.core import Parameters, validate_params
 from ml2v.errors import NumericFailure
 from ml2v.oracle import oracle_eval
 from ml2v.representations import (
     _PHI,
     HYPERBOLA_CHECK_N,
+    HYPERBOLA_MEMO_SIZE,
     HYPERBOLA_N,
+    _hyperbola_tables,
     eval_auto,
     eval_hyperbola,
 )
@@ -127,24 +129,102 @@ def test_pole_on_a_node_is_typed_or_honest():
             assert abs(ev.value - ref) <= ev.est_error, (k, delta)
 
 
+def _route_bits(job):
+    """eval_hyperbola's and eval_auto's bits and tags, or exception and message."""
+    p, x, y = job
+    out = []
+    for f in (eval_hyperbola, eval_auto):
+        try:
+            ev = f(x, y, p)
+        except NumericFailure as exc:
+            out.append((type(exc).__name__, str(exc)))
+        else:
+            out.append((ev.value.real.hex(), ev.value.imag.hex(), ev.est_error.hex(), ev.method))
+    return tuple(out)
+
+
 def _bits(job):
     orders, x, y = job
-    try:
-        ev = eval_hyperbola(x, y, validate_params(*orders))
-    except NumericFailure as exc:
-        return type(exc).__name__
-    return ev.value.real.hex(), ev.value.imag.hex(), ev.est_error.hex(), ev.method
+    return _route_bits((validate_params(*orders), x, y))
 
 
 def test_hyperbola_bits_do_not_depend_on_threads():
+    # the threads start with a cold memo and race to fill it, each call with
+    # its own (equal) Parameters
     rng = random.Random(17)
     jobs = [(orders, _annulus(rng), _annulus(rng)) for orders in HONESTY_SETS for _ in range(12)]
+    # a double pole, and a point eval_auto tries on the asymptotics first
+    jobs += [((0.75, 0.75, 1), 2.5 - 1j, 2.5 - 1j), ((0.5, 0.8, 1), 20.0 + 4j, -18.0 + 9j)]
     single = [_bits(j) for j in jobs]
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
+    _hyperbola_tables.cache_clear()
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
             threaded = list(pool.map(_bits, jobs * 4, timeout=60))
     finally:
         sys.setswitchinterval(switch)
     assert threaded == single * 4
+
+
+def _memo_jobs():
+    """Seeded annulus points at HONESTY_SETS and the grid orders, a double
+    pole (x = y at equal orders), and points large enough for eval_auto to
+    try the asymptotics first."""
+    rng = random.Random(23)
+    sets = [validate_params(*orders) for orders in HONESTY_SETS + [(0.5, 0.8, 1)]]
+    jobs = [(p, _annulus(rng), _annulus(rng)) for p in sets for _ in range(4)]
+    jobs.append((validate_params(0.75, 0.75, 1), 2.5 - 1j, 2.5 - 1j))
+    jobs += [(sets[-1], 20.0 + 4j, -18.0 + 9j), (sets[0], -16.0 - 16j, 30.0)]
+    return jobs
+
+
+def test_hyperbola_bits_do_not_depend_on_the_memo():
+    jobs = _memo_jobs()
+    cold = []
+    for job in jobs:
+        _hyperbola_tables.cache_clear()
+        cold.append(_route_bits(job))
+    kinds = {b[0][3] if len(b[0]) == 4 else b[0][0] for b in cold}
+    assert kinds >= {"hyperbola", "DegenerateDenominator"}
+    assert {b[1][3] for b in cold} >= {"hyperbola", "series"} and any(
+        b[1][3].startswith("asymptotic") for b in cold)
+    warm = [_route_bits(j) for j in jobs]
+    assert _hyperbola_tables.cache_info().hits > 0
+    assert warm == cold
+    # evict every job's tables between two calls
+    held = {j[0]: _hyperbola_tables(j[0]) for j in jobs}
+    for i in range(HYPERBOLA_MEMO_SIZE + 1):
+        eval_hyperbola(2.0, -3.0 + 1j, validate_params(0.3 + 0.01 * i, 0.9, 1))
+    assert all(_hyperbola_tables(p) is not t for p, t in held.items())
+    assert _hyperbola_tables.cache_info().currsize <= HYPERBOLA_MEMO_SIZE
+    assert [_route_bits(j) for j in jobs] == cold
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (validate_params(0.5, 0.8, 1), validate_params(0.5, 0.8, 1)),
+        (validate_params(0.5, 0.8, 1 + 0j), validate_params(0.5, 0.8, complex(1.0, -0.0))),
+        (validate_params(0.5, 0.8, complex(1.0, -0.0)), validate_params(0.5, 0.8, 1 + 0j)),
+        (Parameters(2, 1, 1), validate_params(2, 1, 1)),
+        (validate_params(0.9, 0.7, 1.2 - 0.6j), validate_params(0.9, 0.7, 1.2 - 0.6j)),
+    ],
+)
+def test_equal_parameters_share_tables_with_the_same_bits(first, second):
+    # lru_cache merges equal keys: second's tables are first's
+    assert first == second and first is not second
+    rng = random.Random(29)
+    points = [(_annulus(rng), _annulus(rng)) for _ in range(6)] + [(25.0 - 3j, 17.0 + 20j)]
+    _hyperbola_tables.cache_clear()
+    own = [_route_bits((second, x, y)) for x, y in points]
+    _hyperbola_tables.cache_clear()
+    _hyperbola_tables(first)
+    assert [_route_bits((second, x, y)) for x, y in points] == own
+    assert _hyperbola_tables(second) is _hyperbola_tables(first)
+
+
+def test_hyperbola_tables_are_read_only():
+    for table in _hyperbola_tables(validate_params(0.5, 0.8, 1)):
+        with pytest.raises(ValueError):
+            table[0] = 0.0

@@ -372,12 +372,66 @@ def test_residue_terms_honest_against_60_digits():
 
 def test_residue_terms_honest_where_long_double_is_double(monkeypatch):
     # the weight reads the working epsilon, so it stays honest on platforms
-    # whose long double is a plain double
-    monkeypatch.setattr(rep, "_LD", np.float64)
+    # whose long double is a plain double; branch_residues builds every
+    # column, the exponent's included, in _CLD, so _CLD alone sets its precision
     monkeypatch.setattr(rep, "_CLD", np.complex128)
     monkeypatch.setattr(rep, "EPS_LD", EPS)
     monkeypatch.setattr(rep, "_TWO_PI_I", 2j * math.pi)
     _assert_residues_honest()
+
+
+def _residue_sides(rng):
+    """Seeded poles of one point, as (x-side, y-side) lists of
+    (k, p_def, p_den, w_def, w_den), and its mu: orders in [0.3, 1.7], up
+    to three branches a side, |w| log-uniform in [0.1, 2000]."""
+    a, b = rng.uniform(0.3, 1.7), rng.uniform(0.3, 1.7)
+    mu = complex(rng.uniform(-2.0, 3.0), rng.choice((0.0, rng.uniform(-2.0, 2.0))))
+    x, y = (cmath.rect(10 ** rng.uniform(-1, 3.3), rng.uniform(-math.pi, math.pi)) for _ in "xy")
+    kx = rng.sample(range(-2, 3), rng.randint(0, 3))
+    ky = rng.sample(range(-2, 3), rng.randint(0, 3))
+    return [(k, b, a, x, y) for k in kx], [(k, a, b, y, x) for k in ky], mu
+
+
+def _hex_terms(terms):
+    return [(t.real.hex(), t.imag.hex()) for t in terms]
+
+
+def test_one_residue_pass_matches_per_side_passes():
+    rng = random.Random(1907)
+    seen = set()
+    for _ in range(300):
+        xs, ys, mu = _residue_sides(rng)
+        try:
+            sides = rep.branch_residues(xs, mu) + rep.branch_residues(ys, mu)
+        except DegenerateDenominator:
+            continue
+        both = rep.branch_residues(xs + ys, mu)
+        assert _hex_terms(both) == _hex_terms(sides), (xs, ys, mu)
+        alone = [t for pole in xs + ys for t in rep.branch_residues([pole], mu)]
+        assert _hex_terms(both) == _hex_terms(alone), (xs, ys, mu)
+        seen.update(("branches" if len({p[0] for p in xs + ys}) > 1 else "one-branch",
+                     "complex mu" if mu.imag else "real mu"))
+        seen.update("inf" if cmath.isinf(t) else "0" if t == 0 else "finite" for t in both)
+    assert seen >= {"branches", "complex mu", "inf", "0", "finite"}, seen
+
+
+def test_one_residue_pass_reports_a_double_pole_on_the_x_side_first():
+    # s = 2 + i is an x-pole (s^alpha = x) and a y-pole (s^beta = y)
+    a, b = 0.5, 0.8
+    s = 2 + 1j
+    x, y = s**a, s**b
+    with pytest.raises(
+        DegenerateDenominator,
+        match=r"^pole on branch 0 of zeta\^\(1/0\.8\) = 1\.45535\+0\.343561j: "
+        r"\|zeta\^\(1/0\.5\) - 1\.7742\+0\.69002j\| = \S+ is inside the degeneracy floor$",
+    ):
+        rep.branch_residues([(0, b, a, x, y), (0, a, b, y, x)], 1 + 0j)
+    with pytest.raises(DegenerateDenominator, match=r"^pole on branch 0 of zeta\^\(1/0\.8\)"):
+        eval_hyperbola(x, y, validate_params(a, b, 1))
+
+
+def test_residue_pass_over_no_poles_is_empty():
+    assert rep.branch_residues([], 1 + 0j) == []
 
 
 # Points whose route adds residue terms: keyhole routes on the grid
