@@ -25,14 +25,7 @@ min(1e-16, tol/100); an a-posteriori tail estimate from the actual endpoint
 magnitudes then catches the algebraic prefactors that solve ignores.  While
 that estimate exceeds tol/10, trunc_tol shrinks (R grows), at most six
 times; the last estimate is folded into the reported error, and only the
-final R is panelized.
-
-build_contour keeps its last CONTOUR_MEMO_SIZE contours, each with the
-initial sweep's nodes and path factors, all as read-only arrays: points that
-share a contour share that work.  The tail estimate's two end points are
-kept the same way, per (theta, R), so an integrand may keep its own
-node-only factors per node array for both (see
-representations.ml_integrand).
+final R is panelized.  Nothing is kept from one call to the next.
 
 theta = pi is a valid contour (circle plus the twice-passed negative axis).
 The ray points are r exp(+-i pi), whose tiny imaginary residue places each
@@ -42,7 +35,6 @@ where the upper and lower passage belong.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -53,9 +45,6 @@ from .core import EPS, ContourSpec, Evaluation
 from .errors import GeometryError, QuadratureError
 
 DEFAULT_NODE_BUDGET = 200_000
-
-# Distinct (spec, decay, trunc_tol) contours build_contour keeps.
-CONTOUR_MEMO_SIZE = 16
 
 # Angular width per initial arc panel, before the decay-rate scaling.
 _ARC_PANEL_ANGLE = math.pi / 8
@@ -91,15 +80,11 @@ class IntegrandSpec:
 class DiscretizedContour:
     """Truncated, panelized keyhole contour ready for quadrature.
 
-    panels holds one row (r0, r1, phi0, phi1) per panel, in path order;
-    nodes and path hold the initial sweep's nodes and path factors (see
-    _nodes), one row per panel.  All three arrays are read-only.
+    panels holds one row (r0, r1, phi0, phi1) per panel, in path order.
     """
 
     radius: float          # truncation radius R
     panels: np.ndarray
-    nodes: np.ndarray
-    path: np.ndarray
 
 
 def _ray_radii(eps: float, radius: float, c: float, decay: float) -> list[float]:
@@ -159,7 +144,6 @@ def _nodes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return z, 0.5 * (dr * e + 1j * dphi * z)
 
 
-@functools.lru_cache(maxsize=CONTOUR_MEMO_SIZE, typed=True)
 def build_contour(
     spec: ContourSpec, decay: float, trunc_tol: float = 1e-16
 ) -> DiscretizedContour:
@@ -181,11 +165,7 @@ def build_contour(
         # outgoing ray, from eps e^{i theta} up to R e^{i theta}
         + [(r_in, r_out, theta, theta) for r_in, r_out in zip(rs[:-1], rs[1:])]
     )
-    panels = np.array(rows, dtype=float)
-    nodes, path = _nodes(panels)
-    for a in (panels, nodes, path):
-        a.flags.writeable = False
-    return DiscretizedContour(radius, panels, nodes, path)
+    return DiscretizedContour(radius, np.array(rows, dtype=float))
 
 
 def _eval_nodes(
@@ -203,22 +183,14 @@ def _eval_nodes(
         return fine, np.abs(fine - coarse), float(np.abs(terms).sum())
 
 
-@functools.lru_cache(maxsize=CONTOUR_MEMO_SIZE)
-def _tail_ends(theta: float, radius: float) -> np.ndarray:
-    """The ray end points R e^{+-i theta}, as a read-only array kept like a
-    contour's nodes, so that an integrand's node memo sees them again."""
-    ends = radius * np.exp(np.array([1j * theta, -1j * theta]))
-    ends.flags.writeable = False
-    return ends
-
-
 def _tail_estimate(spec: ContourSpec, decay: float, radius: float, f: Callable) -> float:
     """A-posteriori bound on the two discarded ray tails beyond radius."""
     c = abs(math.cos(spec.theta * decay))
+    ends = radius * np.exp(np.array([1j * spec.theta, -1j * spec.theta]))
     # as in _eval_nodes: an overflowing integrand gives a non-finite tail,
     # which integrate rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        mags = np.abs(f(_tail_ends(spec.theta, radius)))
+        mags = np.abs(f(ends))
     scale = radius ** (1.0 - decay) / (decay * c)
     return float(np.sum(mags) * scale)
 
@@ -253,7 +225,7 @@ def integrate(spec: ContourSpec, integrand: IntegrandSpec, tol: float) -> Evalua
         raise QuadratureError(
             f"node budget {DEFAULT_NODE_BUDGET} exhausted during initial panel sweep"
         )
-    vals, ests, moduli = _eval_nodes(contour.nodes, contour.path, f)
+    vals, ests, moduli = _eval_nodes(*_nodes(rows), f)
     # the sum's rounding error is about EPS * moduli; refinement cannot go
     # below it (a non-finite sum is left to the check below)
     if tol < EPS * moduli < math.inf:

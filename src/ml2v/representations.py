@@ -75,9 +75,8 @@ _LD, _CLD = np.longdouble, np.clongdouble
 EPS_LD = float(np.finfo(_LD).eps)
 _TWO_PI_I = 2j * np.arctan2(_LD(0.0), _LD(-1.0))
 
-# Distinct (Parameters, node array) pairs whose point-free integrand
-# factors ml_integrand keeps.
-INTEGRAND_MEMO_SIZE = 16
+# The smallest normal double: below it, x^2 + y^2 loses digits (see _point_free).
+_TINY = float(np.finfo(float).tiny)
 
 # Dispatcher policy thresholds on |x|, |y|.
 SERIES_RADIUS = 1.0
@@ -143,7 +142,9 @@ def _point_free(z: np.ndarray, params: Parameters) -> tuple[np.ndarray, np.ndarr
 
     Each power z^e is exp(e log z) from one principal log per node,
     log z = log(x^2 + y^2)/2 + i arctan2(y, x).  The half log rounds closer
-    than log(hypot(x, y)) near |z| = 1, where the arc of eps = 1 runs, and
+    than log(hypot(x, y)) near |z| = 1, where the arc of eps = 1 runs; where
+    x^2 + y^2 falls below the smallest normal double (|z| < 1.5e-154, a tiny
+    arc) it would lose digits or underflow to 0, so log|z| is taken there.
     arctan2 keeps the sign of a theta = pi node's imaginary part and so the
     side of the cut each passage belongs to.  A small integer power is left
     to numpy, which multiplies it out, cheaper and exact-er.
@@ -151,11 +152,12 @@ def _point_free(z: np.ndarray, params: Parameters) -> tuple[np.ndarray, np.ndarr
     a, b = params.alpha, params.beta
     d = 1.0 / (a * b)
     p = (1.0 + a + b - params.mu) * d - 1.0
-    log_z = (
-        None
-        if all(map(_multiplied_out, (d, p, 1.0 / b, 1.0 / a)))
-        else 0.5 * np.log(z.real * z.real + z.imag * z.imag) + 1j * np.arctan2(z.imag, z.real)
-    )
+    log_z = None
+    if not all(map(_multiplied_out, (d, p, 1.0 / b, 1.0 / a))):
+        r2 = z.real * z.real + z.imag * z.imag
+        tiny = r2 < _TINY
+        log_z = 0.5 * np.log(np.where(tiny, 1.0, r2)) + 1j * np.arctan2(z.imag, z.real)
+        log_z.real[tiny] = np.log(np.abs(z[tiny]))
 
     def power(e: complex) -> np.ndarray:
         return z**e if _multiplied_out(e) else np.exp(e * log_z)
@@ -165,45 +167,12 @@ def _point_free(z: np.ndarray, params: Parameters) -> tuple[np.ndarray, np.ndarr
     return ea, power(1.0 / b), power(1.0 / a)
 
 
-class _Held:
-    """Memo key for an array by identity.  The key holds the array, so its
-    id cannot pass to another array while the key is in the memo."""
-
-    __slots__ = ("z",)
-
-    def __init__(self, z: np.ndarray) -> None:
-        self.z = z
-
-    def __hash__(self) -> int:
-        return id(self.z)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Held) and other.z is self.z
-
-
-@functools.lru_cache(maxsize=INTEGRAND_MEMO_SIZE)
-def _memo_point_free(params: Parameters, key: _Held) -> tuple[np.ndarray, ...]:
-    out = _point_free(key.z, params)
-    for a in out:
-        a.flags.writeable = False
-    return out
-
-
 def ml_integrand(x: complex, y: complex, params: Parameters) -> IntegrandSpec:
-    """Integrand of the contour representation.
-
-    The (x, y)-free factors (see _point_free, one log per node) of a
-    read-only node array that owns its data (a contour's initial sweep or
-    its two tail end points, see the contour module) come from a memo of
-    the last INTEGRAND_MEMO_SIZE (Parameters, array) pairs; other arrays
-    (refinement quarters) are computed directly, with the same operations.
-    """
+    """Integrand of the contour representation: the (x, y)-free factors of
+    _point_free, one log per node, over the two denominators."""
 
     def f(z: np.ndarray) -> np.ndarray:
-        if z.flags.owndata and not z.flags.writeable:
-            ea, zb, za = _memo_point_free(params, _Held(z))
-        else:
-            ea, zb, za = _point_free(z, params)
+        ea, zb, za = _point_free(z, params)
         return ea / ((zb - x) * (za - y))
 
     return IntegrandSpec(f=f, decay=1.0 / (params.alpha * params.beta))
@@ -500,9 +469,9 @@ _HS_WEIGHT = _read_only(8.0 + np.abs(_S_VAL))
 _HL_ABS = _read_only(np.abs(_HL[:_SPLIT]))
 
 # Distinct Parameters whose node tables eval_hyperbola keeps.  Twice the
-# other memos' 16: perfbench's points workload returns to five Parameters
-# between about six one-off ones per 16 points, and 32 entries keep 98% of
-# its reachable hits where 16 keep 89%.
+# asymptotic tail memo's 16: perfbench's points workload returns to five
+# Parameters between about six one-off ones per 16 points, and 32 entries
+# keep 98% of its reachable hits where 16 keep 89%.
 HYPERBOLA_MEMO_SIZE = 32
 
 

@@ -11,12 +11,7 @@ import pytest
 from mpmath import mp
 
 from ml2v import contour, representations
-from ml2v.contour import (
-    CONTOUR_MEMO_SIZE,
-    IntegrandSpec,
-    build_contour,
-    integrate,
-)
+from ml2v.contour import IntegrandSpec, build_contour, integrate
 from ml2v.core import ContourSpec, validate_params
 from ml2v.errors import GeometryError, PoleProximityError, QuadratureError
 from ml2v.representations import (
@@ -42,25 +37,6 @@ def test_truncation_radius_example():
     dc = build_contour(ContourSpec(1.0, 3 * math.pi / 4), decay=1.0, trunc_tol=1e-16)
     assert dc.radius == pytest.approx(52.101553072484705, rel=1e-12)
     assert len(dc.panels) >= 10
-
-
-def test_contour_memo_is_bounded_and_read_only():
-    spec = ContourSpec(1.0, 3 * math.pi / 4)
-    build_contour.cache_clear()
-    first = build_contour(spec, 1.0)
-    assert build_contour(spec, 1.0) is first
-    for arr in (first.panels, first.nodes, first.path):
-        assert arr.shape[0] == len(first.panels)
-        with pytest.raises(ValueError):
-            arr[0, 0] = 0.0
-    for k in range(CONTOUR_MEMO_SIZE + 4):
-        build_contour(spec, 1.0, 1e-17 * 0.5**k)
-        assert build_contour.cache_info().currsize <= CONTOUR_MEMO_SIZE
-    # evicted: rebuilt, to the same bits
-    again = build_contour(spec, 1.0)
-    assert again is not first
-    for name in ("panels", "nodes", "path"):
-        assert getattr(again, name).tobytes() == getattr(first, name).tobytes()
 
 
 def test_geometry_rejections():

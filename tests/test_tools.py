@@ -1,7 +1,9 @@
 """The gate tools under tools/: the sweep's per-stratum table and the
 fingerprint comparison's exit status.  fingerprint.py record is not run here
-(it evaluates the whole fingerprint call set)."""
+(it evaluates the whole fingerprint call set).  Also the benchmark's per-layer
+tracer, which wraps package functions by name."""
 
+import importlib.util
 import os
 import re
 import subprocess
@@ -89,3 +91,32 @@ def test_fingerprint_compare_fails_a_move_beyond_the_estimates(tmp_path):
     run = _compare(tmp_path, moved)
     assert run.returncode == 1, run.stdout + run.stderr
     assert re.search(r"^residues\s+1\s+0\s+0\s+1\s", run.stdout, re.M), run.stdout
+
+
+def test_perfbench_tracer_wraps_and_restores_the_package():
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+
+    from ml2v import representations
+    from ml2v.core import validate_params
+
+    tracer = tracer_mod.Tracer(1e-8)
+    tracer.install()
+    wrapped = list(tracer._saved)
+    try:
+        p = validate_params(0.5, 0.5, 1)
+        tracer.start_timed()
+        for x, y in ((0.3, -0.2j), (-3.0, 2.0), (-40.0, -30.0)):
+            representations.eval_auto(x, y, p)
+        spec = representations.choose_contour(-3.0, 2.0, p)
+        representations.eval_with_contour(-3.0, 2.0, p, spec)
+        tracer.stop_timed()
+        metrics = tracer.metrics(4)
+    finally:
+        tracer.uninstall()
+    for name in ("series.calls", "asymptotics.calls", "contour.integrate.calls"):
+        assert metrics[name][0] > 0, name
+    assert wrapped
+    for module, attr, original in wrapped:
+        assert getattr(module, attr) is original, attr
