@@ -34,6 +34,7 @@ from .representations import (
     classify_pair,
     eval_auto,
     eval_hyperbola,
+    eval_many,
     eval_with_contour,
     pole_images,
 )
@@ -68,6 +69,7 @@ __all__ = [
     "eval_auto",
     "eval_double_series",
     "eval_hyperbola",
+    "eval_many",
     "eval_ml_one",
     "eval_with_contour",
     "load_corpus",

@@ -7,7 +7,10 @@ Output contract: CSV rows under the fixed header
 
 or JSON carrying the same fields; CSV prints numbers at 17 significant
 digits and JSON as Python's shortest repr, so both parse to identical
-doubles.  Exit codes:
+doubles.  ms is wall time in milliseconds: eval's evaluation time, and in
+grid the whole sweep's evaluation time divided by its point count (grid
+evaluates a sweep of auto or hyperbola points in one batched call, so no
+point has a time of its own).  Exit codes:
 0 success, 1 selftest failure, 2 domain error, 3 numeric failure.
 Complex literals on the command line are finite "a+bi" / "a-bi" / "a" with
 no spaces (a trailing j is accepted too); one that starts with a minus may
@@ -34,7 +37,9 @@ from .representations import (
     choose_contour,
     eval_auto,
     eval_hyperbola,
+    eval_many,
     eval_with_contour,
+    hyperbola_many,
 )
 from .selftest import SUITES, run_suites
 from .series import SeriesBudget, eval_double_series
@@ -57,6 +62,9 @@ KNOB_READERS = {
     "epsilon": (*CONTOUR_METHODS, "compare"),
     "theta": (*CONTOUR_METHODS, "compare"),
 }
+
+# The grid methods that evaluate a whole sweep in one batched call.
+BATCHED = {"auto": eval_many, "hyperbola": hyperbola_many}
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -236,23 +244,33 @@ def cmd_grid(args) -> int:
     xs = _axis_values(args, "x")
     ys = _axis_values(args, "y")
     tol = _tol(args, 1e-8)
+    pts = [(x, y) for x in xs for y in ys]      # x-major row order
+    t0 = time.perf_counter()
+    batch = BATCHED.get(args.method)
+    if batch is not None:
+        results = batch([x for x, _ in pts], [y for _, y in pts], params, tol)
+    else:
+        results = [_settled(args, x, y, params, tol) for x, y in pts]
+    ms = (time.perf_counter() - t0) * 1e3 / len(pts)
     rows = []
     failures = 0
-    for x in xs:                      # x-major row order
-        for y in ys:
-            t0 = time.perf_counter()
-            try:
-                ev = evaluate_point(args, x, y, params, args.method, tol)
-            except (NumericFailure, DomainError) as exc:
-                ms = (time.perf_counter() - t0) * 1e3
-                print(f"point x={_c_str(x)} y={_c_str(y)} failed: {exc}", file=sys.stderr)
-                rows.append(make_row(params, x, y, None, args.method, ms))
-                failures += 1
-                continue
-            ms = (time.perf_counter() - t0) * 1e3
-            rows.append(make_row(params, x, y, ev, args.method, ms))
+    for (x, y), ev in zip(pts, results):
+        if isinstance(ev, Exception):
+            print(f"point x={_c_str(x)} y={_c_str(y)} failed: {ev}", file=sys.stderr)
+            failures += 1
+            ev = None
+        rows.append(make_row(params, x, y, ev, args.method, ms))
     emit_rows(rows, args.format)
     return EXIT_NUMERIC if failures else EXIT_OK
+
+
+def _settled(args, x: complex, y: complex, params: Parameters,
+             tol: float) -> Evaluation | NumericFailure | DomainError:
+    """evaluate_point, or the NumericFailure or DomainError it raised."""
+    try:
+        return evaluate_point(args, x, y, params, args.method, tol)
+    except (NumericFailure, DomainError) as exc:
+        return exc
 
 
 def _compare_methods(args, x: complex, y: complex, params: Parameters,
@@ -281,14 +299,21 @@ def _compare_corpus(args) -> int:
     path = None if args.corpus == "__packaged__" else args.corpus
     records = load_corpus(path)
     tol = _tol(args, 1e-7)
+    # one eval_many call per Parameters, printed in record order
+    groups: dict[Parameters, list[int]] = {}
+    for i, rec in enumerate(records):
+        groups.setdefault(rec.params(), []).append(i)
+    results: list = [None] * len(records)
+    for params, idx in groups.items():
+        evs = eval_many([records[i].x for i in idx], [records[i].y for i in idx], params, tol=1e-8)
+        for i, ev in zip(idx, evs):
+            results[i] = ev
     worst = 0.0
     flagged = 0
-    for i, rec in enumerate(records):
+    for i, (rec, ev) in enumerate(zip(records, results)):
         ref = rec.value()
-        try:
-            ev = eval_auto(rec.x, rec.y, rec.params(), tol=1e-8)
-        except (NumericFailure, DomainError) as exc:
-            print(f"record {i}: FLAG ({type(exc).__name__}: {exc})")
+        if isinstance(ev, Exception):
+            print(f"record {i}: FLAG ({type(ev).__name__}: {ev})")
             flagged += 1
             continue
         delta = abs(ev.value - ref)

@@ -36,7 +36,12 @@ class MagnitudeFloor(NumericFailure, ValueError):
 
 class BudgetExceeded(NumericFailure, RuntimeError):
     """Could not certify a value: the budget ran out or the terms left the
-    double range."""
+    double range.  evaluation is the uncertified Evaluation the last route
+    returned, where it returned one, and None otherwise."""
+
+    def __init__(self, *args, evaluation=None):
+        super().__init__(*args)
+        self.evaluation = evaluation
 
 
 class ThinWindowWarning(UserWarning):

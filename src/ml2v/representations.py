@@ -25,8 +25,12 @@ contour; no region is classified and no contour is chosen per point.
 eval_auto sends both arguments in the unit disk to the double series,
 tries the asymptotic expansions first where both are large, and sends
 every other point, and every asymptotic result that misses tol, to
-eval_hyperbola and then back to the series.  It does not use the keyhole:
+eval_hyperbola and then back to the series, and raises BudgetExceeded
+rather than return a value that misses tol.  It does not use the keyhole:
 choose_contour and eval_with_contour stay as an independent check of it.
+eval_many and hyperbola_many take many points of one Parameters: the
+hyperbola's nodes do not depend on (x, y), so its points are one (points x
+nodes) product; eval_auto and eval_hyperbola are their one-point calls.
 """
 
 from __future__ import annotations
@@ -268,23 +272,42 @@ def branch_residues(
     """
     if not poles:
         return []
+    with np.errstate(all="ignore"):
+        residues, degenerate = _residue_pass(poles, mu)
+    if degenerate:
+        raise degenerate[min(degenerate)]
+    return residues
+
+
+def _residue_pass(
+    poles: list[tuple[int, float, float, complex, complex]], mu: complex
+) -> tuple[list[complex], dict[int, DegenerateDenominator]]:
+    """branch_residues' terms, and the DegenerateDenominator of each
+    degenerate pole by its index (that pole's term is meaningless); under
+    the caller's np.errstate."""
+    if not poles:
+        return [], {}
     # one column per field; the real fields are exact as (value, 0)
     k, p_def, p_den, w_def, w_den = np.array(poles, dtype=_CLD).T
     v = (np.log(w_def) + _TWO_PI_I * k) / p_den
     root = np.exp(p_def * v)
     den = root - w_den
     c = 1.0 + p_def + p_den - mu
-    with np.errstate(over="ignore", invalid="ignore"):
-        for (kk, pd, pn, wd, wn), g, r in zip(poles, den.astype(complex).tolist(),
-                                             root.astype(complex).tolist()):
-            if abs(g) <= DEGENERACY_FLOOR_REL * (1.0 + abs(r) + abs(wn)):
-                raise DegenerateDenominator(
-                    f"pole on branch {kk} of zeta^(1/{pd:g}) = {wd:.6g}: "
-                    f"|zeta^(1/{pn:g}) - {wn:.6g}| = {abs(g):.3g} is inside "
-                    f"the degeneracy floor"
-                )
-        # the denominator joins the exponent: an overflow is a signed inf, not nan
-        return np.exp(np.exp(v) + c * v - np.log(den * w_def * p_den)).astype(complex).tolist()
+    degenerate = {}
+    # a Python test per pole: below about ten poles it costs less than the
+    # numpy calls of one vectorized test, and a grid block's 130 poles add
+    # about 0.2 us per point
+    for i, ((kk, pd, pn, wd, wn), g, r) in enumerate(
+            zip(poles, den.astype(complex).tolist(), root.astype(complex).tolist())):
+        if abs(g) <= DEGENERACY_FLOOR_REL * (1.0 + abs(r) + abs(wn)):
+            degenerate[i] = DegenerateDenominator(
+                f"pole on branch {kk} of zeta^(1/{pd:g}) = {wd:.6g}: "
+                f"|zeta^(1/{pn:g}) - {wn:.6g}| = {abs(g):.3g} is inside "
+                f"the degeneracy floor"
+            )
+    # the denominator joins the exponent: an overflow is a signed inf, not nan
+    terms = np.exp(np.exp(v) + c * v - np.log(den * w_def * p_den)).astype(complex).tolist()
+    return terms, degenerate
 
 
 def residue_terms_x(
@@ -513,48 +536,68 @@ def _branches(w: complex, power: float) -> list[int]:
     ]
 
 
-def eval_hyperbola(x: complex, y: complex, params: Parameters, tol: float = 1e-8) -> Evaluation:
-    """E(x, y) as the Bromwich integral of the paper's representations.
+# Points per pass of the hyperbola's batch code: a block's (points x nodes)
+# arrays stay near a megabyte however long the sweep is.
+HYPERBOLA_BLOCK = 256
 
-    With s = zeta^(1/(alpha beta)) the keyhole integral becomes
-    E = (1/2 pi i) * integral of e^s s^(alpha+beta-mu) / ((s^alpha - x)(s^beta - y)) ds
-    along any contour that leaves every pole on its left.  On the fixed
-    hyperbola s(u) (see HYPERBOLA_N) the trapezoidal sum T misses each
-    pole s_j of the cut plane (s_j^alpha = x or s_j^beta = y) by its residue
-    R_j (branch_residues) times 1/(1 - exp(-2 pi i u_j / h)), u_j = s^-1(s_j):
-    the full residue far right of the contour, none far left, and a
-    continuous weight across it (Trefethen & Weideman, SIAM Rev. 56, 2014).
-    The value is that corrected sum at HYPERBOLA_N; est_error adds twice its
-    distance to the sum at HYPERBOLA_CHECK_N, the rounding EPS * |t_k| *
-    (8 + |s_k| + |alpha+beta-mu| |log s_k|) of each term t_k, and
-    residue_weight's rounding of each correction term.  The node factors
-    that depend on params alone come from a memo of the last
-    HYPERBOLA_MEMO_SIZE Parameters, and every R_j from one branch_residues
-    pass; the bits are the same with or without the memo.
 
-    Raises DomainError for a non-finite x or y or a tol that is not positive
-    and finite, DegenerateDenominator where an x-pole and a y-pole nearly
-    coincide (a double pole), and BudgetExceeded where a sum leaves the
-    double range or est_error exceeds tol * max(1, |value|).
-    """
-    x, y = finite(x=x, y=y)
-    check_tol(tol)
+def _hyperbola_block(
+    pts: list[tuple[complex, complex]], params: Parameters, tol: float
+) -> list[Evaluation | NumericFailure]:
+    """eval_hyperbola at finite points, HYPERBOLA_BLOCK at a time: in each
+    block every node sum is one (points x nodes) product and every pole is
+    in one residue pass, and a degenerate pole fails only its own point."""
+    if len(pts) > HYPERBOLA_BLOCK:
+        return [r for lo in range(0, len(pts), HYPERBOLA_BLOCK)
+                for r in _hyperbola_block(pts[lo:lo + HYPERBOLA_BLOCK], params, tol)]
+    if not pts:
+        return []
     a, b, mu = params.alpha, params.beta, params.mu
     num, s_a, s_b, weight = _hyperbola_tables(params)
-    kx, ky = _branches(x, a), _branches(y, b)
-    residues = branch_residues([(k, b, a, x, y) for k in kx] + [(k, a, b, y, x) for k in ky], mu)
-    logs = [(cmath.log(x) + 2j * math.pi * k) / a for k in kx]
-    logs += [(cmath.log(y) + 2j * math.pi * k) / b for k in ky]
+    poles, ends = [], []
+    for x, y in pts:
+        poles += [(k, b, a, x, y) for k in _branches(x, a)]
+        poles += [(k, a, b, y, x) for k in _branches(y, b)]
+        ends.append(len(poles))
     with np.errstate(all="ignore"):
-        t = num / ((s_a - x) * (s_b - y))
-        rounding = EPS * float(np.abs(t[:_SPLIT]) @ weight)
-    value, check = complex(t[:_SPLIT].sum()), complex(t[_SPLIT:].sum())
+        residues, degenerate = _residue_pass(poles, mu)
+        xy = np.array(pts, dtype=complex)
+        # t = num / ((s_a - x) (s_b - y)), one row per point
+        t = s_a - xy[:, :1]
+        t *= s_b - xy[:, 1:]
+        np.divide(num, t, out=t)
+        # one dot product per row: its bits do not depend on the block
+        roundings = np.vecdot(np.abs(t[:, :_SPLIT]), weight).tolist()
+    values = np.add.reduce(t[:, :_SPLIT], axis=1).tolist()
+    checks = np.add.reduce(t[:, _SPLIT:], axis=1).tolist()
+    out: list[Evaluation | NumericFailure] = []
+    lo = 0
+    for (x, y), hi, value, check, rounding in zip(pts, ends, values, checks, roundings):
+        try:
+            if degenerate:
+                for j in range(lo, hi):
+                    if j in degenerate:
+                        raise degenerate[j]
+            out.append(_pole_corrected(x, y, tol, value, check, EPS * rounding,
+                                       zip(poles[lo:hi], residues[lo:hi])))
+        except NumericFailure as exc:
+            out.append(exc)
+        lo = hi
+    return out
+
+
+def _pole_corrected(
+    x: complex, y: complex, tol: float, value: complex, check: complex, rounding: float, poles
+) -> Evaluation:
+    """One point of _hyperbola_block: its node sums value and check, each
+    corrected by its poles' (pole, residue) pairs, and est_error (see
+    eval_hyperbola)."""
     terms, weights = [], []
     try:
-        for r, v in zip(residues, logs):
+        for (k, _, p_den, w, _), r in poles:
             if r == 0:  # underflowed: it corrects nothing, whatever its weight
                 continue
-            s = cmath.exp(v)
+            s = cmath.exp((cmath.log(w) + 2j * math.pi * k) / p_den)
             term = r * _pole_weight(s, _VALUE_RULE)
             check += r * _pole_weight(s, _CHECK_RULE)
             value += term
@@ -573,24 +616,104 @@ def eval_hyperbola(x: complex, y: complex, params: Parameters, tol: float = 1e-8
     return Evaluation(value, est, "hyperbola")
 
 
-def eval_auto(x: complex, y: complex, params: Parameters, tol: float = 1e-8) -> Evaluation:
-    """Dispatch between the series, the hyperbola route and the asymptotics.
+def _batch(route, xs, ys, params: Parameters, tol: float) -> list:
+    """route over the finite points (xs[i], ys[i]), with the DomainError
+    finite raises in the slot of every other point.  Raises DomainError for
+    a tol that is not positive and finite or for xs and ys of different
+    lengths."""
+    check_tol(tol)
+    xs, ys = list(xs), list(ys)
+    if len(xs) != len(ys):
+        raise DomainError(f"xs and ys differ in length: {len(xs)} and {len(ys)}")
+    out: list = []
+    for x, y in zip(xs, ys):
+        try:
+            out.append(finite(x=x, y=y))
+        except DomainError as exc:
+            out.append(exc)
+    todo = [i for i, p in enumerate(out) if isinstance(p, tuple)]
+    for i, r in zip(todo, route([out[i] for i in todo], params, tol)):
+        out[i] = r
+    return out
 
-    Small arguments (both within the unit disk) go straight to the series.
-    Large arguments (both beyond ASYMPTOTIC_RADIUS) try the asymptotic
-    expansion first.  Everything else, and every failed attempt, goes to
-    eval_hyperbola and finally back to the series.  A route that raises a
-    NumericFailure hands the point on; any other exception propagates.
-    Raises DomainError for a non-finite argument, one whose pole images
-    zeta (zeta^(1/beta) = x, zeta^(1/alpha) = y) overflow a double, or a tol
-    that is not positive and finite, and BudgetExceeded only when every
-    route fails to certify a result.
-    """
+
+def _one(route, x: complex, y: complex, params: Parameters, tol: float):
+    """route at the one point (x, y): its Evaluation, or what it failed with raised."""
     x, y = finite(x=x, y=y)
     check_tol(tol)
-    if max(abs(x), abs(y)) <= SERIES_RADIUS:
-        return eval_double_series(x, y, params, SeriesBudget(tol=min(tol, 1e-12)))
+    (r,) = route([(x, y)], params, tol)
+    if isinstance(r, Exception):
+        raise r
+    return r
 
+
+def hyperbola_many(
+    xs, ys, params: Parameters, tol: float = 1e-8
+) -> list[Evaluation | NumericFailure | DomainError]:
+    """eval_hyperbola at every point (xs[i], ys[i]), in input order: its
+    Evaluation, or the NumericFailure or DomainError it raises there.  The
+    points share one node table and are summed HYPERBOLA_BLOCK at a time;
+    each result is bit-for-bit the one-point call's.  Raises DomainError for
+    a tol that is not positive and finite or for xs and ys of different
+    lengths."""
+    return _batch(_hyperbola_block, xs, ys, params, tol)
+
+
+def eval_hyperbola(x: complex, y: complex, params: Parameters, tol: float = 1e-8) -> Evaluation:
+    """E(x, y) as the Bromwich integral of the paper's representations.
+
+    With s = zeta^(1/(alpha beta)) the keyhole integral becomes
+    E = (1/2 pi i) * integral of e^s s^(alpha+beta-mu) / ((s^alpha - x)(s^beta - y)) ds
+    along any contour that leaves every pole on its left.  On the fixed
+    hyperbola s(u) (see HYPERBOLA_N) the trapezoidal sum T misses each
+    pole s_j of the cut plane (s_j^alpha = x or s_j^beta = y) by its residue
+    R_j (branch_residues) times 1/(1 - exp(-2 pi i u_j / h)), u_j = s^-1(s_j):
+    the full residue far right of the contour, none far left, and a
+    continuous weight across it (Trefethen & Weideman, SIAM Rev. 56, 2014).
+    The value is that corrected sum at HYPERBOLA_N; est_error adds twice its
+    distance to the sum at HYPERBOLA_CHECK_N, the rounding EPS * |t_k| *
+    (8 + |s_k| + |alpha+beta-mu| |log s_k|) of each term t_k, and
+    residue_weight's rounding of each correction term.  The node factors
+    that depend on params alone come from a memo of the last
+    HYPERBOLA_MEMO_SIZE Parameters, and every R_j from one residue pass.
+    This is hyperbola_many at one point: the bits are the same in any batch,
+    and with or without the memo.
+
+    Raises DomainError for a non-finite x or y or a tol that is not positive
+    and finite, DegenerateDenominator where an x-pole and a y-pole nearly
+    coincide (a double pole), and BudgetExceeded where a sum leaves the
+    double range or est_error exceeds tol * max(1, |value|).
+    """
+    return _one(_hyperbola_block, x, y, params, tol)
+
+
+def _uncertified(x: complex, y: complex, params: Parameters) -> str:
+    return (f"no method certified a value at x={x:.6g}, y={y:.6g} "
+            f"(alpha={params.alpha}, beta={params.beta})")
+
+
+def _series(x: complex, y: complex, params: Parameters, tol: float) -> Evaluation:
+    """The double series at tol min(tol, 1e-12), raising BudgetExceeded,
+    with the Evaluation attached, where it misses tol * max(1, |value|)."""
+    try:
+        ev = eval_double_series(x, y, params, SeriesBudget(tol=min(tol, 1e-12)))
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(_uncertified(x, y, params)) from exc
+    if ev.est_error > tol * max(1.0, abs(ev.value)):
+        raise BudgetExceeded(
+            f"{_uncertified(x, y, params)}: the series' est_error {ev.est_error:.3g} "
+            f"misses tol {tol:.3g}",
+            evaluation=ev,
+        )
+    return ev
+
+
+def _before_hyperbola(x: complex, y: complex, params: Parameters, tol: float) -> Evaluation | None:
+    """eval_auto's routes ahead of the hyperbola: the series in the unit
+    disk, then a certified asymptotic expansion where both arguments are
+    large; None sends the point on to the hyperbola."""
+    if max(abs(x), abs(y)) <= SERIES_RADIUS:
+        return _series(x, y, params, tol)
     if min(abs(x), abs(y)) >= ASYMPTOTIC_RADIUS:
         from .asymptotics import eval_asymptotic
 
@@ -600,19 +723,66 @@ def eval_auto(x: complex, y: complex, params: Parameters, tol: float = 1e-8) -> 
                 return ev
         except NumericFailure:
             pass
-
     # a pole image zeta that overflows a double is outside the domain (see sector_images)
     _image_radius(x, params.beta)
     _image_radius(y, params.alpha)
-    try:
-        return eval_hyperbola(x, y, params, tol)
-    except NumericFailure:
-        pass
+    return None
 
-    try:
-        return eval_double_series(x, y, params, SeriesBudget(tol=min(tol, 1e-12)))
-    except BudgetExceeded as exc:
-        raise BudgetExceeded(
-            f"no method certified a value at x={x:.6g}, y={y:.6g} "
-            f"(alpha={params.alpha}, beta={params.beta})"
-        ) from exc
+
+def _auto(
+    pts: list[tuple[complex, complex]], params: Parameters, tol: float
+) -> list[Evaluation | NumericFailure | DomainError]:
+    """eval_auto's routes at finite points: each point's own routes ahead of
+    the hyperbola, one hyperbola pass over every point they send on, and
+    the series for each point the hyperbola fails."""
+    out: list = []
+    todo = []
+    for x, y in pts:
+        try:
+            ev = _before_hyperbola(x, y, params, tol)
+        except (NumericFailure, DomainError) as exc:
+            ev = exc
+        if ev is None:
+            todo.append(len(out))
+        out.append(ev)
+    if todo:
+        for i, ev in zip(todo, _hyperbola_block([pts[i] for i in todo], params, tol)):
+            if isinstance(ev, NumericFailure):
+                try:
+                    ev = _series(*pts[i], params, tol)
+                except (NumericFailure, DomainError) as exc:
+                    ev = exc
+            out[i] = ev
+    return out
+
+
+def eval_many(
+    xs, ys, params: Parameters, tol: float = 1e-8
+) -> list[Evaluation | NumericFailure | DomainError]:
+    """eval_auto at every point (xs[i], ys[i]), in input order: its
+    Evaluation, or the NumericFailure or DomainError it raises there.
+
+    Each point takes eval_auto's routes in eval_auto's order; the points
+    that reach the hyperbola share one batched pass of it (hyperbola_many).
+    Each result is bit-for-bit eval_auto's.  Raises DomainError for a tol
+    that is not positive and finite or for xs and ys of different lengths.
+    """
+    return _batch(_auto, xs, ys, params, tol)
+
+
+def eval_auto(x: complex, y: complex, params: Parameters, tol: float = 1e-8) -> Evaluation:
+    """Dispatch between the series, the hyperbola route and the asymptotics.
+
+    Small arguments (both within the unit disk) go straight to the series.
+    Large arguments (both beyond ASYMPTOTIC_RADIUS) try the asymptotic
+    expansion first.  Everything else, and every failed attempt, goes to
+    eval_hyperbola and finally back to the series.  A route that raises a
+    NumericFailure hands the point on; any other exception propagates.
+    This is eval_many at one point.  Raises DomainError for a non-finite
+    argument, one whose pole images zeta (zeta^(1/beta) = x, zeta^(1/alpha)
+    = y) overflow a double, or a tol that is not positive and finite, and
+    BudgetExceeded where no route certifies a result: where the last route,
+    the series, returned a value whose est_error exceeds tol * max(1,
+    |value|), the exception's evaluation holds it.
+    """
+    return _one(_auto, x, y, params, tol)

@@ -334,6 +334,53 @@ def test_grid_failed_row_continues(capsys):
     assert "failed" in err
 
 
+@pytest.mark.parametrize("method", ["auto", "hyperbola"])
+def test_grid_rows_equal_eval_rows(method, capsys):
+    # the unit disk, the annulus and a point the asymptotics take first
+    params = ["--alpha", "0.5", "--beta", "0.8", "--mu", "1", "--method", method]
+    rc, out, _ = run_cli(["grid", *params, "--x-min", "-0.5+0.25i", "--x-max", "20+4i",
+                          "--x-count", "4", "--y-min", "0.5i", "--y-max", "-18+9i",
+                          "--y-count", "3"], capsys)
+    assert rc == 0
+    rows = csv_rows(out)
+    assert len(rows) == 12 and len({r["ms"] for r in rows}) == 1
+    for row in rows:
+        x = f"{row['x_re']}{float(row['x_im']):+.17g}i"
+        y = f"{row['y_re']}{float(row['y_im']):+.17g}i"
+        rc1, out1, _ = run_cli(["eval", *params, f"--x={x}", f"--y={y}"], capsys)
+        assert rc1 == 0
+        (single,) = csv_rows(out1)
+        assert {k: v for k, v in single.items() if k != "ms"} == {
+            k: v for k, v in row.items() if k != "ms"}
+
+
+def test_grid_uncertified_row_exits_3_and_keeps_the_others(capsys):
+    # x = y = 12+5i at equal orders is a double pole the series cannot certify
+    rc, out, err = run_cli(
+        ["grid", "--alpha", "0.5", "--beta", "0.5", "--mu", "1",
+         "--x", "12+5i", "--y-min", "12+5i", "--y-max", "13+5i", "--y-count", "2"],
+        capsys,
+    )
+    assert rc == 3
+    bad, good = csv_rows(out)
+    assert bad["val_re"] == "nan" and bad["est_error"] == "inf"
+    value = complex(float(good["val_re"]), float(good["val_im"]))
+    assert good["method"] == "hyperbola"
+    assert float(good["est_error"]) <= 1e-8 * max(1.0, abs(value))
+    assert "misses tol" in err
+
+
+def test_eval_uncertified_double_pole_exits_3(capsys):
+    # the series returned est_error 47 here, and eval exited 0
+    rc, out, err = run_cli(
+        ["eval", "--alpha", "0.5", "--beta", "0.8", "--x", "0.454869570036895+5.4960809970146505i",
+         "--y", "-11.130528790172699+10.58829922644027i"],
+        capsys,
+    )
+    assert rc == 3 and out == ""
+    assert "est_error 47.3 misses tol 1e-08" in err
+
+
 def test_compare_series_vs_lemma1(capsys):
     rc, out, _ = run_cli(
         ["compare", "--alpha", "0.8", "--beta", "0.8", "--mu", "1",

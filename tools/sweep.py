@@ -23,7 +23,11 @@ the other strata or on the package under test:
 For each stratum it prints the points, how many eval_auto certified
 (est_error <= tol * max(1, |value|)), how many it returned uncertified, how
 many raised a NumericFailure or DomainError, the seconds spent, and the
-method tag or exception name of every point.  It exits 0.
+method tag or exception name of every point.  It then evaluates every
+stratum again through eval_many, one call per parameter set, and counts the
+points whose outcome (value, est_error and tag, or exception type and
+message) differs from eval_auto's, on stderr.  It exits 1 if any does, and
+0 otherwise.
 """
 
 import argparse
@@ -107,16 +111,48 @@ def strata(count, seed):
     return out
 
 
-def outcome(orders, x, y, tol):
-    """("certified", tag), ("uncertified", tag) or ("raised", exception name)."""
+def _auto(orders, x, y, tol):
+    """eval_auto's Evaluation, or the NumericFailure or DomainError it raised."""
     from ml2v import DomainError, NumericFailure, eval_auto, validate_params
 
     try:
-        ev = eval_auto(x, y, validate_params(*orders), tol)
+        return eval_auto(x, y, validate_params(*orders), tol)
     except (NumericFailure, DomainError) as exc:
-        return "raised", type(exc).__name__
+        return exc
+
+
+def outcome(orders, x, y, tol):
+    """("certified", tag), ("uncertified", tag) or ("raised", exception name)."""
+    ev = _auto(orders, x, y, tol)
+    if isinstance(ev, Exception):
+        return "raised", type(ev).__name__
     ok = ev.est_error <= tol * max(1.0, abs(ev.value))
     return ("certified" if ok else "uncertified"), ev.method
+
+
+def _key(ev):
+    """What two evaluations of one point must share: value, est_error and
+    tag, or exception type and message."""
+    if isinstance(ev, Exception):
+        return type(ev).__name__, str(ev)
+    return ev.value, ev.est_error, ev.method
+
+
+def batch_mismatches(pts, tol):
+    """The points of pts, [(orders, x, y), ...], whose eval_many outcome
+    differs from eval_auto's; eval_many takes each parameter set's points in
+    one call."""
+    from ml2v import eval_many, validate_params
+
+    groups = {}
+    for pt in pts:
+        groups.setdefault(pt[0], []).append(pt)
+    bad = []
+    for orders, group in groups.items():
+        many = eval_many([x for _, x, _ in group], [y for _, _, y in group],
+                         validate_params(*orders), tol)
+        bad += [pt for pt, ev in zip(group, many) if _key(ev) != _key(_auto(*pt, tol))]
+    return bad
 
 
 def main(argv=None):
@@ -145,7 +181,12 @@ def main(argv=None):
     n = totals["certified"] + totals["uncertified"] + totals["raised"]
     print(f"{'total':<36} {n:>6} {totals['certified']:>9} {totals['uncertified']:>11} "
           f"{totals['raised']:>6} {totals['seconds']:>8.2f}")
-    return 0
+    bad = [pt for pts in strata(args.count, args.seed).values()
+           for pt in batch_mismatches(pts, args.tol)]
+    print(f"eval_many: {n - len(bad)} of {n} outcomes equal to eval_auto's", file=sys.stderr)
+    for orders, x, y in bad:
+        print(f"  differs at {orders} x={x!r} y={y!r}", file=sys.stderr)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
