@@ -48,7 +48,7 @@ for t in LADDER_T:
 # without explicit orders the tail stops at the first order p whose next
 # two rings of terms are not smaller than its own, and the error estimate
 # is twice those two omitted rings, so it certifies the expansion only
-# where it truly wins (the dispatcher relies on this); at t = 6 the chosen
+# where it truly wins (ml2v compare relies on this); at t = 6 the chosen
 # order reaches about 1e-8, where explicit orders (3, 3) give about 1e-4
 params = validate_params(0.5, 0.5, 1.0)
 for t in (6.0, 15.0, 40.0):

@@ -3,24 +3,27 @@ Automatic regime dispatch and the command line
 ==============================================
 
 eval_auto picks the evaluation method from the argument magnitudes:
-the double series near the origin, the asymptotic expansion far out
-when its certified error meets the tolerance, and the contour
-representation, summed on a fixed hyperbola, in the broad middle, with
-the series as the fallback when a route degenerates.  The same dispatcher backs the ml2v command line.
+the double series inside the unit disk, and everywhere else, large
+arguments included, the contour representation summed on a fixed
+hyperbola, with the series as the fallback when that route degenerates.
+The asymptotic expansion (demo 03) checks the hyperbola far out.  The
+same dispatcher backs the ml2v command line.
 """
 
 import subprocess
 import sys
 
-from ml2v import eval_auto, validate_params
+from ml2v import eval_asymptotic, eval_auto, validate_params
 
 # sweep along the negative diagonal at fractional orders: the method
-# hands over from series to hyperbola to asymptotics as |x| grows
+# hands over from series to hyperbola as |x| leaves the unit disk, and the
+# expansion agrees with the hyperbola where both arguments are large
 params = validate_params(0.5, 0.5, 1.0)
-print(f"{'x = y':>8} {'method':>18} {'value':>15} {'est error':>11}")
+print(f"{'x = y':>8} {'method':>18} {'value':>15} {'est error':>11} {'asymptotic':>15}")
 for t in (0.5, 3.0, 10.0, 25.0, 60.0):
     ev = eval_auto(-t, -t, params, tol=1e-6)
-    print(f"{-t:8.1f} {ev.method:>18} {ev.value.real:15.6e} {ev.est_error:11.1e}")
+    asym = f"{eval_asymptotic(-t, -t, params).value.real:15.6e}" if t >= 15 else ""
+    print(f"{-t:8.1f} {ev.method:>18} {ev.value.real:15.6e} {ev.est_error:11.1e} {asym:>15}")
 
 # the same function drives the CLI; a few invocations end to end
 def run(args, tail=None):

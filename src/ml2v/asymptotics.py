@@ -31,16 +31,17 @@ phenomenon), and twice its magnitude joins est_error.
 
 A rounding allowance per part comes on top: 8 EPS |T| for the tail and
 EPS * residue_weight * |t| for each residue t, whose exponents are built in
-long double (see residue_terms_x).  Nothing is calibrated.  The 1/Gamma
-table of the tail and its rings depends on the parameters and the table's
-size only, never on (x, y), so the last TAIL_MEMO_SIZE tables are kept; a
-table is a pure function of its key, and the estimate still depends on the
-call's arguments alone.
+long double (see residue_terms_x).  Nothing is calibrated or kept between
+calls.
+
+eval_auto does not call this module: at large arguments it takes the
+hyperbola (representations.eval_hyperbola), the Bromwich form of the same
+contour representations, and the expansion stays as an independent check
+of it, in ml2v compare, --method asymptotic and the selftest suites.
 """
 
 from __future__ import annotations
 
-import functools
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -60,12 +61,9 @@ from .representations import (
     sector_images,
 )
 
-# Below this magnitude for min(|x|, |y|) the o() error model says nothing;
-# the dispatcher keeps such points on the series or contour routes.
+# Below this magnitude for min(|x|, |y|) the o() error model says nothing,
+# and eval_asymptotic raises MagnitudeFloor.
 MAGNITUDE_FLOOR = 5.0
-
-# Distinct (Parameters, rows, cols) whose tail 1/Gamma tables are kept.
-TAIL_MEMO_SIZE = 16
 
 # Highest square truncation order eval_asymptotic tries when it chooses the
 # orders itself; its table is (ORDER_MAX + 2) x (ORDER_MAX + 2).
@@ -144,22 +142,11 @@ def classify_case(
     return _sectors(x, y, params, tau1)[0]
 
 
-@functools.lru_cache(maxsize=TAIL_MEMO_SIZE)
-def _tail_gammas(params: Parameters, rows: int, cols: int) -> np.ndarray:
-    """Read-only 1/Gamma(mu - alpha n - beta m) for n <= rows, m <= cols."""
-    n = np.arange(1, rows + 1, dtype=float)
-    m = np.arange(1, cols + 1, dtype=float)
-    nn, mm = np.meshgrid(n, m, indexing="ij")
-    rg = recip_gamma(params.mu - params.alpha * nn - params.beta * mm)
-    rg.flags.writeable = False
-    return rg
-
-
 def _tail_terms(x: complex, y: complex, params: Parameters, rows: int, cols: int) -> np.ndarray:
     """x^(-n) y^(-m) / Gamma(mu - alpha n - beta m) for n <= rows, m <= cols."""
     n = np.arange(1, rows + 1, dtype=float)
     m = np.arange(1, cols + 1, dtype=float)
-    rg = _tail_gammas(params, rows, cols)
+    rg = recip_gamma(params.mu - params.alpha * n[:, None] - params.beta * m[None, :])
     # exp(-n log x) underflows to 0 at huge |x|, where numpy's complex power
     # overflows x^n and returns nan; the caller rejects a non-finite term
     with np.errstate(over="ignore", invalid="ignore"):

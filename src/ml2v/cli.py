@@ -33,7 +33,6 @@ from .core import EPS, ContourSpec, Evaluation, Parameters, validate_params
 from .errors import BudgetExceeded, DomainError, NumericFailure
 from .oracle import load_corpus, oracle_eval
 from .representations import (
-    ASYMPTOTIC_RADIUS,
     choose_contour,
     eval_auto,
     eval_hyperbola,
@@ -62,6 +61,9 @@ KNOB_READERS = {
     "epsilon": (*CONTOUR_METHODS, "compare"),
     "theta": (*CONTOUR_METHODS, "compare"),
 }
+
+# compare runs the asymptotic expansion where min(|x|, |y|) reaches this.
+ASYMPTOTIC_RADIUS = 15.0
 
 # The grid methods that evaluate a whole sweep in one batched call.
 BATCHED = {"auto": eval_many, "hyperbola": hyperbola_many}
@@ -409,10 +411,10 @@ def _add_param_flags(sp, required: bool = True) -> None:
                     help=f"target absolute tolerance ({_read_by('tol')})")
     sp.add_argument("--p-alpha", type=int, default=None,
                     help=f"asymptotic truncation order, y sum ({_read_by('p_alpha')}; "
-                         "default 3; eval_auto chooses its own)")
+                         "default 3)")
     sp.add_argument("--p-beta", type=int, default=None,
                     help=f"asymptotic truncation order, x sum ({_read_by('p_beta')}; "
-                         "default 3; eval_auto chooses its own)")
+                         "default 3)")
     sp.add_argument("--epsilon", type=float, default=None,
                     help=f"contour arc radius override ({_read_by('epsilon')})")
     sp.add_argument("--theta", type=float, default=None,

@@ -6,7 +6,9 @@ geometric tail bound.  It is deliberately independent of the double-precision
 evaluators: no contour, no asymptotics, just the series with enough guard
 digits to survive cancellation.  mpmath is imported inside the functions
 that use it, so importing ml2v for the double-precision routes does not
-load it.
+load it.  Every call works on its own mpmath context (_context), never on
+mpmath's process-wide mp, so a result does not depend on what other
+threads set mp's precision to, and no call changes it.
 
 Three performance devices keep large arguments tractable:
 
@@ -71,6 +73,15 @@ class OracleValue:
         return complex(self.value)
 
 
+def _context(dps: int):
+    """A private mpmath context at dps decimal digits."""
+    import mpmath
+
+    ctx = mpmath.MPContext()
+    ctx.dps = dps
+    return ctx
+
+
 def _as_fraction(a: float) -> Fraction | None:
     """Exact small-denominator rational value of a float order, if it has one.
 
@@ -94,7 +105,8 @@ class _RgammaLadder:
     otherwise (or before that) each value is a direct rgamma call.
     """
 
-    def __init__(self, frac: Fraction | None, step: float, offset) -> None:
+    def __init__(self, ctx, frac: Fraction | None, step: float, offset) -> None:
+        self._ctx = ctx
         self._frac = frac
         self._step = step
         self._offset = offset
@@ -102,15 +114,13 @@ class _RgammaLadder:
         self._hist: deque = deque(maxlen=frac.denominator if frac else 1)
 
     def _arg(self, n: int):
-        import mpmath as mp
-
+        mp = self._ctx
         if self._frac is not None:
             return mp.mpf(self._frac.numerator * n) / self._frac.denominator + self._offset
         return mp.mpf(self._step) * n + self._offset
 
     def __next__(self):
-        import mpmath as mp
-
+        mp = self._ctx
         n = self._n
         self._n += 1
         if self._frac is None:
@@ -130,11 +140,9 @@ class _RgammaLadder:
         return val
 
 
-def _blocks_pow1d(z, frac, step: float, offset) -> Iterator[tuple]:
+def _blocks_pow1d(mp, z, frac, step: float, offset) -> Iterator[tuple]:
     """Blocks of sum_k z^k / Gamma(step*k + offset); block k is one term."""
-    import mpmath as mp
-
-    ladder = _RgammaLadder(frac, step, offset)
+    ladder = _RgammaLadder(mp, frac, step, offset)
     zp = mp.mpc(1)
     while True:
         t = zp * next(ladder)
@@ -143,16 +151,14 @@ def _blocks_pow1d(z, frac, step: float, offset) -> Iterator[tuple]:
         zp *= z
 
 
-def _blocks_diag1d(x, y, frac, step: float, offset) -> Iterator[tuple]:
+def _blocks_diag1d(mp, x, y, frac, step: float, offset) -> Iterator[tuple]:
     """Anti-diagonal blocks for alpha == beta, inner sums in closed form.
 
     Block k is (sum_{n+m=k} x^n y^m) / Gamma(step*k + offset); the magnitude
     sum uses the same closed form on |x|, |y| so the certificate sees the
     true term mass, not the cancelled inner sum.
     """
-    import mpmath as mp
-
-    ladder = _RgammaLadder(frac, step, offset)
+    ladder = _RgammaLadder(mp, frac, step, offset)
     ax, ay = abs(x), abs(y)
     same = x == y
     xk, yk = mp.mpc(1), mp.mpc(1)          # x^k, y^k
@@ -179,14 +185,12 @@ def _blocks_diag1d(x, y, frac, step: float, offset) -> Iterator[tuple]:
         k += 1
 
 
-def _blocks_2d(x, y, afrac, alpha: float, beta: float, mu) -> Iterator[tuple]:
+def _blocks_2d(mp, x, y, afrac, alpha: float, beta: float, mu) -> Iterator[tuple]:
     """Literal anti-diagonal blocks for alpha != beta.
 
     One gamma ladder per row m (offset beta*m + mu, step alpha); each ladder
     advances exactly once per diagonal, in order.
     """
-    import mpmath as mp
-
     bfrac = _as_fraction(beta)
     ladders: dict[int, _RgammaLadder] = {}
     xpow = [mp.mpc(1)]
@@ -206,7 +210,7 @@ def _blocks_2d(x, y, afrac, alpha: float, beta: float, mu) -> Iterator[tuple]:
                     off = mp.mpf(bfrac.numerator * m) / bfrac.denominator + mu
                 else:
                     off = mp.mpf(beta) * m + mu
-                lad = ladders[m] = _RgammaLadder(afrac, alpha, off)
+                lad = ladders[m] = _RgammaLadder(mp, afrac, alpha, off)
             t = xpow[n] * ypow[m] * next(lad)
             total += t
             a = abs(t)
@@ -217,7 +221,7 @@ def _blocks_2d(x, y, afrac, alpha: float, beta: float, mu) -> Iterator[tuple]:
         k += 1
 
 
-def _certify(blocks: Iterator[tuple], digits: int, cap: int):
+def _certify(mp, blocks: Iterator[tuple], digits: int, cap: int):
     """Sum blocks until the geometric tail certificate triggers.
 
     The certificate is relative to the accumulated value (with a 10^-digits
@@ -225,8 +229,6 @@ def _certify(blocks: Iterator[tuple], digits: int, cap: int):
     digits of the result even when the result is small.
     Returns (value, tail_bound, peak_block_magnitude, n_blocks).
     """
-    import mpmath as mp
-
     target_scale = mp.mpf(10) ** (2 - digits)
     floor = mp.mpf(10) ** (-digits)
     value = mp.mpc(0)
@@ -278,8 +280,6 @@ def oracle_eval(x: complex, y: complex, params: Parameters, digits: int = 30) ->
     consume the working-precision ceiling (reported, never silently
     degraded).
     """
-    import mpmath as mp
-
     xc, yc = finite(x=x, y=y)
     if not MIN_DIGITS <= int(digits) <= MAX_DIGITS:
         raise DomainError(f"digits must lie in [{MIN_DIGITS}, {MAX_DIGITS}], got {digits}")
@@ -297,45 +297,51 @@ def oracle_eval(x: complex, y: complex, params: Parameters, digits: int = 30) ->
             f"arguments need ~{guard} guard digits, above the {_MAX_WDPS} ceiling"
         )
 
+    mp = _context(15)
     for _ in range(6):
         wdps = digits + guard
-        with mp.workdps(wdps):
-            X = mp.mpc(xc)
-            Y = mp.mpc(yc)
-            MU = mp.mpc(mu)
-            if yc == 0:
-                blocks = _blocks_pow1d(X, _as_fraction(alpha), alpha, MU)
-                cap = _BLOCK_CAP_1D
-            elif xc == 0:
-                blocks = _blocks_pow1d(Y, _as_fraction(beta), beta, MU)
-                cap = _BLOCK_CAP_1D
-            elif alpha == beta:
-                blocks = _blocks_diag1d(X, Y, _as_fraction(alpha), alpha, MU)
-                cap = _BLOCK_CAP_1D
-            else:
-                blocks = _blocks_2d(X, Y, _as_fraction(alpha), alpha, beta, MU)
-                cap = _BLOCK_CAP_2D
-            value, tail, peak, _ = _certify(blocks, digits, cap)
+        mp.dps = wdps
+        X = mp.mpc(xc)
+        Y = mp.mpc(yc)
+        MU = mp.mpc(mu)
+        if yc == 0:
+            blocks = _blocks_pow1d(mp, X, _as_fraction(alpha), alpha, MU)
+            cap = _BLOCK_CAP_1D
+        elif xc == 0:
+            blocks = _blocks_pow1d(mp, Y, _as_fraction(beta), beta, MU)
+            cap = _BLOCK_CAP_1D
+        elif alpha == beta:
+            blocks = _blocks_diag1d(mp, X, Y, _as_fraction(alpha), alpha, MU)
+            cap = _BLOCK_CAP_1D
+        else:
+            blocks = _blocks_2d(mp, X, Y, _as_fraction(alpha), alpha, beta, MU)
+            cap = _BLOCK_CAP_2D
+        value, tail, peak, _ = _certify(mp, blocks, digits, cap)
 
-            av = abs(value)
-            if av == 0 or peak == 0:
-                break
-            cancel = float(mp.log10(peak / av)) if peak > av else 0.0
-            if wdps - cancel >= digits + 5:
-                break
-            deficit = digits + 5 - (wdps - cancel)
-            guard = max(guard + int(deficit) + 10, 2 * guard)
-            if digits + guard > _MAX_WDPS:
-                raise BudgetExceeded(
-                    f"cancellation needs ~{guard} guard digits, above the "
-                    f"{_MAX_WDPS} ceiling"
-                )
+        av = abs(value)
+        if av == 0 or peak == 0:
+            break
+        cancel = float(mp.log10(peak / av)) if peak > av else 0.0
+        if wdps - cancel >= digits + 5:
+            break
+        deficit = digits + 5 - (wdps - cancel)
+        guard = max(guard + int(deficit) + 10, 2 * guard)
+        if digits + guard > _MAX_WDPS:
+            raise BudgetExceeded(
+                f"cancellation needs ~{guard} guard digits, above the "
+                f"{_MAX_WDPS} ceiling"
+            )
     else:
         raise BudgetExceeded("guard-digit loop failed to converge")
 
+    import mpmath
+
+    mp.dps = 15
     big = mp.mpf(10) ** 300
     return OracleValue(
-        value=value,
+        # every bit of the value, as a number of mpmath's mp: the caller's
+        # arithmetic on it runs at the caller's precision, as with any mp number
+        value=mpmath.mp.make_mpc(value._mpc_),
         tail_bound=float(tail) if tail < big else math.inf,
         digits=digits,
     )
@@ -360,8 +366,7 @@ class CorpusRecord:
     tail_bound: float
 
     def value(self) -> complex:
-        import mpmath as mp
-
+        mp = _context(15)
         return complex(float(mp.mpf(self.value_re)), float(mp.mpf(self.value_im)))
 
     def params(self) -> Parameters:
@@ -399,12 +404,10 @@ class CorpusRecord:
 
 def make_record(x: complex, y: complex, params: Parameters, digits: int = 30) -> CorpusRecord:
     """Run the oracle and freeze the result as a corpus record."""
-    import mpmath as mp
-
     ov = oracle_eval(x, y, params, digits)
-    with mp.workdps(digits + 5):
-        re_s = mp.nstr(mp.re(ov.value), digits)
-        im_s = mp.nstr(mp.im(ov.value), digits)
+    mp = _context(digits + 5)
+    re_s = mp.nstr(mp.re(ov.value), digits)
+    im_s = mp.nstr(mp.im(ov.value), digits)
     x, y = complex(x), complex(y)
     return CorpusRecord(
         alpha=params.alpha,

@@ -22,12 +22,12 @@ hyperbola shared by every point, plus a closed-form correction per pole
 of the cut plane that weighs its residue by the pole's place against the
 contour; no region is classified and no contour is chosen per point.
 
-eval_auto sends both arguments in the unit disk to the double series,
-tries the asymptotic expansions first where both are large, and sends
-every other point, and every asymptotic result that misses tol, to
-eval_hyperbola and then back to the series, and raises BudgetExceeded
-rather than return a value that misses tol.  It does not use the keyhole:
-choose_contour and eval_with_contour stay as an independent check of it.
+eval_auto sends both arguments in the unit disk to the double series and
+every other point to eval_hyperbola, and a point the hyperbola fails back
+to the series, and raises BudgetExceeded rather than return a value that
+misses tol.  It uses neither the keyhole nor the asymptotic expansions:
+choose_contour, eval_with_contour and asymptotics.eval_asymptotic stay as
+independent checks of it.
 eval_many and hyperbola_many take many points of one Parameters: the
 hyperbola's nodes do not depend on (x, y), so its points are one (points x
 nodes) product; eval_auto and eval_hyperbola are their one-point calls.
@@ -82,9 +82,8 @@ _TWO_PI_I = 2j * np.arctan2(_LD(0.0), _LD(-1.0))
 # The smallest normal double: below it, x^2 + y^2 loses digits (see _point_free).
 _TINY = float(np.finfo(float).tiny)
 
-# Dispatcher policy thresholds on |x|, |y|.
+# eval_auto sends a point with |x|, |y| <= SERIES_RADIUS to the series.
 SERIES_RADIUS = 1.0
-ASYMPTOTIC_RADIUS = 15.0
 
 # choose_contour aims for at least this contour clearance per pole image,
 # relative to max(1, |image|).
@@ -491,10 +490,10 @@ _HW = _read_only(np.concatenate([_W_VAL, _W_CHK]))
 _HS_WEIGHT = _read_only(8.0 + np.abs(_S_VAL))
 _HL_ABS = _read_only(np.abs(_HL[:_SPLIT]))
 
-# Distinct Parameters whose node tables eval_hyperbola keeps.  Twice the
-# asymptotic tail memo's 16: perfbench's points workload returns to five
-# Parameters between about six one-off ones per 16 points, and 32 entries
-# keep 98% of its reachable hits where 16 keep 89%.
+# Distinct Parameters whose node tables eval_hyperbola keeps: perfbench's
+# points workload returns to five Parameters between about six one-off ones
+# per 16 points, and 32 entries keep 98% of its reachable hits where 16 keep
+# 89%.
 HYPERBOLA_MEMO_SIZE = 32
 
 
@@ -709,20 +708,10 @@ def _series(x: complex, y: complex, params: Parameters, tol: float) -> Evaluatio
 
 
 def _before_hyperbola(x: complex, y: complex, params: Parameters, tol: float) -> Evaluation | None:
-    """eval_auto's routes ahead of the hyperbola: the series in the unit
-    disk, then a certified asymptotic expansion where both arguments are
-    large; None sends the point on to the hyperbola."""
+    """eval_auto's route ahead of the hyperbola: the series in the unit
+    disk; None sends the point on to the hyperbola."""
     if max(abs(x), abs(y)) <= SERIES_RADIUS:
         return _series(x, y, params, tol)
-    if min(abs(x), abs(y)) >= ASYMPTOTIC_RADIUS:
-        from .asymptotics import eval_asymptotic
-
-        try:
-            ev = eval_asymptotic(x, y, params)
-            if ev.est_error <= tol * max(1.0, abs(ev.value)):
-                return ev
-        except NumericFailure:
-            pass
     # a pole image zeta that overflows a double is outside the domain (see sector_images)
     _image_radius(x, params.beta)
     _image_radius(y, params.alpha)
@@ -732,9 +721,9 @@ def _before_hyperbola(x: complex, y: complex, params: Parameters, tol: float) ->
 def _auto(
     pts: list[tuple[complex, complex]], params: Parameters, tol: float
 ) -> list[Evaluation | NumericFailure | DomainError]:
-    """eval_auto's routes at finite points: each point's own routes ahead of
-    the hyperbola, one hyperbola pass over every point they send on, and
-    the series for each point the hyperbola fails."""
+    """eval_auto's routes at finite points: the series in the unit disk, one
+    hyperbola pass over every other point, and the series for each point
+    the hyperbola fails."""
     out: list = []
     todo = []
     for x, y in pts:
@@ -763,7 +752,8 @@ def eval_many(
     Evaluation, or the NumericFailure or DomainError it raises there.
 
     Each point takes eval_auto's routes in eval_auto's order; the points
-    that reach the hyperbola share one batched pass of it (hyperbola_many).
+    outside the unit disk share one batched pass of the hyperbola
+    (hyperbola_many).
     Each result is bit-for-bit eval_auto's.  Raises DomainError for a tol
     that is not positive and finite or for xs and ys of different lengths.
     """
@@ -771,13 +761,12 @@ def eval_many(
 
 
 def eval_auto(x: complex, y: complex, params: Parameters, tol: float = 1e-8) -> Evaluation:
-    """Dispatch between the series, the hyperbola route and the asymptotics.
+    """Dispatch between the series and the hyperbola route.
 
     Small arguments (both within the unit disk) go straight to the series.
-    Large arguments (both beyond ASYMPTOTIC_RADIUS) try the asymptotic
-    expansion first.  Everything else, and every failed attempt, goes to
-    eval_hyperbola and finally back to the series.  A route that raises a
-    NumericFailure hands the point on; any other exception propagates.
+    Every other point goes to eval_hyperbola, and a point it fails back to
+    the series.  A route that raises a NumericFailure hands the point on;
+    any other exception propagates.
     This is eval_many at one point.  Raises DomainError for a non-finite
     argument, one whose pole images zeta (zeta^(1/beta) = x, zeta^(1/alpha)
     = y) overflow a double, or a tol that is not positive and finite, and

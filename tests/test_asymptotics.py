@@ -355,10 +355,6 @@ def test_result_independent_of_call_history():
     eval_asymptotic(-30.0, -25.0, validate_params(0.5, 0.8, 1))
     eval_asymptotic(x, y, P_HALF, TruncationOrders(4, 4))
     assert eval_asymptotic(x, y, pp) == before
-    asymptotics._tail_gammas.cache_clear()
-    assert eval_asymptotic(x, y, pp) == before
-    eval_asymptotic(x, y, P_HALF, TruncationOrders(4, 4))
-    assert eval_asymptotic(x, y, pp) == before
 
 
 def _bits(ev):
@@ -366,9 +362,8 @@ def _bits(ev):
 
 
 def test_tail_table_memo_hits(monkeypatch):
-    # the 1/Gamma table is built once per (Parameters, orders), through the
-    # module global recip_gamma
-    asymptotics._tail_gammas.cache_clear()
+    # no table is kept between calls: each call builds its 1/Gamma table
+    # once, through the module global recip_gamma
     calls = []
 
     def counted(s):
@@ -381,29 +376,19 @@ def test_tail_table_memo_hits(monkeypatch):
     side = asymptotics.ORDER_MAX + 2
     assert calls == [(side, side)]
     eval_asymptotic(-30.0, 60.0j, P_HALF)
-    assert len(calls) == 1
+    assert calls[1:] == [(side, side)]
     eval_asymptotic(x, y, P_HALF, TruncationOrders(2, 4))
-    assert calls[1:] == [(6, 4)]
-    eval_asymptotic(x, y, P_08, TruncationOrders(2, 4))
     assert calls[2:] == [(6, 4)]
     eval_asymptotic(x, y, P_08, TruncationOrders(2, 4))
-    assert len(calls) == 3
-
-
-def test_tail_table_read_only():
-    asymptotics._tail_gammas.cache_clear()
-    eval_asymptotic(-40.0 + 12.0j, 25.0 - 30.0j, P_HALF)
-    table = asymptotics._tail_gammas(P_HALF, 5, 5)
-    assert not table.flags.writeable
-    with pytest.raises(ValueError):
-        table[0, 0] = 1.0
+    eval_asymptotic(x, y, P_08, TruncationOrders(2, 4))
+    assert calls[3:] == [(6, 4), (6, 4)]
 
 
 @pytest.mark.parametrize("mu", [1.0, 0.5, -0.7, 2.0])
 def test_tail_table_cold_and_warm_bit_identical(mu):
-    # lru_cache merges equal keys: Parameters whose mu differ only in the
-    # sign of a zero imaginary part share one table, so it must not depend
-    # on that sign
+    # Parameters whose mu differ only in the sign of a zero imaginary part
+    # are equal, and their tables must not depend on that sign nor on the
+    # calls made before
     pp = validate_params(0.7, 0.6, mu)
     pm = dataclasses.replace(pp, mu=complex(mu, -0.0))
     assert pp == pm
@@ -413,16 +398,48 @@ def test_tail_table_cold_and_warm_bit_identical(mu):
         tail = asympt_tail_sum(x, y, p)
         return _bits(eval_asymptotic(x, y, p)), tail.real.hex(), tail.imag.hex()
 
-    cold = {}
-    for k, p in enumerate((pp, pm)):
-        for x, y in points:
-            asymptotics._tail_gammas.cache_clear()
-            cold[k, x, y] = fingerprint(p, x, y)
-    asymptotics._tail_gammas.cache_clear()
-    for k in (0, 1, 0):
+    cold = {(k, x, y): fingerprint(p, x, y) for k, p in enumerate((pp, pm)) for x, y in points}
+    for k in (1, 0, 1, 0):
         for x, y in points:
             assert fingerprint((pp, pm)[k], x, y) == cold[k, x, y]
-    asymptotics._tail_gammas.cache_clear()
-    for k in (1, 0):
-        for x, y in points:
-            assert fingerprint((pp, pm)[k], x, y) == cold[k, x, y]
+
+
+# Parameter sets at which the hyperbola, eval_auto's route at large
+# arguments, and the expansion check each other: equal orders, a complex mu,
+# unequal orders and alpha > 1.
+CROSS_SETS = ((0.5, 0.5, 1), (0.7, 0.7, 0.5 + 0.3j), (0.5, 0.8, 1), (1.2, 0.9, 1))
+CROSS_DRAWS = 60
+
+
+def _large_point(rng, pp):
+    """(x, y) with |x|, |y| log-uniform in [15, 80] and a uniform phase whose
+    residue exponents Re zeta^(1/(alpha beta)), over every pole image zeta,
+    stay at or below 600, so that the value fits in a double."""
+    d = 1.0 / (pp.alpha * pp.beta)
+    while True:
+        x, y = (cmath.rect(math.exp(rng.uniform(math.log(15), math.log(80))),
+                           rng.uniform(-math.pi, math.pi)) for _ in "xy")
+        images = pole_images(x, pp.beta) + pole_images(y, pp.alpha)
+        if max(((z**d).real for z in images), default=0.0) <= 600:
+            return x, y
+
+
+@pytest.mark.parametrize("orders", CROSS_SETS)
+def test_hyperbola_and_asymptotics_agree_at_large_arguments(orders):
+    pp = validate_params(*orders)
+    rng = random.Random(f"hyperbola-vs-asymptotics-{orders}")
+    checked = 0
+    for _ in range(CROSS_DRAWS):
+        x, y = _large_point(rng, pp)
+        try:
+            asym = eval_asymptotic(x, y, pp)
+        except NumericFailure:
+            continue
+        if asym.est_error > 1e-8 * max(1.0, abs(asym.value)):
+            continue
+        # wherever the expansion certifies, eval_auto certifies too
+        ev = eval_auto(x, y, pp)
+        checked += 1
+        assert ev.method == "hyperbola", (x, y)
+        assert abs(ev.value - asym.value) <= ev.est_error + asym.est_error, (x, y)
+    assert checked >= CROSS_DRAWS // 2

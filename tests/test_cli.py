@@ -304,10 +304,18 @@ def test_grid_method_switch_with_magnitude(capsys):
     assert rc == 0
     rows = csv_rows(out)
     methods = {float(r["x_re"]): r["method"] for r in rows}
-    assert methods[-10.0] == "hyperbola"
-    assert methods[-40.0] == "asymptotic"
-    assert any(r["case"] == "case4" for r in rows)
-    # asymptotic and hyperbola rows cross-checked against the pure contour route
+    # large arguments take the hyperbola too
+    assert set(methods.values()) == {"hyperbola"}
+    # the asymptotic rows of the same sweep, every one in case 4
+    rc3, out3, _ = run_cli(["grid"] + base + ["--method", "asymptotic"], capsys)
+    assert rc3 == 0
+    asym = {float(r["x_re"]): r for r in csv_rows(out3)}
+    assert all(r["case"] == "case4" for r in asym.values())
+    for r in rows:
+        a = asym[float(r["x_re"])]
+        limit = float(r["est_error"]) + float(a["est_error"])
+        assert abs(float(r["val_re"]) - float(a["val_re"])) <= limit
+    # hyperbola rows cross-checked against the pure contour route
     rc2, out2, _ = run_cli(["grid"] + base + ["--method", "lemma1"], capsys)
     assert rc2 == 0
     ref = {float(r["x_re"]): float(r["val_re"]) for r in csv_rows(out2)}

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
 import pytest
@@ -134,3 +136,27 @@ def test_corpus_record_roundtrip(tmp_path):
     # frozen value really is the oracle value to double precision
     ov = oracle_eval(-2 + 1j, 0.5 - 0.25j, par, 30)
     assert abs(back.value() - ov.as_complex()) < 1e-13 * max(1.0, abs(ov.as_complex()))
+
+
+def _oracle_bits(digits: int):
+    ov = oracle_eval(1.5 + 0.5j, -2 + 1j, validate_params(0.5, 0.8, 1), digits)
+    return ov.value.real._mpf_, ov.value.imag._mpf_, ov.tail_bound.hex(), ov.digits
+
+
+def test_oracle_bits_do_not_depend_on_threads():
+    # a call that set mpmath's process-wide precision would sum the calls
+    # of the other threads at its own precision
+    digits = [20, 25, 40, 60]
+    prec = mp.mp.prec
+    single = {d: _oracle_bits(d) for d in digits}
+    jobs = digits * 3
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(_oracle_bits, jobs, timeout=120))
+    finally:
+        sys.setswitchinterval(switch)
+    assert threaded == [single[d] for d in jobs]
+    # and no call changes mpmath's own precision
+    assert mp.mp.prec == prec

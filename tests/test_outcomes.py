@@ -66,7 +66,7 @@ def test_auto_result_is_finite_or_typed(case):
         ev = eval_auto(x, y, params)
     except (NumericFailure, DomainError):
         return
-    assert math.isfinite(ev.est_error)
+    assert ev.est_error <= 1e-8 * max(1.0, abs(ev.value))
 
 
 def _direct_routes(params, x, y):
@@ -110,7 +110,7 @@ def test_auto_overflow_is_typed(x, y, orders, kind):
 @pytest.mark.parametrize(
     "x, y, orders",
     [
-        # numpy's complex power overflows in the asymptotic tail terms
+        # the hyperbola's residue terms leave the double range
         (-1.105016848960226e89 - 2.1032005491960428e89j,
          9.767437409987782e49 + 3.0923269790118426e49j,
          (1.6993131208295111, 1.0549864208954447, 0.9450112899127583)),
@@ -126,10 +126,12 @@ def test_auto_overflow_warns_nothing(x, y, orders):
 
 
 def test_auto_lets_an_asymptotic_bug_through(monkeypatch):
+    # a large-argument point: eval_auto takes the hyperbola there, whose
+    # residue pass raises a bug that no route may swallow
     def broken(*args, **kwargs):
         raise ValueError("a bug, not a route failure")
 
-    monkeypatch.setattr(asymptotics, "eval_asymptotic", broken)
+    monkeypatch.setattr(representations, "_residue_pass", broken)
     with pytest.raises(ValueError, match="a bug"):
         eval_auto(30.0, 20.0, validate_params(1, 1, 1))
 

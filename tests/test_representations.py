@@ -16,6 +16,7 @@ from mpmath import mp
 
 import ml2v.contour as con
 import ml2v.representations as rep
+from ml2v.asymptotics import eval_asymptotic
 from ml2v.contour import IntegrandSpec, build_contour
 from ml2v.core import EPS, ContourSpec, RegionLabel, angle_window, validate_params
 from ml2v.errors import (
@@ -297,12 +298,17 @@ def test_auto_rejects_infinite_estimates(x, y):
 
 def test_auto_large_uses_asymptotics():
     # alpha = beta = mu = 1: the algebraic tail vanishes and the two
-    # exponential terms reproduce the closed form exactly
-    ev = eval_auto(30.0, 20.0, P111)
-    assert ev.method == "asymptotic-case1"
+    # exponential terms reproduce the closed form exactly; eval_auto takes
+    # the hyperbola there, and the expansion checks it
+    asym = eval_asymptotic(30.0, 20.0, P111)
+    assert asym.method == "asymptotic-case1"
     ref = closed_form(30.0, 20.0)
-    assert abs(ev.value - ref) / abs(ref) <= 1e-13
+    assert abs(asym.value - ref) / abs(ref) <= 1e-13
+    assert abs(asym.value - ref) <= asym.est_error
+    ev = eval_auto(30.0, 20.0, P111)
+    assert ev.method == "hyperbola"
     assert abs(ev.value - ref) <= ev.est_error
+    assert abs(ev.value - asym.value) <= ev.est_error + asym.est_error
 
 
 def test_auto_swap_symmetry():
@@ -435,9 +441,9 @@ def test_residue_pass_over_no_poles_is_empty():
 
 
 # Points whose route adds residue terms: keyhole routes on the grid
-# parameters (through eval_with_contour on choose_contour's contour; eval_auto
-# takes the hyperbola there), and eval_auto's asymptotic cases 1-3 at large
-# arguments.
+# parameters (through eval_with_contour on choose_contour's contour) and the
+# asymptotic cases 1-3 at large arguments (through eval_asymptotic); eval_auto
+# takes the hyperbola at all of them.
 RESIDUE_POINTS = [
     ((0.5, 0.8, 1), -4.0, 2.0, "lemma2"),
     ((0.5, 0.8, 1), 2.0, -4.0, "remark1"),
@@ -453,11 +459,13 @@ def _residue_point_evaluations(orders, x, y, method):
     """The row's route, which must take method, then eval_auto's result and
     eval_hyperbola's (None where it raises a NumericFailure)."""
     p = validate_params(*orders)
-    keyhole = not method.startswith("asymptotic")
-    ev = eval_with_contour(x, y, p, choose_contour(x, y, p)) if keyhole else eval_auto(x, y, p)
+    if method.startswith("asymptotic"):
+        ev = eval_asymptotic(x, y, p)
+    else:
+        ev = eval_with_contour(x, y, p, choose_contour(x, y, p))
     assert ev.method == method
     auto = eval_auto(x, y, p)
-    assert auto.method == ("hyperbola" if keyhole else method)
+    assert auto.method == "hyperbola"
     try:
         hyp = eval_hyperbola(x, y, p)
     except NumericFailure:

@@ -33,8 +33,9 @@ def test_sweep_certifies_every_stratum():
     assert strata.pop("total")[0] == 10 * len(strata)
     # four axis order sets, each with a uniform and an axis phase stratum
     assert sum(name.startswith("axis (") for name in strata) == 8
-    assert {"annulus (0.25, 0.25, 1)", "edge band, points orders", "boundary orders"} < set(strata)
-    assert len(strata) == 11
+    assert {"annulus (0.25, 0.25, 1)", "edge band, points orders", "boundary orders",
+            "large, axis orders"} < set(strata)
+    assert len(strata) == 12
     for name, (points, certified, uncertified, raised) in strata.items():
         assert (points, certified, uncertified, raised) == (10, 10, 0, 0), name
 
@@ -98,7 +99,7 @@ def test_perfbench_tracer_wraps_and_restores_the_package():
     tracer_mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer_mod)
 
-    from ml2v import representations
+    from ml2v import asymptotics, representations
     from ml2v.core import validate_params
 
     tracer = tracer_mod.Tracer(1e-8)
@@ -111,6 +112,8 @@ def test_perfbench_tracer_wraps_and_restores_the_package():
             representations.eval_auto(x, y, p)
         spec = representations.choose_contour(-3.0, 2.0, p)
         representations.eval_with_contour(-3.0, 2.0, p, spec)
+        # eval_auto takes the hyperbola at large arguments: call the expansion
+        asymptotics.eval_asymptotic(-40.0, -30.0, p)
         tracer.stop_timed()
         metrics = tracer.metrics(4)
     finally:

@@ -18,7 +18,11 @@ the other strata or on the package under test:
   EDGE_BAND of the top of the admissible angle window, where the keyhole
   contour's rays run;
 * boundary: alpha or beta = 2, alpha*beta >= 2 included, complex mu among
-  them, |x| and |y| log-uniform in [1, 40].
+  them, |x| and |y| log-uniform in [1, 40];
+* large: the axis order sets in turn, |x| and |y| log-uniform in [15, 80]
+  with a uniform phase, drawn again until every residue exponent
+  Re zeta^(1/(alpha beta)), over the pole images zeta of x and of y, is at
+  most LARGE_EXPONENT_CAP, so that the value fits in a double.
 
 For each stratum it prints the points, how many eval_auto certified
 (est_error <= tol * max(1, |value|)), how many it returned uncertified, how
@@ -43,6 +47,7 @@ AXIS_SETS = ((0.5, 0.5, 1), (0.5, 0.8, 1), (0.7, 0.7, 0.5 + 0.3j), (1.2, 0.9, 1)
 ANNULUS_SET = (0.25, 0.25, 1)
 BOUNDARY_SETS = ((2, 1, 1), (2, 0.5, 0.5 + 0.3j), (1.5, 2, 1), (2, 2, 1))
 EDGE_BAND = 0.08
+LARGE_EXPONENT_CAP = 600.0
 
 
 def _log_uniform(rng, lo, hi, phase):
@@ -66,6 +71,15 @@ def _edge_orders(rng, i):
 def _near_edge(pole_images, w, power, a, b):
     hi = min(math.pi, math.pi * a * b)
     return any(abs(abs(cmath.phase(z)) - hi) < EDGE_BAND for z in pole_images(w, power))
+
+
+def _large_point(rng, pole_images, a, b):
+    d = 1.0 / (a * b)
+    while True:
+        x, y = (_log_uniform(rng, 15, 80, rng.uniform(-math.pi, math.pi)) for _ in "xy")
+        images = pole_images(x, b) + pole_images(y, a)
+        if max(((z**d).real for z in images), default=0.0) <= LARGE_EXPONENT_CAP:
+            return x, y
 
 
 def strata(count, seed):
@@ -107,6 +121,11 @@ def strata(count, seed):
         (BOUNDARY_SETS[i % len(BOUNDARY_SETS)],
          *(_log_uniform(rng, 1, 40, rng.uniform(-math.pi, math.pi)) for _ in "xy"))
         for i in range(count)
+    ]
+    rng = random.Random(f"{seed}-large")
+    out["large, axis orders"] = [
+        ((a, b, mu), *_large_point(rng, pole_images, a, b))
+        for a, b, mu in (AXIS_SETS[i % len(AXIS_SETS)] for i in range(count))
     ]
     return out
 
