@@ -29,7 +29,7 @@ import sys
 import time
 
 from .asymptotics import TruncationOrders, eval_asymptotic
-from .core import EPS, ContourSpec, Evaluation, Parameters, validate_params
+from .core import EPS, ContourSpec, Evaluation, Parameters, check_tol, validate_params
 from .errors import BudgetExceeded, DomainError, NumericFailure
 from .oracle import load_corpus, oracle_eval
 from .representations import (
@@ -95,8 +95,7 @@ def parse_complex(text: str) -> complex:
 
 def _tol(args, default: float) -> float:
     tol = default if args.tol is None else args.tol
-    if not (math.isfinite(tol) and tol > 0):
-        raise DomainError(f"--tol must be positive and finite, got {tol}")
+    check_tol(tol)
     return tol
 
 
@@ -179,14 +178,18 @@ def _contour_for(args, x: complex, y: complex, params: Parameters) -> ContourSpe
     )
 
 
-def _orders(args) -> TruncationOrders:
-    """--p-alpha and --p-beta, each TruncationOrders' default where unset."""
-    given = {"p_alpha": args.p_alpha, "p_beta": args.p_beta}
-    return TruncationOrders(**{k: v for k, v in given.items() if v is not None})
+def _orders(args) -> TruncationOrders | None:
+    """--p-alpha and --p-beta, each TruncationOrders' default where the other
+    is given; None, eval_asymptotic's own choice, where neither is."""
+    given = {k: v for k, v in (("p_alpha", args.p_alpha), ("p_beta", args.p_beta))
+             if v is not None}
+    return TruncationOrders(**given) if given else None
 
 
 def evaluate_point(args, x: complex, y: complex, params: Parameters,
                    method: str, tol: float) -> Evaluation:
+    """One evaluation by method: a METHODS name, or "contour" for the keyhole
+    on whichever placement holds."""
     if method == "auto":
         return eval_auto(x, y, params, tol)
     if method == "series":
@@ -203,7 +206,8 @@ def evaluate_point(args, x: complex, y: complex, params: Parameters,
             raise BudgetExceeded("the oracle's value or tail bound does not fit in a double")
         return Evaluation(v, est, "oracle")
     spec = _contour_for(args, x, y, params)
-    return eval_with_contour(x, y, params, spec, tol, route=method)
+    return eval_with_contour(x, y, params, spec, tol,
+                             route=None if method == "contour" else method)
 
 
 def _params_from(args) -> Parameters:
@@ -278,18 +282,13 @@ def _settled(args, x: complex, y: complex, params: Parameters,
 def _compare_methods(args, x: complex, y: complex, params: Parameters,
                      tol: float) -> list[tuple[str, Evaluation | None, str]]:
     """(name, evaluation-or-None, note) for every applicable method."""
-    calls = [
-        ("series", lambda: eval_double_series(x, y, params, SeriesBudget(tol=min(tol, 1e-10)))),
-        ("contour", lambda: eval_with_contour(
-            x, y, params, _contour_for(args, x, y, params), tol)),
-        ("hyperbola", lambda: eval_hyperbola(x, y, params, tol)),
-    ]
+    names = ["series", "contour", "hyperbola"]
     if min(abs(x), abs(y)) >= ASYMPTOTIC_RADIUS:
-        calls.append(("asymptotic", lambda: eval_asymptotic(x, y, params, _orders(args))))
+        names.append("asymptotic")
     entries: list[tuple[str, Evaluation | None, str]] = []
-    for name, call in calls:
+    for name in names:
         try:
-            ev = call()
+            ev = evaluate_point(args, x, y, params, name, tol)
         except (NumericFailure, DomainError) as exc:
             entries.append((name, None, f"skipped: {exc}"))
         else:
@@ -411,10 +410,10 @@ def _add_param_flags(sp, required: bool = True) -> None:
                     help=f"target absolute tolerance ({_read_by('tol')})")
     sp.add_argument("--p-alpha", type=int, default=None,
                     help=f"asymptotic truncation order, y sum ({_read_by('p_alpha')}; "
-                         "default 3)")
+                         "default 3 with --p-beta, else the smallest-ring order)")
     sp.add_argument("--p-beta", type=int, default=None,
                     help=f"asymptotic truncation order, x sum ({_read_by('p_beta')}; "
-                         "default 3)")
+                         "default 3 with --p-alpha, else the smallest-ring order)")
     sp.add_argument("--epsilon", type=float, default=None,
                     help=f"contour arc radius override ({_read_by('epsilon')})")
     sp.add_argument("--theta", type=float, default=None,

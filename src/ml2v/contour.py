@@ -24,8 +24,9 @@ exp(cos(theta*d) * R^d) <= trunc_tol, starting from trunc_tol =
 min(1e-16, tol/100); an a-posteriori tail estimate from the actual endpoint
 magnitudes then catches the algebraic prefactors that solve ignores.  While
 that estimate exceeds tol/10, trunc_tol shrinks (R grows), at most six
-times; the last estimate is folded into the reported error, and only the
-final R is panelized.  Nothing is kept from one call to the next.
+times; the last estimate is folded into the reported error, and
+build_contour panelizes that final R as given.  Nothing is kept from one
+call to the next.
 
 theta = pi is a valid contour (circle plus the twice-passed negative axis).
 The ray points are r exp(+-i pi), whose tiny imaginary residue places each
@@ -74,17 +75,6 @@ class IntegrandSpec:
 
     f: Callable[[np.ndarray], np.ndarray]
     decay: float
-
-
-@dataclass(frozen=True)
-class DiscretizedContour:
-    """Truncated, panelized keyhole contour ready for quadrature.
-
-    panels holds one row (r0, r1, phi0, phi1) per panel, in path order.
-    """
-
-    radius: float          # truncation radius R
-    panels: np.ndarray
 
 
 def _ray_radii(eps: float, radius: float, c: float, decay: float) -> list[float]:
@@ -144,16 +134,11 @@ def _nodes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return z, 0.5 * (dr * e + 1j * dphi * z)
 
 
-def build_contour(
-    spec: ContourSpec, decay: float, trunc_tol: float = 1e-16
-) -> DiscretizedContour:
-    """Truncate and panelize gamma(eps; theta) for an integrand of given decay.
-
-    Raises GeometryError when cos(theta*decay) >= 0 (no ray decay, the
-    truncation radius would not exist).
-    """
+def build_contour(spec: ContourSpec, decay: float, radius: float) -> np.ndarray:
+    """Panel rows (r0, r1, phi0, phi1) of gamma(eps; theta) truncated at
+    radius, in path order, for an integrand of given decay (radius from
+    _truncation_radius, which rejects a contour whose rays do not decay)."""
     eps, theta = spec.epsilon, spec.theta
-    radius = _truncation_radius(spec, decay, trunc_tol)
     rs = _ray_radii(eps, radius, -math.cos(theta * decay), decay)
     n_arc = max(4, math.ceil(theta * (1.0 + abs(decay)) / _ARC_PANEL_ANGLE))
     phis = np.linspace(-theta, theta, n_arc + 1)
@@ -165,7 +150,7 @@ def build_contour(
         # outgoing ray, from eps e^{i theta} up to R e^{i theta}
         + [(r_in, r_out, theta, theta) for r_in, r_out in zip(rs[:-1], rs[1:])]
     )
-    return DiscretizedContour(radius, np.array(rows, dtype=float))
+    return np.array(rows, dtype=float)
 
 
 def _eval_nodes(
@@ -200,7 +185,7 @@ def integrate(spec: ContourSpec, integrand: IntegrandSpec, tol: float) -> Evalua
 
     Returns the raw contour integral (no 1/(2 pi i) normalization) with an
     error estimate combining panel estimates and the truncation tail.
-    Raises GeometryError (from build_contour) before any node is evaluated
+    Raises GeometryError (from _truncation_radius) before any node is evaluated
     when the rays do not decay, and QuadratureError as soon as a sweep meets
     a non-finite integrand value, when the initial sweep's rounding floor
     exceeds tol, or if the tolerance is unreachable within
@@ -218,8 +203,7 @@ def integrate(spec: ContourSpec, integrand: IntegrandSpec, tol: float) -> Evalua
         radius = _truncation_radius(spec, decay, tt)
         tail = _tail_estimate(spec, decay, radius, f)
 
-    contour = build_contour(spec, decay, tt)
-    rows = contour.panels
+    rows = build_contour(spec, decay, radius)
     nodes_used = 2 + _EVALS_PER_PANEL * len(rows)
     if nodes_used > DEFAULT_NODE_BUDGET:
         raise QuadratureError(

@@ -8,7 +8,9 @@ digits to survive cancellation.  mpmath is imported inside the functions
 that use it, so importing ml2v for the double-precision routes does not
 load it.  Every call works on its own mpmath context (_context), never on
 mpmath's process-wide mp, so a result does not depend on what other
-threads set mp's precision to, and no call changes it.
+threads set mp's precision to, and no call changes it.  Corpus records
+read their decimal values with float(), so replaying the corpus needs no
+mpmath.
 
 Three performance devices keep large arguments tractable:
 
@@ -366,8 +368,8 @@ class CorpusRecord:
     tail_bound: float
 
     def value(self) -> complex:
-        mp = _context(15)
-        return complex(float(mp.mpf(self.value_re)), float(mp.mpf(self.value_im)))
+        # float() rounds a decimal string correctly, as mpmath does at 53 bits
+        return complex(float(self.value_re), float(self.value_im))
 
     def params(self) -> Parameters:
         return validate_params(self.alpha, self.beta, self.mu)

@@ -65,8 +65,8 @@ from .errors import (
 )
 from .series import SeriesBudget, eval_double_series
 
-# Residue denominators and pole separations smaller than this relative
-# floor abort the representation in favor of the series.
+# Residue denominators smaller than this relative floor abort the
+# representation in favor of the series.
 DEGENERACY_FLOOR_REL = 1e-6
 
 # Pole images closer to the contour than this fraction of the arc radius
@@ -365,11 +365,12 @@ def eval_with_contour(
     tag, GeometryError when spec's angle leaves the admissible
     window, RegionError when an image is pinned on the contour or the
     placement is not route's, DegenerateDenominator when a residue
-    denominator collapses or an x- and a y-preimage in Omega+ coincide (the
-    two simple poles then merge into a double pole the residue terms cannot
-    represent), and PoleProximityError, before any integrand call, when a
-    preimage lies within POLE_FLOOR_REL * eps of the contour (the distance
-    _placement measured for the label).
+    denominator collapses (which is how branch_residues sees an x- and a
+    y-preimage in Omega+ coincide: the two simple poles then merge into a
+    double pole the residue terms cannot represent), and
+    PoleProximityError, before any integrand call, when a preimage lies
+    within POLE_FLOOR_REL * eps of the contour (the distance _placement
+    measured for the label).
     """
     x, y = finite(x=x, y=y)
     check_tol(tol)
@@ -394,12 +395,6 @@ def eval_with_contour(
             f"{route} does not apply: (x, y) regions are "
             f"({lx.value}, {ly.value}), which call for {found}"
         )
-    for u in x_in:
-        for v in y_in:
-            if abs(u - v) <= DEGENERACY_FLOOR_REL * (1.0 + abs(u) + abs(v)):
-                raise DegenerateDenominator(
-                    f"pole images {u:.6g} and {v:.6g} are too close"
-                )
     terms = (residue_terms_x(x, y, params, x_in) if x_in else []) + (
         residue_terms_y(x, y, params, y_in) if y_in else []
     )

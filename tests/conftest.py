@@ -4,6 +4,7 @@ import functools
 import os
 import sys
 
+import mpmath
 import pytest
 
 from ml2v.selftest import run_suite
@@ -11,6 +12,17 @@ from ml2v.selftest import run_suite
 # Tests that start `python -m ml2v.cli` in a subprocess need this session's
 # import path; pytest's `pythonpath` setting reaches only this process.
 os.environ["PYTHONPATH"] = os.pathsep.join(sys.path)
+
+
+@pytest.fixture(autouse=True)
+def mpmath_precision_untouched():
+    """Fail a test that starts or ends with mpmath's process-wide precision
+    away from its default 15 digits: a test module that sets mp.dps would
+    run every later test at its precision.  References take theirs from
+    mp.workdps."""
+    assert mpmath.mp.dps == 15, f"mpmath.mp.dps is {mpmath.mp.dps} before the test"
+    yield
+    assert mpmath.mp.dps == 15, f"the test left mpmath.mp.dps at {mpmath.mp.dps}"
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from ml2v import cli, contour, selftest
+from ml2v import cli, contour, selftest, validate_params
+from ml2v.asymptotics import TruncationOrders, eval_asymptotic
 from ml2v.errors import DomainError
 
 E = math.e
@@ -196,6 +197,30 @@ def test_eval_asymptotic_case_column(capsys):
     (row,) = csv_rows(out)
     assert row["method"] == "asymptotic"
     assert row["case"] == "case1"
+
+
+@pytest.mark.parametrize("flags,orders", [([], None), (["--p-alpha", "4"], {"p_alpha": 4})],
+                         ids=["default", "p-alpha"])
+def test_asymptotic_orders_are_eval_asymptotics(flags, orders, capsys):
+    # without --p-*, eval_asymptotic picks the order of the smallest ring
+    # (est_error 1.4e-19 here; a fixed order 3 gives 3.7e-8), and a lone
+    # --p-alpha leaves p_beta at TruncationOrders' default
+    p = validate_params(0.5, 0.5, 1)
+    want = eval_asymptotic(-40, -30, p, TruncationOrders(**orders) if orders else None)
+    args = ["--alpha", "0.5", "--beta", "0.5", "--x", "-40", "--y", "-30", *flags]
+    rc, out, _ = run_cli(["eval", *args, "--method", "asymptotic"], capsys)
+    assert rc == 0
+    (row,) = csv_rows(out)
+    got = complex(float(row["val_re"]), float(row["val_im"]))
+    assert (got, float(row["est_error"])) == (want.value, want.est_error)
+    rc, out, _ = run_cli(["compare", *args], capsys)
+    assert rc == 0
+    line = (f"  asymptotic: value {cli.fmt17(want.value.real)} "
+            f"{cli.fmt17(want.value.imag)}  est {want.est_error:.3e}")
+    assert line in out.splitlines()
+    if orders is None:
+        assert want.value.real == 1.3677349260999944e-05
+        assert want.est_error < 2e-19
 
 
 def test_eval_oracle_method(capsys):
@@ -409,7 +434,9 @@ def test_compare_degenerate_skipped(capsys):
         capsys,
     )
     assert rc == 0
-    assert "  contour: skipped: pole images 3+0j and 3+0j are too close" in out.splitlines()
+    # the x residue's denominator zeta^(1/alpha) - y vanishes at the double pole
+    assert ("  contour: skipped: pole on branch 0 of zeta^(1/1) = 3+0j: "
+            "|zeta^(1/1) - 3+0j| = 0 is inside the degeneracy floor") in out.splitlines()
 
 
 def test_compare_flags_a_pair_without_a_finite_limit(capsys):

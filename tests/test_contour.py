@@ -11,7 +11,7 @@ import pytest
 from mpmath import mp
 
 from ml2v import contour, representations
-from ml2v.contour import IntegrandSpec, build_contour, integrate
+from ml2v.contour import IntegrandSpec, _truncation_radius, build_contour, integrate
 from ml2v.core import ContourSpec, validate_params
 from ml2v.errors import GeometryError, PoleProximityError, QuadratureError
 from ml2v.representations import (
@@ -22,7 +22,6 @@ from ml2v.representations import (
     pole_images,
 )
 
-mp.dps = 40
 P111 = validate_params(1, 1, 1)
 
 
@@ -32,32 +31,39 @@ def _hankel_recip_gamma(s, spec, tol=1e-10):
     return ev.value / (2j * math.pi), ev.est_error
 
 
+def _panels(spec, decay, trunc_tol=1e-16):
+    """build_contour's panel rows at the truncation radius for trunc_tol."""
+    return build_contour(spec, decay, _truncation_radius(spec, decay, trunc_tol))
+
+
 def test_truncation_radius_example():
     # ln(1/1e-16)/|cos(3pi/4)| raised to 1/1: R ~= 52.1
-    dc = build_contour(ContourSpec(1.0, 3 * math.pi / 4), decay=1.0, trunc_tol=1e-16)
-    assert dc.radius == pytest.approx(52.101553072484705, rel=1e-12)
-    assert len(dc.panels) >= 10
+    spec = ContourSpec(1.0, 3 * math.pi / 4)
+    radius = _truncation_radius(spec, 1.0, 1e-16)
+    assert radius == pytest.approx(52.101553072484705, rel=1e-12)
+    assert len(build_contour(spec, 1.0, radius)) >= 10
 
 
 def test_geometry_rejections():
     spec = ContourSpec(1.0, 3 * math.pi / 4)
     with pytest.raises(GeometryError):
-        build_contour(spec, decay=0.0)
+        _truncation_radius(spec, 0.0, 1e-16)
     with pytest.raises(GeometryError):
-        build_contour(spec, decay=-1.0)
+        _truncation_radius(spec, -1.0, 1e-16)
     # cos(theta * decay) >= 0: no ray decay
     with pytest.raises(GeometryError):
-        build_contour(ContourSpec(1.0, math.pi / 2), decay=1.0)
+        _truncation_radius(ContourSpec(1.0, math.pi / 2), 1.0, 1e-16)
     with pytest.raises(GeometryError):
-        build_contour(ContourSpec(1.0, math.pi / 4), decay=1.0)
+        _truncation_radius(ContourSpec(1.0, math.pi / 4), 1.0, 1e-16)
     with pytest.raises(GeometryError):
-        build_contour(spec, decay=1.0, trunc_tol=0.0)
+        _truncation_radius(spec, 1.0, 0.0)
 
 
 def test_reciprocal_gamma_integral_standard_contour():
     spec = ContourSpec(1.0, 3 * math.pi / 4)
     for s in [1.0, 2.5, 0.5, -0.5 + 1.0j, 4.0 - 2.0j]:
-        ref = complex(mp.rgamma(mp.mpc(s)))
+        with mp.workdps(40):
+            ref = complex(mp.rgamma(mp.mpc(s)))
         got, est = _hankel_recip_gamma(s, spec)
         assert abs(got - ref) <= 1e-12, f"s={s}"
         assert abs(got - ref) <= max(est / (2 * math.pi), 1e-13)
@@ -67,7 +73,8 @@ def test_reciprocal_gamma_integral_full_angle_contour():
     # theta = pi is legal: the ray is traversed twice with opposite branch sides
     spec = ContourSpec(1.0, math.pi)
     for s in [0.5, 2.5, -1.5]:
-        ref = complex(mp.rgamma(mp.mpc(s)))
+        with mp.workdps(40):
+            ref = complex(mp.rgamma(mp.mpc(s)))
         got, _ = _hankel_recip_gamma(s, spec)
         assert abs(got - ref) <= 1e-12, f"s={s}"
 
@@ -92,7 +99,8 @@ def test_tighter_tolerance_tightens_result():
     tight = integrate(spec, ig, tol=1e-12)
     assert loose.est_error <= 1e-4
     assert tight.est_error <= 1e-12
-    ref = complex(2j * math.pi * mp.rgamma(2.5))
+    with mp.workdps(40):
+        ref = complex(2j * math.pi * mp.rgamma(2.5))
     assert abs(tight.value - ref) < abs(loose.value - ref) + 1e-13
     assert tight.method == "quadrature"
 
@@ -150,7 +158,7 @@ def _counted(f):
 
 def test_one_integrand_call_per_round():
     spec = ContourSpec(1.0, 3 * math.pi / 4)
-    sweep = 24 * len(build_contour(spec, decay=1.0).panels)
+    sweep = 24 * len(_panels(spec, 1.0))
     for tol, rounds in ((1e-8, 0), (1e-13, 1)):
         f, calls = _counted(lambda u: np.exp(u) * u ** (-2.5))
         ev = integrate(spec, IntegrandSpec(f=f, decay=1.0), tol=tol)
@@ -167,7 +175,7 @@ def test_budget_exhausted_during_refinement(monkeypatch):
     spec = ContourSpec(1.0, 3 * math.pi / 4)
     f, calls = _counted(lambda u: np.exp(u) * u ** (-2.5))
     integrate(spec, IntegrandSpec(f=f, decay=1.0), tol=1e-13)
-    sweep, converged = 2 + 24 * len(build_contour(spec, decay=1.0).panels), sum(calls)
+    sweep, converged = 2 + 24 * len(_panels(spec, 1.0)), sum(calls)
     budget = (sweep + converged) // 2
     assert sweep + 48 <= budget < converged
     f, calls = _counted(lambda u: np.exp(u) * u ** (-2.5))
@@ -185,7 +193,7 @@ def test_non_finite_sweep_raises_at_once():
     f, calls = _counted(lambda u: np.where(np.abs(u) < 3.0, np.inf, np.exp(u) * u ** (-2.5)))
     with pytest.raises(QuadratureError, match="not finite on the contour"):
         integrate(spec, IntegrandSpec(f=f, decay=1.0), tol=1e-10)
-    assert calls == [2, 24 * len(build_contour(spec, decay=1.0).panels)]
+    assert calls == [2, 24 * len(_panels(spec, 1.0))]
 
 
 def test_rounding_floor_raises_after_the_sweep():
@@ -195,7 +203,7 @@ def test_rounding_floor_raises_after_the_sweep():
     f, calls = _counted(np.exp)
     with pytest.raises(QuadratureError, match="rounding floor"):
         integrate(spec, IntegrandSpec(f=f, decay=1.0), tol=1e-8)
-    assert calls == [2, 24 * len(build_contour(spec, decay=1.0).panels)]
+    assert calls == [2, 24 * len(_panels(spec, 1.0))]
 
 
 def _check_ray_radii(rs, eps, radius, c, decay):
@@ -218,12 +226,13 @@ def test_ray_panels_keep_their_bound_at_steep_decay(eps, trunc_tol):
     # theta * decay = pi: the rays decay like exp(-r^16); at eps = 8 that is
     # e^(-2.8e14) at the arc, and R is eps's floor
     spec = ContourSpec(eps, math.pi / 16)
-    dc = build_contour(spec, 16.0, trunc_tol)
-    out = dc.panels[(dc.panels[:, 2] == spec.theta) & (dc.panels[:, 3] == spec.theta)]
+    radius = _truncation_radius(spec, 16.0, trunc_tol)
+    panels = build_contour(spec, 16.0, radius)
+    out = panels[(panels[:, 2] == spec.theta) & (panels[:, 3] == spec.theta)]
     assert np.all(out[1:, 0] == out[:-1, 1])
-    _check_ray_radii(np.append(out[:, 0], out[-1, 1]), eps, dc.radius, 1.0, 16.0)
+    _check_ray_radii(np.append(out[:, 0], out[-1, 1]), eps, radius, 1.0, 16.0)
     if eps == 8.0:
-        assert dc.radius == contour._RAY_GROWTH_MIN * eps and len(out) == 1
+        assert radius == contour._RAY_GROWTH_MIN * eps and len(out) == 1
 
 
 def test_ray_panels_keep_their_bound_at_slow_decay():

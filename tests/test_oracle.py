@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -13,6 +14,7 @@ from ml2v import BudgetExceeded, DomainError, validate_params
 from ml2v.oracle import (
     CorpusRecord,
     _as_fraction,
+    load_corpus,
     make_record,
     oracle_eval,
 )
@@ -136,6 +138,23 @@ def test_corpus_record_roundtrip(tmp_path):
     # frozen value really is the oracle value to double precision
     ov = oracle_eval(-2 + 1j, 0.5 - 0.25j, par, 30)
     assert abs(back.value() - ov.as_complex()) < 1e-13 * max(1.0, abs(ov.as_complex()))
+
+
+def test_corpus_values_have_the_bits_of_a_53_bit_parse():
+    ctx = mp.MPContext()
+    ctx.prec = 53
+    for rec in load_corpus():
+        want = (float(ctx.mpf(rec.value_re)), float(ctx.mpf(rec.value_im)))
+        got = rec.value()
+        assert (got.real.hex(), got.imag.hex()) == tuple(v.hex() for v in want)
+
+
+def test_corpus_replay_loads_no_mpmath():
+    code = ("import sys\n"
+            "from ml2v.oracle import load_corpus\n"
+            "values = [r.value() for r in load_corpus()]\n"
+            "assert 'mpmath' not in sys.modules\n")
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
 
 
 def _oracle_bits(digits: int):

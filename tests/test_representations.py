@@ -17,7 +17,7 @@ from mpmath import mp
 import ml2v.contour as con
 import ml2v.representations as rep
 from ml2v.asymptotics import eval_asymptotic
-from ml2v.contour import IntegrandSpec, build_contour
+from ml2v.contour import IntegrandSpec, _truncation_radius, build_contour
 from ml2v.core import EPS, ContourSpec, RegionLabel, angle_window, validate_params
 from ml2v.errors import (
     BudgetExceeded,
@@ -579,13 +579,13 @@ def test_point_free_factors_as_accurate_as_complex_powers(orders, theta):
     d = 1.0 / (a * b)
     e = (1.0 + a + b - p.mu) * d - 1.0
     spec = ContourSpec(1.0, angle_window(p)[2] if theta is None else theta)
-    contour = build_contour(spec, d)
+    panels = build_contour(spec, d, _truncation_radius(spec, d, 1e-16))
     # the initial sweep and the refinement quarters of every third panel
-    start, end = contour.panels[::3, 0::2], contour.panels[::3, 1::2]
+    start, end = panels[::3, 0::2], panels[::3, 1::2]
     cuts = [(1.0 - t) * start + t * end for t in (0.0, 0.25, 0.5, 0.75, 1.0)]
     quarters = np.empty((4, len(start), 4))
     quarters[:, :, 0::2], quarters[:, :, 1::2] = cuts[:-1], cuts[1:]
-    sweep = con._nodes(contour.panels)[0]
+    sweep = con._nodes(panels)[0]
     z = np.concatenate([sweep.ravel(), con._nodes(quarters.reshape(-1, 4))[0].ravel()])
     new = rep._point_free(z, p)
     old = (np.exp(z**d) * z**e, z ** (1.0 / b), z ** (1.0 / a))

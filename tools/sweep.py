@@ -8,6 +8,9 @@ Each stratum draws N points (default 200) from its own random.Random, seeded
 by the seed and the stratum's name, so a stratum's points do not depend on
 the other strata or on the package under test:
 
+* unit disk: the axis order sets and (0.25, 0.25, 1) in turn, |x| and |y|
+  uniform by area in the unit disk with a uniform phase or one on an axis,
+  and one argument in ten exactly 0: where eval_auto takes the series;
 * axis: at (0.5, 0.5, 1), (0.5, 0.8, 1), (0.7, 0.7, 0.5+0.3i) and
   (1.2, 0.9, 1), |x| and |y| log-uniform in [1, 15], with a uniform phase
   ("uniform") or one of 0, pi/2, pi, -pi/2 ("axis");
@@ -50,6 +53,17 @@ EDGE_BAND = 0.08
 LARGE_EXPONENT_CAP = 600.0
 
 
+def _axis_phase(rng):
+    return rng.choice((0.0, 0.5 * math.pi, math.pi, -0.5 * math.pi))
+
+
+def _unit_disk_point(rng):
+    if rng.random() < 0.1:
+        return 0j
+    phase = _axis_phase(rng) if rng.random() < 0.5 else rng.uniform(-math.pi, math.pi)
+    return cmath.rect(math.sqrt(rng.random()), phase)
+
+
 def _log_uniform(rng, lo, hi, phase):
     return cmath.rect(math.exp(rng.uniform(math.log(lo), math.log(hi))), phase)
 
@@ -86,15 +100,18 @@ def strata(count, seed):
     """{name: [(orders, x, y), ...]}, count points per stratum."""
     from ml2v.representations import pole_images
 
-    out = {}
+    rng = random.Random(f"{seed}-unit-disk")
+    disk_sets = AXIS_SETS + (ANNULUS_SET,)
+    out = {"unit disk": [
+        (disk_sets[i % len(disk_sets)], _unit_disk_point(rng), _unit_disk_point(rng))
+        for i in range(count)
+    ]}
     for a, b, mu in AXIS_SETS:
         for kind in ("uniform", "axis"):
             rng = random.Random(f"{seed}-axis-{a}-{b}-{mu}-{kind}")
 
             def phase():
-                if kind == "axis":
-                    return rng.choice((0.0, 0.5 * math.pi, math.pi, -0.5 * math.pi))
-                return rng.uniform(-math.pi, math.pi)
+                return _axis_phase(rng) if kind == "axis" else rng.uniform(-math.pi, math.pi)
 
             out[f"axis ({a:g}, {b:g}, {mu:g}) {kind}"] = [
                 ((a, b, mu), _log_uniform(rng, 1, 15, phase()), _log_uniform(rng, 1, 15, phase()))
