@@ -92,9 +92,11 @@ class ContourSpec:
 def validate_params(alpha: float, beta: float, mu: complex) -> Parameters:
     """Validate orders and offset, returning Parameters.
 
-    Raises DomainError for alpha or beta outside (0, 2], for alpha*beta >= 2
-    with both orders below 2, and for a boundary order (alpha = 2 or
-    beta = 2) with Re(mu) <= 0.
+    Raises DomainError for a non-finite value and for alpha or beta outside
+    (0, 2].  Every finite mu is accepted, and so is alpha*beta >= 2: E is
+    entire for all of them.  A route that cannot reach such parameters (the
+    keyhole and the asymptotics need alpha*beta < 2 for their angle window)
+    raises a NumericFailure there.
     """
     alpha = float(alpha)
     beta = float(beta)
@@ -105,13 +107,6 @@ def validate_params(alpha: float, beta: float, mu: complex) -> Parameters:
         raise DomainError(f"orders must be positive, got alpha={alpha}, beta={beta}")
     if alpha > 2 or beta > 2:
         raise DomainError(f"orders above 2 unsupported, got alpha={alpha}, beta={beta}")
-    if alpha == 2.0 or beta == 2.0:
-        if mu.real <= 0:
-            raise DomainError("boundary order (alpha or beta = 2) requires Re(mu) > 0")
-    elif alpha * beta >= 2:
-        raise DomainError(
-            f"alpha*beta = {alpha * beta} >= 2 leaves no admissible contour angle"
-        )
     return Parameters(alpha, beta, mu)
 
 

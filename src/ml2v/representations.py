@@ -27,7 +27,8 @@ every other point to eval_hyperbola, and a point the hyperbola fails back
 to the series, and raises BudgetExceeded rather than return a value that
 misses tol.  It uses neither the keyhole nor the asymptotic expansions:
 choose_contour, eval_with_contour and asymptotics.eval_asymptotic stay as
-independent checks of it.
+independent checks of it, where alpha*beta < 2 leaves them an angle window;
+the hyperbola needs none.
 eval_many and hyperbola_many take many points of one Parameters: the
 hyperbola's nodes do not depend on (x, y), so its points are one (points x
 nodes) product; eval_auto and eval_hyperbola are their one-point calls.
@@ -92,12 +93,13 @@ _EPSILON_LADDER = (1.0, 0.5, 2.0, 0.25, 4.0, 0.1, 8.0, 0.04)
 
 
 def _image_radius(w: complex, power: float) -> float:
-    """|w|^power, the modulus of w's pole images; DomainError where it
-    overflows a double."""
+    """|w|^power, the modulus of w's pole images; BudgetExceeded where it
+    overflows a double (the images are out of a route's reach, not bad
+    input)."""
     try:
         return abs(w) ** power
     except OverflowError:
-        raise DomainError(f"the pole images of {w:.6g} overflow a double") from None
+        raise BudgetExceeded(f"the pole images of {w:.6g} overflow a double") from None
 
 
 def sector_images(
@@ -106,8 +108,8 @@ def sector_images(
     """One pass over the pole images of w, at angles power * (arg w + 2 pi k):
     those inside the sector -pi < angle, |angle| <= tau1, and the branches k
     of those with tau1 < |angle| < tau1 + reach (the images the asymptotic
-    expansion drops, on this sheet or the next).  Raises DomainError where
-    the images overflow a double."""
+    expansion drops, on this sheet or the next).  Raises BudgetExceeded
+    where the images overflow a double."""
     ph = cmath.phase(w)
     r = _image_radius(w, power)
     span = (tau1 + reach) / power
@@ -126,7 +128,8 @@ def pole_images(w: complex, power: float) -> tuple[complex, ...]:
     """All cut-plane solutions zeta of zeta^(1/power) = w: the images of
     sector_images with tau1 = pi.  For power >= 1 there is at most one; for
     power < 1 up to ceil(1/power) coexist, each a genuine pole of the
-    integrand.  Raises DomainError for a non-finite w."""
+    integrand.  Raises DomainError for a non-finite w and BudgetExceeded
+    where the images overflow a double."""
     (w,) = finite(w=w)
     if w == 0:
         return (0j,)
@@ -295,10 +298,11 @@ def _residue_pass(
     degenerate = {}
     # a Python test per pole: below about ten poles it costs less than the
     # numpy calls of one vectorized test, and a grid block's 130 poles add
-    # about 0.2 us per point
+    # about 0.2 us per point; a root that overflows a double makes the floor
+    # inf, which is no degeneracy
     for i, ((kk, pd, pn, wd, wn), g, r) in enumerate(
             zip(poles, den.astype(complex).tolist(), root.astype(complex).tolist())):
-        if abs(g) <= DEGENERACY_FLOOR_REL * (1.0 + abs(r) + abs(wn)):
+        if abs(g) <= DEGENERACY_FLOOR_REL * (1.0 + abs(r) + abs(wn)) < math.inf:
             degenerate[i] = DegenerateDenominator(
                 f"pole on branch {kk} of zeta^(1/{pd:g}) = {wd:.6g}: "
                 f"|zeta^(1/{pn:g}) - {wn:.6g}| = {abs(g):.3g} is inside "
@@ -420,7 +424,9 @@ def choose_contour(x: complex, y: complex, params: Parameters) -> ContourSpec:
     theta sits just inside the top of the admissible window (maximal ray
     decay); eps starts at 1 and walks a ladder until both pole images clear
     the contour by a relative margin, keeping the quadrature well away from
-    the integrand's poles.  Raises DomainError for a non-finite x or y.
+    the integrand's poles.  Raises DomainError for a non-finite x or y,
+    GeometryError where alpha*beta >= 2 leaves the angle window empty, and
+    BudgetExceeded where a pole image overflows a double.
     """
     x, y = finite(x=x, y=y)
     theta = angle_window(params)[2]
@@ -702,41 +708,23 @@ def _series(x: complex, y: complex, params: Parameters, tol: float) -> Evaluatio
     return ev
 
 
-def _before_hyperbola(x: complex, y: complex, params: Parameters, tol: float) -> Evaluation | None:
-    """eval_auto's route ahead of the hyperbola: the series in the unit
-    disk; None sends the point on to the hyperbola."""
-    if max(abs(x), abs(y)) <= SERIES_RADIUS:
-        return _series(x, y, params, tol)
-    # a pole image zeta that overflows a double is outside the domain (see sector_images)
-    _image_radius(x, params.beta)
-    _image_radius(y, params.alpha)
-    return None
-
-
 def _auto(
     pts: list[tuple[complex, complex]], params: Parameters, tol: float
-) -> list[Evaluation | NumericFailure | DomainError]:
+) -> list[Evaluation | NumericFailure]:
     """eval_auto's routes at finite points: the series in the unit disk, one
     hyperbola pass over every other point, and the series for each point
     the hyperbola fails."""
-    out: list = []
-    todo = []
-    for x, y in pts:
-        try:
-            ev = _before_hyperbola(x, y, params, tol)
-        except (NumericFailure, DomainError) as exc:
-            ev = exc
-        if ev is None:
-            todo.append(len(out))
-        out.append(ev)
-    if todo:
-        for i, ev in zip(todo, _hyperbola_block([pts[i] for i in todo], params, tol)):
-            if isinstance(ev, NumericFailure):
-                try:
-                    ev = _series(*pts[i], params, tol)
-                except (NumericFailure, DomainError) as exc:
-                    ev = exc
+    out: list = [None] * len(pts)
+    far = [i for i, (x, y) in enumerate(pts) if max(abs(x), abs(y)) > SERIES_RADIUS]
+    if far:
+        for i, ev in zip(far, _hyperbola_block([pts[i] for i in far], params, tol)):
             out[i] = ev
+    for i, ev in enumerate(out):
+        if not isinstance(ev, Evaluation):
+            try:
+                out[i] = _series(*pts[i], params, tol)
+            except NumericFailure as exc:
+                out[i] = exc
     return out
 
 
@@ -748,7 +736,8 @@ def eval_many(
 
     Each point takes eval_auto's routes in eval_auto's order; the points
     outside the unit disk share one batched pass of the hyperbola
-    (hyperbola_many).
+    (hyperbola_many).  Only a non-finite point gets a DomainError; every
+    other failure is a NumericFailure.
     Each result is bit-for-bit eval_auto's.  Raises DomainError for a tol
     that is not positive and finite or for xs and ys of different lengths.
     """
@@ -763,10 +752,12 @@ def eval_auto(x: complex, y: complex, params: Parameters, tol: float = 1e-8) -> 
     the series.  A route that raises a NumericFailure hands the point on;
     any other exception propagates.
     This is eval_many at one point.  Raises DomainError for a non-finite
-    argument, one whose pole images zeta (zeta^(1/beta) = x, zeta^(1/alpha)
-    = y) overflow a double, or a tol that is not positive and finite, and
-    BudgetExceeded where no route certifies a result: where the last route,
-    the series, returned a value whose est_error exceeds tol * max(1,
-    |value|), the exception's evaluation holds it.
+    argument or a tol that is not positive and finite, and BudgetExceeded
+    where no route certifies a result (a value too large for a double
+    included): where the last route, the series, returned a value whose
+    est_error exceeds tol * max(1, |value|), the exception's evaluation
+    holds it.  Every order pair validate_params accepts is served, alpha *
+    beta >= 2 and boundary orders with Re(mu) <= 0 included: the hyperbola
+    needs no angle window.
     """
     return _one(_auto, x, y, params, tol)

@@ -92,7 +92,7 @@ def test_eval_hyperbola_closed_form(capsys):
 
 def test_eval_inadmissible_orders_exit_2(capsys):
     rc, _, err = run_cli(
-        ["eval", "--alpha", "1.5", "--beta", "1.5", "--mu", "1", "--x", "1", "--y", "1"],
+        ["eval", "--alpha", "2.5", "--beta", "1.5", "--mu", "1", "--x", "1", "--y", "1"],
         capsys,
     )
     assert rc == 2

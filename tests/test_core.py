@@ -33,12 +33,28 @@ def test_validate_boundary_regime():
 @pytest.mark.parametrize(
     "alpha,beta,mu",
     [
-        (1.5, 1.5, 1.0),      # alpha*beta = 2.25
+        (1.5, 1.5, 1.0),      # alpha*beta = 2.25: E is entire, the hyperbola needs no angle
+        (1.9, 1.9, 1.0),
+        (2.0, 0.5, -1.0),     # a boundary order with Re(mu) <= 0
+        (0.5, 2.0, 0.0),
+        (2.0, 2.0, -3.0 + 1.0j),
+    ],
+)
+def test_validate_accepts_every_order_in_the_function_domain(alpha, beta, mu):
+    p = validate_params(alpha, beta, mu)
+    assert (p.alpha, p.beta, p.mu) == (alpha, beta, complex(mu))
+
+
+@pytest.mark.parametrize(
+    "alpha,beta,mu",
+    [
         (-0.5, 1.0, 1.0),
         (1.0, 0.0, 1.0),
         (2.5, 0.5, 1.0),
-        (2.0, 0.5, -1.0),     # boundary order needs Re(mu) > 0
-        (0.5, 2.0, 0.0),
+        (0.5, 2.0000001, 1.0),
+        (math.nan, 1.0, 1.0),
+        (1.0, math.inf, 1.0),
+        (1.0, 1.0, complex(1.0, math.nan)),
     ],
 )
 def test_validate_rejects(alpha, beta, mu):

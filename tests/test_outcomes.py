@@ -52,9 +52,8 @@ def _argument(draw) -> complex:
 
 @st.composite
 def _cases(draw):
-    alpha = draw(st.floats(0.1, 1.99))
-    beta = draw(st.floats(0.1, min(1.99, 1.98 / alpha)).filter(lambda b: alpha * b < 1.98))
-    mu = complex(draw(st.floats(0.1, 2.0)), draw(st.floats(-1.0, 1.0)))
+    alpha, beta = draw(st.floats(0.1, 2.0)), draw(st.floats(0.1, 2.0))
+    mu = complex(draw(st.floats(-1.0, 2.0)), draw(st.floats(-1.0, 1.0)))
     return validate_params(alpha, beta, mu), _argument(draw), _argument(draw)
 
 
@@ -64,7 +63,7 @@ def test_auto_result_is_finite_or_typed(case):
     params, x, y = case
     try:
         ev = eval_auto(x, y, params)
-    except (NumericFailure, DomainError):
+    except NumericFailure:  # finite input is never a DomainError
         return
     assert ev.est_error <= 1e-8 * max(1.0, abs(ev.value))
 
@@ -84,7 +83,7 @@ def test_route_result_is_finite_or_typed(case):
     for route in _direct_routes(*case):
         try:
             ev = route()
-        except (NumericFailure, DomainError):
+        except NumericFailure:
             continue
         assert cmath.isfinite(ev.value) and math.isfinite(ev.est_error)
 
@@ -92,8 +91,8 @@ def test_route_result_is_finite_or_typed(case):
 @pytest.mark.parametrize(
     "x, y, orders, kind",
     [
-        # the pole image |x|^1.6 overflows a double
-        (1e200, 2.0, (1.0, 1.6, 1.0), DomainError),
+        # the pole image |x|^1.6 overflows a double: out of every route's reach
+        (1e200, 2.0, (1.0, 1.6, 1.0), BudgetExceeded),
         # residue terms overflow, and inf - inf once made est_error nan
         (-1.105016848960226e89 - 2.1032005491960428e89j,
          9.767437409987782e49 + 3.0923269790118426e49j,

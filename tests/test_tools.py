@@ -34,8 +34,8 @@ def test_sweep_certifies_every_stratum():
     # four axis order sets, each with a uniform and an axis phase stratum
     assert sum(name.startswith("axis (") for name in strata) == 8
     assert {"unit disk", "annulus (0.25, 0.25, 1)", "edge band, points orders",
-            "boundary orders", "large, axis orders"} < set(strata)
-    assert len(strata) == 13
+            "boundary orders", "past the keyhole window", "large, axis orders"} < set(strata)
+    assert len(strata) == 14
     for name, (points, certified, uncertified, raised) in strata.items():
         assert (points, certified, uncertified, raised) == (10, 10, 0, 0), name
 

@@ -22,10 +22,14 @@ the other strata or on the package under test:
   contour's rays run;
 * boundary: alpha or beta = 2, alpha*beta >= 2 included, complex mu among
   them, |x| and |y| log-uniform in [1, 40];
-* large: the axis order sets in turn, |x| and |y| log-uniform in [15, 80]
-  with a uniform phase, drawn again until every residue exponent
-  Re zeta^(1/(alpha beta)), over the pole images zeta of x and of y, is at
-  most LARGE_EXPONENT_CAP, so that the value fits in a double.
+* past the keyhole window: alpha*beta >= 2 with both orders below 2, and
+  boundary orders with Re mu <= 0, |x| and |y| log-uniform in [1, 40];
+* large: the axis order sets in turn, |x| and |y| log-uniform in [15, 80].
+
+The last three strata draw a uniform phase, and draw a point again until
+every residue exponent Re zeta^(1/(alpha beta)), over the pole images zeta
+of x and of y, is at most LARGE_EXPONENT_CAP, so that the value fits in a
+double.
 
 For each stratum it prints the points, how many eval_auto certified
 (est_error <= tol * max(1, |value|)), how many it returned uncertified, how
@@ -49,6 +53,8 @@ from collections import Counter
 AXIS_SETS = ((0.5, 0.5, 1), (0.5, 0.8, 1), (0.7, 0.7, 0.5 + 0.3j), (1.2, 0.9, 1))
 ANNULUS_SET = (0.25, 0.25, 1)
 BOUNDARY_SETS = ((2, 1, 1), (2, 0.5, 0.5 + 0.3j), (1.5, 2, 1), (2, 2, 1))
+WIDE_SETS = ((1.9, 1.9, 1), (1.5, 1.5, 1), (1.9, 1.2, 0.5 + 0.3j), (2, 0.5, -1), (0.5, 2, 0),
+             (2, 1.5, -0.5 + 0.3j))
 EDGE_BAND = 0.08
 LARGE_EXPONENT_CAP = 600.0
 
@@ -87,10 +93,10 @@ def _near_edge(pole_images, w, power, a, b):
     return any(abs(abs(cmath.phase(z)) - hi) < EDGE_BAND for z in pole_images(w, power))
 
 
-def _large_point(rng, pole_images, a, b):
+def _capped_point(rng, pole_images, a, b, lo, hi):
     d = 1.0 / (a * b)
     while True:
-        x, y = (_log_uniform(rng, 15, 80, rng.uniform(-math.pi, math.pi)) for _ in "xy")
+        x, y = (_log_uniform(rng, lo, hi, rng.uniform(-math.pi, math.pi)) for _ in "xy")
         images = pole_images(x, b) + pole_images(y, a)
         if max(((z**d).real for z in images), default=0.0) <= LARGE_EXPONENT_CAP:
             return x, y
@@ -133,17 +139,14 @@ def strata(count, seed):
                 break
         edge.append(((a, b, mu), x, y))
     out["edge band, points orders"] = edge
-    rng = random.Random(f"{seed}-boundary")
-    out["boundary orders"] = [
-        (BOUNDARY_SETS[i % len(BOUNDARY_SETS)],
-         *(_log_uniform(rng, 1, 40, rng.uniform(-math.pi, math.pi)) for _ in "xy"))
-        for i in range(count)
-    ]
-    rng = random.Random(f"{seed}-large")
-    out["large, axis orders"] = [
-        ((a, b, mu), *_large_point(rng, pole_images, a, b))
-        for a, b, mu in (AXIS_SETS[i % len(AXIS_SETS)] for i in range(count))
-    ]
+    for name, tag, sets, lo, hi in (("boundary orders", "boundary", BOUNDARY_SETS, 1, 40),
+                                    ("past the keyhole window", "wide", WIDE_SETS, 1, 40),
+                                    ("large, axis orders", "large", AXIS_SETS, 15, 80)):
+        rng = random.Random(f"{seed}-{tag}")
+        out[name] = [
+            ((a, b, mu), *_capped_point(rng, pole_images, a, b, lo, hi))
+            for a, b, mu in (sets[i % len(sets)] for i in range(count))
+        ]
     return out
 
 
