@@ -42,13 +42,12 @@ of it, in ml2v compare, --method asymptotic and the selftest suites.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .core import Evaluation, Parameters, angle_window, finite
+from .core import Evaluation, Parameters, angle_window, check_count, finite
 from .errors import DomainError, MagnitudeFloor
 from .gamma import recip_gamma
 from .oracle import oracle_eval  # noqa: F401  unused; perfbench/tracer.py wraps it here
@@ -95,18 +94,8 @@ class TruncationOrders:
     p_beta: int = 3
 
     def __post_init__(self) -> None:
-        try:
-            pa, pb = operator.index(self.p_alpha), operator.index(self.p_beta)
-        except TypeError:
-            raise DomainError(
-                f"truncation orders must be integers, got "
-                f"p_alpha={self.p_alpha!r}, p_beta={self.p_beta!r}"
-            ) from None
-        if pa < 1 or pb < 1:
-            raise DomainError(
-                f"truncation orders must be >= 1, got "
-                f"p_alpha={self.p_alpha}, p_beta={self.p_beta}"
-            )
+        check_count("p_alpha", self.p_alpha, 1)
+        check_count("p_beta", self.p_beta, 1)
 
 
 def _sectors(
@@ -156,10 +145,11 @@ def _tail_terms(x: complex, y: complex, params: Parameters, rows: int, cols: int
 def asympt_tail_sum(
     x: complex, y: complex, params: Parameters, orders: TruncationOrders | None = None
 ) -> complex:
-    """The exact finite double sum of inverse powers over reciprocal gamma."""
+    """The exact finite double sum of inverse powers over reciprocal gamma.
+    Raises DomainError for a non-finite or zero x or y."""
+    x, y = finite(x=x, y=y)
     if orders is None:
         orders = TruncationOrders()
-    x, y = complex(x), complex(y)
     if x == 0 or y == 0:
         raise DomainError("tail sum needs x != 0 and y != 0")
     return complex(np.sum(_tail_terms(x, y, params, orders.p_beta, orders.p_alpha)))

@@ -29,7 +29,7 @@ import sys
 import time
 
 from .asymptotics import TruncationOrders, eval_asymptotic
-from .core import EPS, ContourSpec, Evaluation, Parameters, check_tol, validate_params
+from .core import EPS, ContourSpec, Evaluation, Parameters, check_count, check_positive, validate_params
 from .errors import BudgetExceeded, DomainError, NumericFailure
 from .oracle import load_corpus, oracle_eval
 from .representations import (
@@ -94,9 +94,7 @@ def parse_complex(text: str) -> complex:
 
 
 def _tol(args, default: float) -> float:
-    tol = default if args.tol is None else args.tol
-    check_tol(tol)
-    return tol
+    return check_positive("tol", default if args.tol is None else args.tol)
 
 
 def fmt17(v: float) -> str:
@@ -219,13 +217,11 @@ def _axis_values(args, name: str) -> list[complex]:
     point = getattr(args, name)
     lo = getattr(args, f"{name}_min")
     hi = getattr(args, f"{name}_max")
-    count = getattr(args, f"{name}_count")
     if point is not None:
         return [parse_complex(point)]
     if lo is None or hi is None:
         raise DomainError(f"grid needs --{name} or both --{name}-min and --{name}-max")
-    if count < 1:
-        raise DomainError(f"--{name}-count must be >= 1, got {count}")
+    count = check_count(f"--{name}-count", getattr(args, f"{name}_count"), 1)
     zlo, zhi = parse_complex(lo), parse_complex(hi)
     if not cmath.isfinite(zhi - zlo):
         raise DomainError(f"the width from --{name}-min {lo} to --{name}-max {hi} is not finite")

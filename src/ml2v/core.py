@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import sys
 import warnings
 from dataclasses import dataclass
@@ -83,8 +84,7 @@ class ContourSpec:
     theta: float
 
     def __post_init__(self) -> None:
-        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
-            raise DomainError(f"contour radius must be positive, got {self.epsilon}")
+        check_positive("contour radius", self.epsilon)
         if not (0.0 < self.theta <= math.pi):
             raise DomainError(f"contour angle must lie in (0, pi], got {self.theta}")
 
@@ -120,10 +120,25 @@ def finite(**args: complex) -> tuple[complex, ...]:
     raise DomainError(f"{' and '.join(args)} must be finite, got {got}")
 
 
-def check_tol(tol: float) -> None:
-    """Raise DomainError unless tol is positive and finite."""
-    if not (tol > 0 and math.isfinite(tol)):
-        raise DomainError(f"tol must be positive and finite, got {tol}")
+def check_positive(name: str, value: float) -> float:
+    """value; DomainError unless it is a positive finite real."""
+    try:
+        if value > 0 and math.isfinite(value):
+            return value
+    except TypeError:
+        pass
+    raise DomainError(f"{name} must be positive and finite, got {value!r}")
+
+
+def check_count(name: str, value: int, lo: int, hi: float = math.inf) -> int:
+    """value as an int; DomainError unless it is an integer in [lo, hi]."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if not lo <= n <= hi:
+        raise DomainError(f"{name} must lie in [{lo}, {hi}], got {n}")
+    return n
 
 
 def admissible_theta_window(params: Parameters, warn: bool = True) -> tuple[float, float]:
@@ -219,6 +234,10 @@ def classify_region(
 
     delta_b defaults to DELTA_B_REL * max(1, |point|).  Omega+ is the wedge
     |arg point| < theta with |point| > eps; Omega- is the complement
-    (including the open disk |point| < eps).
+    (including the open disk |point| < eps).  Raises DomainError for a
+    non-finite point or a delta_b that is not positive and finite.
     """
+    (point,) = finite(point=point)
+    if delta_b is not None:
+        check_positive("delta_b", delta_b)
     return place_point(point, contour, delta_b)[0]

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .contour import IntegrandSpec, integrate
-from .core import ContourSpec
+from .core import ContourSpec, check_positive, finite
 
 # Classic 9-term rational kernel, g = 7.  Certified against a 50-digit
 # reference during development: relative error stays below ~2e-13 on
@@ -135,13 +135,15 @@ def recip_gamma_hankel(
 ) -> complex:
     """1/Gamma(s) via the Hankel contour integral, principal branch of u^(-s).
 
-    Requires theta > pi/2 so e^u decays on the rays.  Raises GeometryError
-    otherwise and QuadratureError when tol is unreachable within the node
-    budget, both from the quadrature layer.
+    Requires theta > pi/2 so e^u decays on the rays.  Raises DomainError
+    for a non-finite s or a tol that is not positive and finite,
+    GeometryError when theta <= pi/2 and QuadratureError when tol is
+    unreachable within the node budget, both from the quadrature layer.
     """
+    (s,) = finite(s=s)
+    check_positive("tol", tol)
     if contour is None:
         contour = ContourSpec(epsilon=1.0, theta=3.0 * math.pi / 4.0)
-    s = complex(s)
     integrand = IntegrandSpec(f=lambda u: np.exp(u) * u ** (-s), decay=1.0)
     ev = integrate(contour, integrand, tol=tol * 2.0 * math.pi * 0.9)
     return complex(ev.value / (2j * math.pi))

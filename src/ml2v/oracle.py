@@ -37,8 +37,8 @@ from fractions import Fraction
 from importlib import resources
 from typing import Iterator
 
-from .core import Parameters, finite, validate_params
-from .errors import BudgetExceeded, DomainError
+from .core import Parameters, check_count, finite, validate_params
+from .errors import BudgetExceeded
 
 # Requested output digits must sit in this window.
 MIN_DIGITS, MAX_DIGITS = 20, 100
@@ -277,15 +277,13 @@ def _peak_log10_estimate(x: complex, y: complex, alpha: float, beta: float, mu: 
 def oracle_eval(x: complex, y: complex, params: Parameters, digits: int = 30) -> OracleValue:
     """Evaluate E(x, y) to `digits` certified decimal digits.
 
-    Raises DomainError for a non-finite x or y or digits outside [20, 100],
-    and BudgetExceeded when arguments are so large that cancellation would
-    consume the working-precision ceiling (reported, never silently
-    degraded).
+    Raises DomainError for a non-finite x or y or digits that are not an
+    integer in [20, 100], and BudgetExceeded when arguments are so large
+    that cancellation would consume the working-precision ceiling
+    (reported, never silently degraded).
     """
     xc, yc = finite(x=x, y=y)
-    if not MIN_DIGITS <= int(digits) <= MAX_DIGITS:
-        raise DomainError(f"digits must lie in [{MIN_DIGITS}, {MAX_DIGITS}], got {digits}")
-    digits = int(digits)
+    digits = check_count("digits", digits, MIN_DIGITS, MAX_DIGITS)
     alpha, beta, mu = params.alpha, params.beta, params.mu
 
     est = _peak_log10_estimate(xc, yc, alpha, beta, mu)

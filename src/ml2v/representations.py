@@ -51,7 +51,7 @@ from .core import (
     RegionLabel,
     angle_window,
     check_angle_window,
-    check_tol,
+    check_positive,
     contour_distance,
     finite,
     place_point,
@@ -128,9 +128,11 @@ def pole_images(w: complex, power: float) -> tuple[complex, ...]:
     """All cut-plane solutions zeta of zeta^(1/power) = w: the images of
     sector_images with tau1 = pi.  For power >= 1 there is at most one; for
     power < 1 up to ceil(1/power) coexist, each a genuine pole of the
-    integrand.  Raises DomainError for a non-finite w and BudgetExceeded
-    where the images overflow a double."""
+    integrand.  Raises DomainError for a non-finite w or a power that is
+    not positive and finite, and BudgetExceeded where the images overflow
+    a double."""
     (w,) = finite(w=w)
+    check_positive("power", power)
     if w == 0:
         return (0j,)
     return sector_images(w, power, math.pi, 0.0)[0]
@@ -377,7 +379,7 @@ def eval_with_contour(
     measured for the label).
     """
     x, y = finite(x=x, y=y)
-    check_tol(tol)
+    check_positive("tol", tol)
     if route is not None and route not in _ROUTES.values():
         raise DomainError(
             f"route must be one of {', '.join(_ROUTES.values())} or None, got {route!r}"
@@ -621,7 +623,7 @@ def _batch(route, xs, ys, params: Parameters, tol: float) -> list:
     finite raises in the slot of every other point.  Raises DomainError for
     a tol that is not positive and finite or for xs and ys of different
     lengths."""
-    check_tol(tol)
+    check_positive("tol", tol)
     xs, ys = list(xs), list(ys)
     if len(xs) != len(ys):
         raise DomainError(f"xs and ys differ in length: {len(xs)} and {len(ys)}")
@@ -640,7 +642,7 @@ def _batch(route, xs, ys, params: Parameters, tol: float) -> list:
 def _one(route, x: complex, y: complex, params: Parameters, tol: float):
     """route at the one point (x, y): its Evaluation, or what it failed with raised."""
     x, y = finite(x=x, y=y)
-    check_tol(tol)
+    check_positive("tol", tol)
     (r,) = route([(x, y)], params, tol)
     if isinstance(r, Exception):
         raise r

@@ -38,13 +38,12 @@ import cmath
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS, Evaluation, Parameters, check_tol, finite
-from .errors import BudgetExceeded, DomainError
+from .core import EPS, Evaluation, Parameters, check_count, check_positive, finite
+from .errors import BudgetExceeded
 from .gamma import log_recip_gamma, recip_gamma
 
 
@@ -56,13 +55,8 @@ class SeriesBudget:
     max_terms: int = 2_000_000
 
     def __post_init__(self) -> None:
-        check_tol(self.tol)
-        try:
-            operator.index(self.max_terms)
-        except TypeError:
-            raise DomainError(f"max_terms must be an integer, got {self.max_terms!r}") from None
-        if self.max_terms < 4:
-            raise DomainError(f"max_terms must be at least 4, got {self.max_terms}")
+        check_positive("tol", self.tol)
+        check_count("max_terms", self.max_terms, 4)
 
 
 def _log_abs(w: complex) -> float:
@@ -294,10 +288,9 @@ def eval_ml_one(
     positive and finite.
     """
     z, kappa = finite(z=z, kappa=kappa)
+    check_positive("rho", rho)
     if budget is None:
         budget = SeriesBudget()
-    if not (rho > 0 and math.isfinite(rho)):
-        raise DomainError(f"rho must be positive and finite, got {rho}")
     kmin = max(0, math.ceil((1.0 - kappa.real) / rho))
     blocks = _single_terms(z, rho, kappa, budget.max_terms)
     return _certified_sum(blocks, kmin, rho, abs(kappa), budget.tol)

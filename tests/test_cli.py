@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, and the selftest battery."""
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 from ml2v import cli, contour, selftest, validate_params
 from ml2v.asymptotics import TruncationOrders, eval_asymptotic
 from ml2v.errors import DomainError
+from ml2v.oracle import CorpusRecord, load_corpus, write_corpus
 
 E = math.e
 CLOSED_21 = 2 * E * E - E    # (x e^x - y e^y)/(x - y) at (2, 1)
@@ -470,6 +472,26 @@ def test_compare_corpus_replay(capsys):
     assert "flagged: 0 of" in out
     delta = float(out.split("max |delta| = ")[1].splitlines()[0])
     assert delta <= 1e-7
+
+
+def test_compare_corpus_flags_a_wrong_record_and_a_raised_one(capsys, tmp_path):
+    # a packaged record moved off its value, and the double-pole reproducer,
+    # where eval_many raises BudgetExceeded (its value is never read)
+    moved = load_corpus()[0]
+    moved = dataclasses.replace(moved, value_re=repr(float(moved.value_re) + 1e-3))
+    pole = CorpusRecord(
+        alpha=0.5, beta=0.8, mu=1 + 0j, x=0.454869570036895 + 5.4960809970146505j,
+        y=-11.130528790172699 + 10.58829922644027j, digits=30, value_re="0", value_im="0",
+        tail_bound=0.0,
+    )
+    path = tmp_path / "flags.jsonl"
+    write_corpus([moved, pole], path)
+    rc, out, _ = run_cli(["compare", "--corpus", str(path)], capsys)
+    assert rc == cli.EXIT_NUMERIC
+    lines = out.splitlines()
+    assert lines[0].startswith("record 0: ") and lines[0].endswith(" FLAG")
+    assert lines[1].startswith("record 1: FLAG (BudgetExceeded: ")
+    assert lines[-1] == "flagged: 2 of 2"
 
 
 def test_selftest_all_suites(capsys, monkeypatch, cached_run_suite):

@@ -10,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 import mpmath as mp
 import pytest
 
-from ml2v import BudgetExceeded, DomainError, validate_params
+from ml2v import BudgetExceeded, DomainError, oracle, validate_params
 from ml2v.oracle import (
     CorpusRecord,
     _as_fraction,
@@ -117,6 +117,44 @@ def test_budget_exceeded_for_huge_arguments():
     par = validate_params(0.5, 0.5, 1.0)
     with pytest.raises(BudgetExceeded):
         oracle_eval(-1e4, -1e4, par, 30)
+
+
+def test_unforeseen_cancellation_reruns_with_more_guard_digits(monkeypatch):
+    # with no a-priori guard, the first pass at (-6, -6) measures ~36 digits of
+    # cancellation and the a-posteriori loop sums again at a higher precision
+    par = validate_params(0.5, 0.5, 1.0)
+    ref = oracle_eval(-6.0, -6.0, par, 30)
+    passes = []
+    certify = oracle._certify
+
+    def counted(mpc, *args):
+        passes.append(mpc.dps)
+        return certify(mpc, *args)
+
+    monkeypatch.setattr(oracle, "_certify", counted)
+    monkeypatch.setattr(oracle, "_peak_log10_estimate", lambda *args: 0.0)
+    ov = oracle_eval(-6.0, -6.0, par, 30)
+    assert len(passes) == 2 and passes[1] > passes[0]
+    with mp.workdps(80):
+        assert abs(ov.value - ref.value) < mp.mpf("1e-40") * abs(ref.value)
+    monkeypatch.setattr(oracle, "_MAX_WDPS", 60)
+    with pytest.raises(BudgetExceeded, match="cancellation needs ~36 guard digits"):
+        oracle_eval(-6.0, -6.0, par, 30)
+
+
+def test_guard_digit_loop_that_never_settles_is_reported(monkeypatch):
+    # a pass whose peak always dwarfs the value by the working precision
+    monkeypatch.setattr(
+        oracle, "_certify", lambda mpc, *args: (mpc.mpf(1), mpc.mpf(0), mpc.mpf(10) ** mpc.dps, 0)
+    )
+    with pytest.raises(BudgetExceeded, match="failed to converge"):
+        oracle_eval(1.0, 1.0, ONE_ONE, 30)
+
+
+def test_zero_value_needs_no_guard_digit_rerun():
+    # E(0, 0) = 1/Gamma(0) = 0: no cancellation to measure
+    ov = oracle_eval(0.0, 0.0, validate_params(0.5, 0.5, 0.0), 30)
+    assert ov.value == 0 and ov.tail_bound == 0
 
 
 def test_rational_reading_of_orders():

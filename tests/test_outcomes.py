@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 
 import ml2v.asymptotics as asymptotics
 import ml2v.representations as representations
-from ml2v import cli, errors
-from ml2v.core import validate_params
+from ml2v import cli, core, errors, gamma, oracle
+from ml2v.core import classify_region, validate_params
 from ml2v.errors import BudgetExceeded, DomainError, NumericFailure
-from ml2v.oracle import oracle_eval
+from ml2v.gamma import recip_gamma_hankel
+from ml2v.oracle import make_record, oracle_eval
 from ml2v.representations import (
     choose_contour,
     classify_pair,
@@ -25,6 +26,7 @@ from ml2v.representations import (
     eval_with_contour,
     pole_images,
 )
+from ml2v.selftest import run_suite
 from ml2v.series import SeriesBudget, eval_double_series, eval_ml_one
 
 ROUTE_FAILURES = {
@@ -154,7 +156,10 @@ EVALUATORS = {
     "choose_contour": lambda x, y: choose_contour(x, y, P058),
     "classify_pair": lambda x, y: classify_pair(x, y, P058, SPEC),
     "classify_case": lambda x, y: asymptotics.classify_case(x, y, P058),
+    "classify_region": lambda x, y: (classify_region(x, SPEC), classify_region(y, SPEC)),
     "pole_images": lambda x, y: (pole_images(x, 0.5), pole_images(y, 0.5)),
+    "asympt_tail_sum": lambda x, y: asymptotics.asympt_tail_sum(x, y, P058),
+    "recip_gamma_hankel": lambda x, y: (recip_gamma_hankel(x), recip_gamma_hankel(y)),
     "eval_double_series": lambda x, y: eval_double_series(x, y, P058),
     "eval_ml_one": lambda x, y: (eval_ml_one(x, 0.5, 1), eval_ml_one(y, 0.5, 1)),
     "oracle_eval": lambda x, y: oracle_eval(x, y, P058),
@@ -197,3 +202,34 @@ def test_bad_tol_is_a_domain_error_before_any_node(evaluate, tol, monkeypatch):
     with pytest.raises(DomainError):
         evaluate(tol)
     assert calls == []
+
+
+# A knob that is not a positive finite real, or not an integer count in
+# range, at each public entry point that takes one.
+BAD_KNOBS = {
+    **{f"oracle_eval-digits={d!r}": lambda d=d: oracle_eval(1.0, 1.0, P058, d)
+       for d in (math.nan, math.inf, None, 30.7, "30")},
+    "make_record-digits=nan": lambda: make_record(1.0, 1.0, P058, math.nan),
+    **{f"recip_gamma_hankel-tol={t}": lambda t=t: recip_gamma_hankel(1.5, tol=t)
+       for t in (0.0, -1.0, math.nan, math.inf)},
+    **{f"classify_region-delta_b={d}": lambda d=d: classify_region(2.0, SPEC, d)
+       for d in (-1.0, math.nan)},
+    **{f"pole_images-power={q}": lambda q=q: pole_images(2.0 + 1.0j, q)
+       for q in (0.0, math.nan, -1.0, math.inf)},
+    "run_suite-bogus": lambda: run_suite("bogus"),
+}
+
+# The first work each of those entry points does once its checks pass.
+FIRST_WORK = [(oracle, "_peak_log10_estimate"), (gamma, "integrate"), (core, "place_point"),
+              (representations, "sector_images")]
+
+
+@pytest.mark.parametrize("name", BAD_KNOBS)
+def test_bad_knob_is_a_domain_error_before_any_work(name, monkeypatch):
+    def work(*args, **kwargs):
+        raise AssertionError(f"{name}: work began before the input check")
+
+    for module, attr in FIRST_WORK:
+        monkeypatch.setattr(module, attr, work)
+    with pytest.raises(DomainError):
+        BAD_KNOBS[name]()
