@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import itertools
 import json
 import math
@@ -113,57 +114,39 @@ def _split_method(tag: str) -> tuple[str, str]:
     return tag, ""
 
 
-def make_row(params: Parameters, x: complex, y: complex, ev: Evaluation | None,
-             method: str, ms: float) -> dict:
-    """One ResultRecord; ev None means the point raised (nan value, est_error inf)."""
-    if ev is None:
-        val_re = val_im = math.nan
-        est: float = math.inf
-        tag, case = method, ""
-    else:
-        val_re, val_im = ev.value.real, ev.value.imag
-        est = ev.est_error
-        tag, case = _split_method(ev.method)
-    return {
-        "alpha": params.alpha,
-        "beta": params.beta,
-        "mu_re": params.mu.real,
-        "mu_im": params.mu.imag,
-        "x_re": x.real,
-        "x_im": x.imag,
-        "y_re": y.real,
-        "y_im": y.imag,
-        "val_re": val_re,
-        "val_im": val_im,
-        "est_error": est,
-        "method": tag,
-        "case": case,
-        "ms": round(ms, 3),
-    }
+def _point_fields(x: complex, y: complex, ev: Evaluation | Exception, method: str) -> tuple:
+    """The columns x_re .. case of one row; a point that raised has a nan
+    value, est_error inf and the method asked for."""
+    if isinstance(ev, Exception):
+        return x.real, x.imag, y.real, y.imag, math.nan, math.nan, math.inf, method, ""
+    return (x.real, x.imag, y.real, y.imag, ev.value.real, ev.value.imag, ev.est_error,
+            *_split_method(ev.method))
 
 
-def _csv_line(row: dict) -> str:
-    values = (row[key] for key in CSV_HEADER.split(","))
-    return ",".join(v if isinstance(v, str) else fmt17(v) for v in values)
+def _json_value(v):
+    if isinstance(v, float) and not math.isfinite(v):
+        return None if math.isnan(v) else "inf"
+    return v
 
 
-def _json_obj(row: dict) -> dict:
-    out = {}
-    for key in CSV_HEADER.split(","):
-        v = row[key]
-        if isinstance(v, float) and not math.isfinite(v):
-            v = None if math.isnan(v) else "inf"
-        out[key] = v
-    return out
-
-
-def emit_rows(rows: list[dict], fmt: str, single: bool = False) -> None:
+def emit_rows(params: Parameters, pts: list[tuple[complex, complex]], evs: list,
+              method: str, ms: float, fmt: str, single: bool = False) -> None:
+    """Print one row per point pts[i] with its result evs[i] (an Evaluation,
+    or the exception it raised) under the CSV header, or as JSON."""
+    head = (params.alpha, params.beta, params.mu.real, params.mu.imag)
+    ms = round(ms, 3)
     if fmt == "csv":
-        print(CSV_HEADER)
-        for row in rows:
-            print(_csv_line(row))
+        # the columns shared by every row are formatted once
+        lead, tail = ",".join(map(fmt17, head)), fmt17(ms)
+        lines = [CSV_HEADER]
+        for (x, y), ev in zip(pts, evs):
+            *nums, tag, case = _point_fields(x, y, ev, method)
+            lines.append(f"{lead},{','.join(map(fmt17, nums))},{tag},{case},{tail}")
+        sys.stdout.write("\n".join(lines) + "\n")
     else:
-        objs = [_json_obj(r) for r in rows]
+        keys = CSV_HEADER.split(",")
+        objs = [dict(zip(keys, map(_json_value, (*head, *_point_fields(x, y, ev, method), ms))))
+                for (x, y), ev in zip(pts, evs)]
         payload = objs[0] if single and len(objs) == 1 else objs
         print(json.dumps(payload, indent=2))
 
@@ -237,7 +220,7 @@ def cmd_eval(args) -> int:
     t0 = time.perf_counter()
     ev = evaluate_point(args, x, y, params, args.method, tol)
     ms = (time.perf_counter() - t0) * 1e3
-    emit_rows([make_row(params, x, y, ev, args.method, ms)], args.format, single=True)
+    emit_rows(params, [(x, y)], [ev], args.method, ms, args.format, single=True)
     return EXIT_OK
 
 
@@ -254,16 +237,11 @@ def cmd_grid(args) -> int:
     else:
         results = [_settled(args, x, y, params, tol) for x, y in pts]
     ms = (time.perf_counter() - t0) * 1e3 / len(pts)
-    rows = []
-    failures = 0
-    for (x, y), ev in zip(pts, results):
-        if isinstance(ev, Exception):
-            print(f"point x={_c_str(x)} y={_c_str(y)} failed: {ev}", file=sys.stderr)
-            failures += 1
-            ev = None
-        rows.append(make_row(params, x, y, ev, args.method, ms))
-    emit_rows(rows, args.format)
-    return EXIT_NUMERIC if failures else EXIT_OK
+    failed = [(x, y, ev) for (x, y), ev in zip(pts, results) if isinstance(ev, Exception)]
+    for x, y, exc in failed:
+        print(f"point x={_c_str(x)} y={_c_str(y)} failed: {exc}", file=sys.stderr)
+    emit_rows(params, pts, results, args.method, ms, args.format)
+    return EXIT_NUMERIC if failed else EXIT_OK
 
 
 def _settled(args, x: complex, y: complex, params: Parameters,
@@ -467,6 +445,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser: built on main's first call, and read-only from then on
+_parser = functools.cache(build_parser)
+
+
 def _attach_negative_literals(argv: list[str]) -> list[str]:
     """Write "--x -2-1i" as "--x=-2-1i": argparse reads "-2" as a value
     but any other literal that starts with a minus as an unknown option."""
@@ -486,7 +468,7 @@ def _attach_negative_literals(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(_attach_negative_literals(argv))
     _check_knobs(parser, args)
     try:

@@ -22,6 +22,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Number
 
 from .errors import DomainError, GeometryError, ThinWindowWarning
 
@@ -92,17 +93,17 @@ class ContourSpec:
 def validate_params(alpha: float, beta: float, mu: complex) -> Parameters:
     """Validate orders and offset, returning Parameters.
 
-    Raises DomainError for a non-finite value and for alpha or beta outside
+    Raises DomainError for a value that is not a finite number (see
+    finite), for an order off the real line and for alpha or beta outside
     (0, 2].  Every finite mu is accepted, and so is alpha*beta >= 2: E is
     entire for all of them.  A route that cannot reach such parameters (the
     keyhole and the asymptotics need alpha*beta < 2 for their angle window)
     raises a NumericFailure there.
     """
-    alpha = float(alpha)
-    beta = float(beta)
-    mu = complex(mu)
-    if not (math.isfinite(alpha) and math.isfinite(beta) and cmath.isfinite(mu)):
-        raise DomainError("parameters must be finite")
+    a, b, mu = finite(alpha=alpha, beta=beta, mu=mu)
+    if a.imag or b.imag:
+        raise DomainError(f"orders must be real, got alpha={alpha!r}, beta={beta!r}")
+    alpha, beta = a.real, b.real
     if alpha <= 0 or beta <= 0:
         raise DomainError(f"orders must be positive, got alpha={alpha}, beta={beta}")
     if alpha > 2 or beta > 2:
@@ -110,10 +111,21 @@ def validate_params(alpha: float, beta: float, mu: complex) -> Parameters:
     return Parameters(alpha, beta, mu)
 
 
+# The number types finite meets most, checked before the numbers.Number ABC.
+_BUILTIN = (complex, float, int)
+
+
 def finite(**args: complex) -> tuple[complex, ...]:
     """The named arguments as complex numbers, in order; raises DomainError
-    unless every one is finite."""
-    zs = tuple(map(complex, args.values()))
+    unless every one is a finite number (numbers.Number: a string is not)."""
+    for v in args.values():
+        if not isinstance(v, _BUILTIN) and not isinstance(v, Number):
+            got = ", ".join(f"{name}={v!r}" for name, v in args.items())
+            raise DomainError(f"{' and '.join(args)} must be numbers, got {got}")
+    try:
+        zs = tuple(map(complex, args.values()))
+    except OverflowError:  # an int beyond the double range
+        raise DomainError(f"{' and '.join(args)} must be finite doubles") from None
     if all(map(cmath.isfinite, zs)):
         return zs
     got = ", ".join(f"{name}={z}" for name, z in zip(args, zs))

@@ -220,8 +220,11 @@ def residue_weight(image: complex, p_def: float, p_den: float) -> float:
 
     8 covers the final rounding to a double, the rest the long-double
     rounding of v, which exp(zeta^d) = exp(exp(v)) amplifies by |zeta^d|;
-    inf where |zeta^d| overflows a double.
+    inf where |zeta^d| overflows a double.  An image that underflowed to 0
+    takes the floor: |zeta|^d (1 + d |log zeta|) -> 0 there.
     """
+    if image == 0:
+        return 8.0 + 16.0 * (EPS_LD / EPS)
     d = 1.0 / (p_def * p_den)
     try:
         zd_v = abs(image) ** d * (1.0 + d * abs(cmath.log(image)))

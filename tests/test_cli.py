@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import os
+import re
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -405,6 +407,16 @@ def test_grid_uncertified_row_exits_3_and_keeps_the_others(capsys):
     assert "misses tol" in err
 
 
+def test_eval_underflowed_pole_exits_0(capsys):
+    # the pole s = x^2 underflows to 0; the ValueError it raised exited 1
+    rc, out, err = run_cli(["eval", "--alpha", "0.5", "--beta", "0.5", "--x", "1e-300",
+                            "--y", "5"], capsys)
+    assert (rc, err) == (0, "")
+    (row,) = csv_rows(out)
+    assert row["method"] == "hyperbola"
+    assert float(row["val_re"]) == pytest.approx(1.44009798674661e11)
+
+
 def test_eval_uncertified_double_pole_exits_3(capsys):
     # the series returned est_error 47 here, and eval exited 0
     rc, out, err = run_cli(
@@ -555,3 +567,43 @@ def test_module_invocation_end_to_end():
     assert proc.returncode == 0
     row = proc.stdout.strip().splitlines()[1].split(",")
     assert abs(float(row[8]) - CLOSED_21) <= 1e-9 * CLOSED_21
+
+
+# One process's calls in turn, the first ending in parser.error: a knob its
+# method does not read.
+REUSE_CALLS = [
+    ["eval", *POINT_11, "--method", "series", "--theta", "2"],
+    ["eval", "--alpha", "0.5", "--beta", "0.8", "--x", "1+2i", "--y", "-3-1i"],
+    ["grid", "--alpha", "0.5", "--beta", "0.8", "--x-min", "-8-8i", "--x-max", "8+8i",
+     "--y-min", "-8+2i", "--y-max", "8-1i", "--x-count", "4", "--y-count", "3"],
+    ["grid", "--alpha", "0.5", "--beta", "0.8", "--x-min", "-2", "--x-max", "2i",
+     "--y", "3", "--x-count", "3", "--format", "json"],
+    ["grid", "--alpha", "1", "--beta", "1", "--x-min", "1", "--x-max", "5", "--y", "3",
+     "--x-count", "5", "--method", "hyperbola"],
+    ["compare", "--alpha", "0.5", "--beta", "0.8", "--x", "1+1i", "--y", "2"],
+    ["selftest", "--suite", "gamma"],
+]
+
+
+def _ms_blanked(text):
+    """text with the ms column of CSV rows and JSON objects blanked."""
+    text = re.sub(r'("ms": )[^\n]*', r"\1-", text)
+    return re.sub(r"^((?:[^,\n]*,){13})[^,\n]*$", r"\1-", text, flags=re.M)
+
+
+def test_one_parser_serves_every_call_of_a_process(capsys, monkeypatch):
+    # argparse wraps its usage line at $COLUMNS; both runs read the same
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli._parser() is cli._parser()
+    codes = []
+    for argv in REUSE_CALLS:
+        try:
+            codes.append(cli.main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+        got = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "ml2v.cli", *argv], capture_output=True,
+                               text=True, timeout=120, env=dict(os.environ, COLUMNS="80"))
+        assert (codes[-1], _ms_blanked(got.out), got.err) == (
+            fresh.returncode, _ms_blanked(fresh.stdout), fresh.stderr), argv
+    assert codes == [2, 0, 0, 0, 3, 0, 0]

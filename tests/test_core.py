@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from ml2v import (
     classify_region,
     validate_params,
 )
-from ml2v.core import check_angle_window, contour_distance
+from ml2v.core import check_angle_window, contour_distance, finite
 
 
 def test_validate_standard_regime():
@@ -55,11 +57,24 @@ def test_validate_accepts_every_order_in_the_function_domain(alpha, beta, mu):
         (math.nan, 1.0, 1.0),
         (1.0, math.inf, 1.0),
         (1.0, 1.0, complex(1.0, math.nan)),
+        ("x", 0.8, 1.0),
+        (0.5, "0.8", 1.0),
+        (0.5, 0.8, "1+2j"),
+        (None, 0.8, 1.0),
+        (1.0 + 0.5j, 0.8, 1.0),
+        (0.5, 0.8, 10**400),
     ],
 )
 def test_validate_rejects(alpha, beta, mu):
     with pytest.raises(DomainError):
         validate_params(alpha, beta, mu)
+
+
+def test_validate_accepts_numbers_of_every_kind():
+    # numpy scalars, mpmath numbers and Fractions are numbers.Number
+    p = validate_params(np.float64(0.5), Fraction(4, 5), mpmath.mpc(1, 0.5))
+    assert p == validate_params(0.5, 0.8, 1 + 0.5j)
+    assert finite(x=np.int64(2), y=np.complex128(1 + 1j)) == (2 + 0j, 1 + 1j)
 
 
 def test_regime_is_pure_function_of_inputs():

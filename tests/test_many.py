@@ -10,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from ml2v import eval_auto, eval_many, validate_params
+from ml2v import eval_auto, eval_many, oracle_eval, validate_params
 from ml2v import representations as rep
 from ml2v.errors import BudgetExceeded, DegenerateDenominator, DomainError, NumericFailure
 from ml2v.representations import (
@@ -20,6 +20,7 @@ from ml2v.representations import (
     eval_hyperbola,
     hyperbola_many,
 )
+from ml2v.series import eval_double_series
 
 TOL = 1e-8
 ORDERS = [(0.5, 0.8, 1), (0.75, 0.75, 1), (0.7, 0.7, 0.5 + 0.3j), (2, 1, 1)]
@@ -176,3 +177,59 @@ def test_auto_raises_rather_than_return_an_uncertified_value(orders, x, y):
     assert ev.method == "series" and ev.est_error > TOL * max(1.0, abs(ev.value))
     (slot,) = eval_many([x], [y], p, TOL)
     assert _bits(slot) == _bits(caught.value) and _bits(slot.evaluation) == _bits(ev)
+
+
+# Points whose x- or y-pole s underflows to 0 in the hyperbola's pole
+# correction while its residue does not: residue_weight took log(0) and the
+# ValueError escaped eval_auto, eval_hyperbola and the whole eval_many batch.
+UNDERFLOWED = [
+    ((0.5, 0.5, 1), 1e-300, 5.0),
+    ((0.1, 0.5, 1), 1e-40, 5.0),
+    ((0.5, 0.1, 1), 5.0, 1e-40),
+    ((0.3, 0.5, 1), 1e-120, -4 + 1j),
+    ((0.001, 0.7, 1), 0.4, 3.0),
+]
+
+
+def _near(orders, x, y):
+    """A reference for an underflowed point that no pole underflows at: at
+    x or y ~ 0, E is the one-variable E_{beta,mu}(y) or E_{alpha,mu}(x),
+    which the 20-digit oracle takes at the symmetric orders (0.5, 0.5, 1)."""
+    if orders == (0.1, 0.5, 1):
+        return oracle_eval(0.0, y, validate_params(0.5, 0.5, 1), digits=20).as_complex(), 0.0
+    if orders == (0.5, 0.1, 1):
+        return oracle_eval(x, 0.0, validate_params(0.5, 0.5, 1), digits=20).as_complex(), 0.0
+    if orders == (0.001, 0.7, 1):
+        # 0.4^1000 underflows here and the oracle needs 6018 guard digits:
+        # the double series certifies the point on its own
+        ev = eval_double_series(x, y, validate_params(*orders))
+        return ev.value, ev.est_error
+    return oracle_eval(x, y, validate_params(*orders), digits=20).as_complex(), 0.0
+
+
+@pytest.mark.parametrize("orders, x, y", UNDERFLOWED)
+def test_underflowed_pole_is_certified(orders, x, y):
+    p = validate_params(*orders)
+    ev = eval_auto(x, y, p, TOL)
+    assert ev.method == "hyperbola"
+    assert _bits(eval_hyperbola(x, y, p, TOL)) == _bits(ev)
+    ref, ref_est = _near(orders, x, y)
+    assert abs(ev.value - ref) <= ev.est_error + ref_est
+
+
+@pytest.mark.parametrize("orders, x, y", UNDERFLOWED)
+def test_underflowed_pole_fails_nothing_else_in_its_batch(orders, x, y):
+    p = validate_params(*orders)
+    rng = random.Random(f"underflow-{orders}")
+    pts = [(_polar(rng, 0, 4), _polar(rng, 0, 4)) for _ in range(8)]
+    pts.insert(4, (x, y))
+    xs, ys = zip(*pts)
+    for many, one in ((eval_many, eval_auto), (hyperbola_many, eval_hyperbola)):
+        assert [_bits(r) for r in many(xs, ys, p, TOL)] == [
+            _one(one, px, py, p) for px, py in pts]
+
+
+def test_residue_weight_of_an_underflowed_pole_is_its_floor():
+    # |s|^d (1 + d |log s|) is far below a double here, so 1 + it is 1
+    floor = rep.residue_weight(1e-300, 1.0, 1.0)
+    assert rep.residue_weight(0j, 1.0, 1.0) == rep.residue_weight(0j, 0.1, 0.5) == floor

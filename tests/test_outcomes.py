@@ -170,13 +170,15 @@ EVALUATORS = {
 @pytest.mark.parametrize("other", [1.0, 20.0])
 @pytest.mark.parametrize("slot", ["x", "y"])
 @pytest.mark.parametrize(
-    "bad", [math.nan, math.inf, complex(-math.inf, 1.0), complex(0.0, math.nan)],
-    ids=["nan", "inf", "-inf+1j", "nan*1j"],
+    "bad", [math.nan, math.inf, complex(-math.inf, 1.0), complex(0.0, math.nan), "1+2j", None,
+            10**400],
+    ids=["nan", "inf", "-inf+1j", "nan*1j", "str", "None", "int-overflow"],
 )
 @pytest.mark.parametrize("name", EVALUATORS)
 def test_bad_input_is_a_domain_error(name, bad, slot, other):
-    # a non-finite argument is bad input, rejected before any work and
-    # without a warning, not a route failure that "another method may" mend
+    # a non-finite argument or a non-number (a string is not parsed) is bad
+    # input, rejected before any work and without a warning, not a route
+    # failure that "another method may" mend
     args = (bad, other) if slot == "x" else (other, bad)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

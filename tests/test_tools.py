@@ -1,7 +1,8 @@
-"""The gate tools under tools/: the sweep's per-stratum table and the
-fingerprint comparison's exit status.  fingerprint.py record is not run here
-(it evaluates the whole fingerprint call set).  Also the benchmark's per-layer
-tracer, which wraps package functions by name."""
+"""The gate tools under tools/: the sweep's per-stratum table, the
+fingerprint comparison's exit status and its cli lines.  fingerprint.py
+record is not run here (it evaluates the whole fingerprint call set).
+Also the benchmark's per-layer tracer, which wraps package functions by
+name."""
 
 import importlib.util
 import os
@@ -92,6 +93,18 @@ def test_fingerprint_compare_fails_a_move_beyond_the_estimates(tmp_path):
     run = _compare(tmp_path, moved)
     assert run.returncode == 1, run.stdout + run.stderr
     assert re.search(r"^residues\s+1\s+0\s+0\s+1\s", run.stdout, re.M), run.stdout
+
+
+def test_fingerprint_cli_lines_ignore_the_ms_column():
+    # the ms column is wall time; the cli group's digest must not read it
+    spec = importlib.util.spec_from_file_location("fingerprint", ROOT / "tools" / "fingerprint.py")
+    fingerprint = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fingerprint)
+    from ml2v import cli
+
+    first = [fingerprint._cli_line(cli, argv) for argv in fingerprint.CLI_SWEEPS]
+    assert [fingerprint._cli_line(cli, argv) for argv in fingerprint.CLI_SWEEPS] == first
+    assert [line.split("\t")[-1].split(":")[0] for line in first] == ["0"] * 5 + ["3"]
 
 
 def test_perfbench_tracer_wraps_and_restores_the_package():

@@ -31,6 +31,11 @@ tail-sum line's est_error is 0.  A residue line's est_error is
 the term's rounding slack EPS * residue_weight * |t| (a flat weight of 8 for
 trees without residue_weight); residue and tail-sum lines print the term and
 its slack as they are, inf included, without building an Evaluation.
+The cli group runs fixed ``ml2v grid`` sweeps in this process through
+cli.main (auto, hyperbola and series sweeps, a --format json sweep, and a
+hyperbola sweep over a double pole whose failed row exits 3); its tag is
+the exit code and a digest of stdout, with the ms column blanked, and of
+stderr, so any change of output bytes or exit code is a tag change.
 compare counts per group the bit-identical lines, the tag or exception
 changes, the values that differ by more than est_A + est_B, and gives the
 worst |dvalue| / (est_A + est_B).  It exits 1 when any line changes its tag
@@ -38,8 +43,12 @@ or exception or moves by more than est_A + est_B, and 0 otherwise.
 """
 
 import cmath
+import contextlib
+import hashlib
+import io
 import math
 import random
+import re
 import sys
 import warnings
 from collections import Counter
@@ -69,6 +78,22 @@ SERIES_BUDGETS = (20, 50, 136, 137, 300, 1000, 5000)
 # allowed to find them
 ASYM_PER_CASE = 10
 ASYM_TRIES = 5000
+# cli group: ml2v grid argument lists, and the ms column of their CSV rows
+# (after 13 commas) and JSON objects
+CLI_SWEEPS = (
+    "grid --alpha 0.5 --beta 0.8 --x-min -8-8i --x-max 8+8i --y-min -8+2i --y-max 8-1i "
+    "--x-count 10 --y-count 10",
+    "grid --alpha 1 --beta 1 --x-min 1 --x-max 5 --y 3 --x-count 5",
+    "grid --alpha 1.2 --beta 0.9 --mu 0.5+0.3i --x-min -6+1i --x-max 6 --y 2-4i --x-count 7 "
+    "--method hyperbola",
+    "grid --alpha 0.7 --beta 0.7 --mu 0.5+0.3i --x-min -0.9 --x-max 0.9i --y 0.3-0.2i "
+    "--x-count 6 --method series",
+    "grid --alpha 0.5 --beta 0.8 --x-min -8-8i --x-max 8+8i --y-min -8+2i --y-max 8-1i "
+    "--x-count 4 --y-count 5 --format json",
+    "grid --alpha 1 --beta 1 --x-min 1 --x-max 5 --y 3 --x-count 5 --method hyperbola",
+)
+CSV_MS = re.compile(r"^((?:[^,\n]*,){13})[^,\n]*$", re.M)
+JSON_MS = re.compile(r'("ms": )[^\n]*')
 
 
 def _hex(v: complex) -> str:
@@ -83,6 +108,18 @@ def _line(group: str, inputs: str, call) -> str:
         return f"{group}\t{inputs}\t-\t-\t{type(exc).__name__}"
     value, est, tag = out if isinstance(out, tuple) else (out.value, out.est_error, out.method)
     return f"{group}\t{inputs}\t{_hex(complex(value))}\t{float(est).hex()}\t{tag}"
+
+
+def _cli_line(cli, argv: str) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv.split())
+        except SystemExit as exc:
+            code = exc.code
+    text = JSON_MS.sub(r"\1-", CSV_MS.sub(r"\1-", out.getvalue()))
+    digest = hashlib.sha256(f"{text}\0{err.getvalue()}".encode()).hexdigest()[:16]
+    return f"cli\t{argv}\t-\t-\t{code}:{digest}"
 
 
 def record() -> None:
@@ -178,6 +215,10 @@ def record() -> None:
     for name, fn in (("recip_gamma", recip_gamma), ("log_recip_gamma", log_recip_gamma)):
         for si, v in zip(s, fn(s)):
             print(f"{name}\t{complex(si)!r}\t{_hex(complex(v))}\t{0.0.hex()}\t-")
+    from ml2v import cli
+
+    for argv in CLI_SWEEPS:
+        print(_cli_line(cli, argv))
 
 
 def compare(path_a: str, path_b: str) -> int:
